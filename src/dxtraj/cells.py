@@ -1,12 +1,28 @@
 """Recurrent and feed-forward cell kinds with single-step forward/backward.
 
-Data orientation: rows are patients, columns are features, so a step computes
-x @ W + h @ U + b. Each cell exposes
+Data orientation: rows are patients, columns are features. Gate g of a cell
+has an input matrix W<g>, a bias b<g> and, in the recurrent kinds, a
+recurrent matrix U<g>. The input term x @ W<g> + b<g> does not depend on the
+state, so it is computed for all rows of a sequence at once, outside the time
+loop (Appleyard et al. 2016); a step adds only the recurrent term:
 
-    init_params(in_size, hid, rng) -> dict of named arrays
-    init_state(n_patients, hid)    -> dict of state arrays ("h" always present)
-    step(x, state, params)         -> (new_state, trace)
-    step_backward(trace, d_state, params) -> (dx, d_state_prev, d_params)
+    pre<g> = xw[:, block g] + h @ U<g>
+
+Each cell exposes
+
+    init_params(in_size, hid, rng)  -> dict of named arrays
+    init_state(n_patients, hid)     -> dict of state arrays ("h" always present)
+    project_inputs(x, params)       -> xw, the input terms of every gate,
+                                       one column block per gate
+    step(xw, state, params)         -> (new_state, trace)
+    step_backward(trace, d_state, params) -> (d_pre, d_state_prev, d_params)
+    input_backward(x, d_pre, params, need_dx) -> (dx or None, d_params)
+
+step_backward returns d_pre, the gradient with respect to a step's stacked
+input terms (same layout as xw), and the gradients of the parameters a step
+reads: U<g>, and Wproj for lstm_google. input_backward turns the d_pre rows
+of a whole sequence into the W<g> and b<g> gradients with one GEMM and, when
+asked, into the gradient with respect to x.
 
 The backward passes are hand-derived and are checked against central finite
 differences in the test suite.
@@ -89,99 +105,112 @@ def init_state(kind: str, n_patients: int, hid: int) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# forward steps
+# input terms, hoisted out of the time loop
 
-def step(kind: str, x: np.ndarray, state: dict, params: dict):
-    if kind == "mgru":
-        return _mgru_step(x, state["h"], params)
-    if kind == "gru":
-        return _gru_step(x, state["h"], params)
-    if kind == "lstm":
-        return _lstm_step(x, state["h"], state["c"], params)
-    if kind == "lstm_google":
-        return _lstm_google_step(x, state["h"], state["c"], params)
-    if kind == "jordan":
-        return _jordan_step(x, state["h"], params)
-    if kind == "feedforward":
-        return _feedforward_step(x, params)
-    raise ValueError(f"unknown cell kind: {kind}")
+def project_inputs(kind: str, x: np.ndarray, params: dict) -> np.ndarray:
+    """x @ W<g> + b<g> for every gate g, stacked by columns: the xw that
+    step() takes, for any number of rows."""
+    gates = _cell(kind)[0]
+    w0 = params["W" + gates[0]]
+    if x.shape[1] != w0.shape[0]:
+        raise ValueError(
+            f"input width {x.shape[1]} does not match weight rows {w0.shape[0]}")
+    hid = w0.shape[1]
+    xw = np.empty((x.shape[0], len(gates) * hid))
+    for i, g in enumerate(gates):
+        block = xw[:, i * hid:(i + 1) * hid]
+        np.matmul(x, params["W" + g], out=block)
+        block += params["b" + g]
+    return xw
+
+
+def input_backward(kind: str, x: np.ndarray, d_pre: np.ndarray, params: dict,
+                   need_dx: bool = True):
+    """W<g> and b<g> gradients from the inputs x and the stacked d_pre rows
+    of the same steps; dx = sum over g of d_pre[:, block g] @ W<g>.T, or None
+    when need_dx is false."""
+    gates = _cell(kind)[0]
+    hid = d_pre.shape[1] // len(gates)
+    d_w = x.T @ d_pre
+    d_b = d_pre.sum(axis=0)
+    grads = {}
+    dx = None
+    for i, g in enumerate(gates):
+        cols = slice(i * hid, (i + 1) * hid)
+        grads["W" + g] = d_w[:, cols]
+        grads["b" + g] = d_b[cols]
+        if need_dx:
+            term = d_pre[:, cols] @ params["W" + g].T
+            if dx is None:
+                dx = term
+            else:
+                dx += term
+    return dx, grads
+
+
+# ---------------------------------------------------------------------------
+# steps
+
+def step(kind: str, xw: np.ndarray, state: dict, params: dict):
+    return _cell(kind)[1](xw, state, params)
 
 
 def step_backward(kind: str, trace: dict, d_state: dict, params: dict):
-    if kind == "mgru":
-        return _mgru_backward(trace, d_state["h"], params)
-    if kind == "gru":
-        return _gru_backward(trace, d_state["h"], params)
-    if kind == "lstm":
-        return _lstm_backward(trace, d_state["h"], d_state["c"], params)
-    if kind == "lstm_google":
-        return _lstm_google_backward(trace, d_state["h"], d_state["c"], params)
-    if kind == "jordan":
-        return _jordan_backward(trace, d_state["h"], params)
-    if kind == "feedforward":
-        return _feedforward_backward(trace, d_state["h"], params)
-    raise ValueError(f"unknown cell kind: {kind}")
+    return _cell(kind)[2](trace, d_state, params)
 
 
-def mgru_step(x, h_prev, params):
-    """Single minimal-GRU step; kept as a named entry point for the core cell."""
-    return _mgru_step(x, h_prev, params)
-
-
-def mgru_backward(trace, d_h, params):
-    return _mgru_backward(trace, d_h, params)
-
-
-def _check_shapes(x, h_prev, w_key, params):
-    if x.shape[1] != params[w_key].shape[0]:
+def _check_shapes(xw, h_prev, n_gates):
+    if xw.shape[1] != n_gates * h_prev.shape[1]:
         raise ValueError(
-            f"input width {x.shape[1]} does not match weight rows {params[w_key].shape[0]}"
-        )
-    if h_prev is not None and x.shape[0] != h_prev.shape[0]:
+            f"input width {xw.shape[1]} does not match {n_gates} gate(s) of "
+            f"width {h_prev.shape[1]}")
+    if xw.shape[0] != h_prev.shape[0]:
         raise ValueError(
-            f"batch size mismatch: x has {x.shape[0]} rows, h_prev has {h_prev.shape[0]}"
-        )
+            f"batch size mismatch: xw has {xw.shape[0]} rows, h_prev has "
+            f"{h_prev.shape[0]}")
 
 
-def _mgru_step(x, h_prev, p):
-    _check_shapes(x, h_prev, "Wf", p)
-    f = sigmoid(x @ p["Wf"] + h_prev @ p["Uf"] + p["bf"])
+def _mgru_step(xw, state, p):
+    h_prev = state["h"]
+    _check_shapes(xw, h_prev, 2)
+    hid = h_prev.shape[1]
+    f = sigmoid(xw[:, :hid] + h_prev @ p["Uf"])
     fh = f * h_prev
-    hc = tanh_act(x @ p["Wh"] + fh @ p["Uh"] + p["bh"])
+    hc = tanh_act(xw[:, hid:] + fh @ p["Uh"])
     h = (1.0 - f) * h_prev + f * hc
-    trace = {"x": x, "h_prev": h_prev, "f": f, "fh": fh, "hc": hc}
+    trace = {"h_prev": h_prev, "f": f, "fh": fh, "hc": hc}
     return {"h": h}, trace
 
 
-def _mgru_backward(tr, d_h, p):
-    x, h_prev, f, fh, hc = tr["x"], tr["h_prev"], tr["f"], tr["fh"], tr["hc"]
+def _mgru_backward(tr, d_state, p):
+    h_prev, f, fh, hc = tr["h_prev"], tr["f"], tr["fh"], tr["hc"]
+    d_h = d_state["h"]
     d_hc = d_h * f
     d_ah = d_hc * (1.0 - hc * hc)
     d_fh = d_ah @ p["Uh"].T
     d_f = d_h * (hc - h_prev) + d_fh * h_prev
     d_af = d_f * f * (1.0 - f)
     d_h_prev = d_h * (1.0 - f) + d_fh * f + d_af @ p["Uf"].T
-    d_x = d_af @ p["Wf"].T + d_ah @ p["Wh"].T
-    grads = {
-        "Wf": x.T @ d_af, "Uf": h_prev.T @ d_af, "bf": d_af.sum(axis=0),
-        "Wh": x.T @ d_ah, "Uh": fh.T @ d_ah, "bh": d_ah.sum(axis=0),
-    }
-    return d_x, {"h": d_h_prev}, grads
+    grads = {"Uf": h_prev.T @ d_af, "Uh": fh.T @ d_ah}
+    return np.concatenate([d_af, d_ah], axis=1), {"h": d_h_prev}, grads
 
 
-def _gru_step(x, h_prev, p):
-    _check_shapes(x, h_prev, "Wz", p)
-    z = sigmoid(x @ p["Wz"] + h_prev @ p["Uz"] + p["bz"])
-    r = sigmoid(x @ p["Wr"] + h_prev @ p["Ur"] + p["br"])
+def _gru_step(xw, state, p):
+    h_prev = state["h"]
+    _check_shapes(xw, h_prev, 3)
+    hid = h_prev.shape[1]
+    z = sigmoid(xw[:, :hid] + h_prev @ p["Uz"])
+    r = sigmoid(xw[:, hid:2 * hid] + h_prev @ p["Ur"])
     rh = r * h_prev
-    hc = tanh_act(x @ p["Wh"] + rh @ p["Uh"] + p["bh"])
+    hc = tanh_act(xw[:, 2 * hid:] + rh @ p["Uh"])
     h = (1.0 - z) * h_prev + z * hc
-    trace = {"x": x, "h_prev": h_prev, "z": z, "r": r, "rh": rh, "hc": hc}
+    trace = {"h_prev": h_prev, "z": z, "r": r, "rh": rh, "hc": hc}
     return {"h": h}, trace
 
 
-def _gru_backward(tr, d_h, p):
-    x, h_prev, z, r, rh, hc = tr["x"], tr["h_prev"], tr["z"], tr["r"], tr["rh"], tr["hc"]
+def _gru_backward(tr, d_state, p):
+    h_prev, z, r, rh, hc = tr["h_prev"], tr["z"], tr["r"], tr["rh"], tr["hc"]
+    d_h = d_state["h"]
     d_hc = d_h * z
     d_ah = d_hc * (1.0 - hc * hc)
     d_rh = d_ah @ p["Uh"].T
@@ -190,118 +219,126 @@ def _gru_backward(tr, d_h, p):
     d_r = d_rh * h_prev
     d_ar = d_r * r * (1.0 - r)
     d_h_prev = d_h * (1.0 - z) + d_rh * r + d_az @ p["Uz"].T + d_ar @ p["Ur"].T
-    d_x = d_az @ p["Wz"].T + d_ar @ p["Wr"].T + d_ah @ p["Wh"].T
-    grads = {
-        "Wz": x.T @ d_az, "Uz": h_prev.T @ d_az, "bz": d_az.sum(axis=0),
-        "Wr": x.T @ d_ar, "Ur": h_prev.T @ d_ar, "br": d_ar.sum(axis=0),
-        "Wh": x.T @ d_ah, "Uh": rh.T @ d_ah, "bh": d_ah.sum(axis=0),
-    }
-    return d_x, {"h": d_h_prev}, grads
+    grads = {"Uz": h_prev.T @ d_az, "Ur": h_prev.T @ d_ar, "Uh": rh.T @ d_ah}
+    return np.concatenate([d_az, d_ar, d_ah], axis=1), {"h": d_h_prev}, grads
 
 
-def _lstm_gates(x, rec, p):
-    i = sigmoid(x @ p["Wi"] + rec @ p["Ui"] + p["bi"])
-    f = sigmoid(x @ p["Wf"] + rec @ p["Uf"] + p["bf"])
-    o = sigmoid(x @ p["Wo"] + rec @ p["Uo"] + p["bo"])
-    g = tanh_act(x @ p["Wg"] + rec @ p["Ug"] + p["bg"])
+def _lstm_gates(xw, rec, p):
+    hid = rec.shape[1]
+    i = sigmoid(xw[:, :hid] + rec @ p["Ui"])
+    f = sigmoid(xw[:, hid:2 * hid] + rec @ p["Uf"])
+    o = sigmoid(xw[:, 2 * hid:3 * hid] + rec @ p["Uo"])
+    g = tanh_act(xw[:, 3 * hid:] + rec @ p["Ug"])
     return i, f, o, g
 
 
 def _lstm_gates_backward(tr, d_i, d_f, d_o, d_g, p):
-    x, rec = tr["x"], tr["rec"]
+    rec = tr["rec"]
     i, f, o, g = tr["i"], tr["f"], tr["o"], tr["g"]
     d_ai = d_i * i * (1.0 - i)
     d_af = d_f * f * (1.0 - f)
     d_ao = d_o * o * (1.0 - o)
     d_ag = d_g * (1.0 - g * g)
-    d_x = d_ai @ p["Wi"].T + d_af @ p["Wf"].T + d_ao @ p["Wo"].T + d_ag @ p["Wg"].T
     d_rec = d_ai @ p["Ui"].T + d_af @ p["Uf"].T + d_ao @ p["Uo"].T + d_ag @ p["Ug"].T
-    grads = {
-        "Wi": x.T @ d_ai, "Ui": rec.T @ d_ai, "bi": d_ai.sum(axis=0),
-        "Wf": x.T @ d_af, "Uf": rec.T @ d_af, "bf": d_af.sum(axis=0),
-        "Wo": x.T @ d_ao, "Uo": rec.T @ d_ao, "bo": d_ao.sum(axis=0),
-        "Wg": x.T @ d_ag, "Ug": rec.T @ d_ag, "bg": d_ag.sum(axis=0),
-    }
-    return d_x, d_rec, grads
+    grads = {"Ui": rec.T @ d_ai, "Uf": rec.T @ d_af,
+             "Uo": rec.T @ d_ao, "Ug": rec.T @ d_ag}
+    return np.concatenate([d_ai, d_af, d_ao, d_ag], axis=1), d_rec, grads
 
 
-def _lstm_step(x, h_prev, c_prev, p):
-    _check_shapes(x, h_prev, "Wi", p)
-    i, f, o, g = _lstm_gates(x, h_prev, p)
+def _lstm_step(xw, state, p):
+    h_prev, c_prev = state["h"], state["c"]
+    _check_shapes(xw, h_prev, 4)
+    i, f, o, g = _lstm_gates(xw, h_prev, p)
     c = f * c_prev + i * g
     tc = tanh_act(c)
     h = o * tc
-    trace = {"x": x, "rec": h_prev, "c_prev": c_prev,
+    trace = {"rec": h_prev, "c_prev": c_prev,
              "i": i, "f": f, "o": o, "g": g, "tc": tc}
     return {"h": h, "c": c}, trace
 
 
-def _lstm_backward(tr, d_h, d_c_next, p):
+def _lstm_backward(tr, d_state, p):
     i, f, o, g, tc = tr["i"], tr["f"], tr["o"], tr["g"], tr["tc"]
+    d_h = d_state["h"]
     d_o = d_h * tc
-    d_c = d_c_next + d_h * o * (1.0 - tc * tc)
+    d_c = d_state["c"] + d_h * o * (1.0 - tc * tc)
     d_f = d_c * tr["c_prev"]
     d_i = d_c * g
     d_g = d_c * i
     d_c_prev = d_c * f
-    d_x, d_rec, grads = _lstm_gates_backward(tr, d_i, d_f, d_o, d_g, p)
-    return d_x, {"h": d_rec, "c": d_c_prev}, grads
+    d_pre, d_rec, grads = _lstm_gates_backward(tr, d_i, d_f, d_o, d_g, p)
+    return d_pre, {"h": d_rec, "c": d_c_prev}, grads
 
 
-def _lstm_google_step(x, r_prev, c_prev, p):
+def _lstm_google_step(xw, state, p):
     """LSTM variant with a recurrent projection: the exposed state is the
     projected output r = (o * tanh(c)) @ Wproj, which also drives the gates."""
-    _check_shapes(x, r_prev, "Wi", p)
-    i, f, o, g = _lstm_gates(x, r_prev, p)
+    r_prev, c_prev = state["h"], state["c"]
+    _check_shapes(xw, r_prev, 4)
+    i, f, o, g = _lstm_gates(xw, r_prev, p)
     c = f * c_prev + i * g
     tc = tanh_act(c)
     m = o * tc
     r = m @ p["Wproj"]
-    trace = {"x": x, "rec": r_prev, "c_prev": c_prev,
+    trace = {"rec": r_prev, "c_prev": c_prev,
              "i": i, "f": f, "o": o, "g": g, "tc": tc, "m": m}
     return {"h": r, "c": c}, trace
 
 
-def _lstm_google_backward(tr, d_r, d_c_next, p):
+def _lstm_google_backward(tr, d_state, p):
     i, f, o, g, tc, m = tr["i"], tr["f"], tr["o"], tr["g"], tr["tc"], tr["m"]
+    d_r = d_state["h"]
     d_m = d_r @ p["Wproj"].T
     d_o = d_m * tc
-    d_c = d_c_next + d_m * o * (1.0 - tc * tc)
+    d_c = d_state["c"] + d_m * o * (1.0 - tc * tc)
     d_f = d_c * tr["c_prev"]
     d_i = d_c * g
     d_g = d_c * i
     d_c_prev = d_c * f
-    d_x, d_rec, grads = _lstm_gates_backward(tr, d_i, d_f, d_o, d_g, p)
+    d_pre, d_rec, grads = _lstm_gates_backward(tr, d_i, d_f, d_o, d_g, p)
     grads["Wproj"] = m.T @ d_r
-    return d_x, {"h": d_rec, "c": d_c_prev}, grads
+    return d_pre, {"h": d_rec, "c": d_c_prev}, grads
 
 
-def _jordan_step(x, s_prev, p):
+def _jordan_step(xw, state, p):
     """Classical output-feedback recurrence: the state fed back is the cell's
     previous output activation."""
-    _check_shapes(x, s_prev, "W", p)
-    h = tanh_act(x @ p["W"] + s_prev @ p["U"] + p["b"])
-    trace = {"x": x, "s_prev": s_prev, "h": h}
-    return {"h": h}, trace
+    s_prev = state["h"]
+    _check_shapes(xw, s_prev, 1)
+    h = tanh_act(xw + s_prev @ p["U"])
+    return {"h": h}, {"s_prev": s_prev, "h": h}
 
 
-def _jordan_backward(tr, d_h, p):
-    d_a = d_h * (1.0 - tr["h"] * tr["h"])
-    d_x = d_a @ p["W"].T
-    d_s_prev = d_a @ p["U"].T
-    grads = {"W": tr["x"].T @ d_a, "U": tr["s_prev"].T @ d_a, "b": d_a.sum(axis=0)}
-    return d_x, {"h": d_s_prev}, grads
+def _jordan_backward(tr, d_state, p):
+    d_a = d_state["h"] * (1.0 - tr["h"] * tr["h"])
+    return d_a, {"h": d_a @ p["U"].T}, {"U": tr["s_prev"].T @ d_a}
 
 
-def _feedforward_step(x, p):
-    _check_shapes(x, None, "W", p)
-    h = tanh_act(x @ p["W"] + p["b"])
-    trace = {"x": x, "h": h, "n": x.shape[0]}
-    return {"h": h}, trace
+def _feedforward_step(xw, state, p):
+    _check_shapes(xw, state["h"], 1)
+    h = tanh_act(xw)
+    return {"h": h}, {"h": h}
 
 
-def _feedforward_backward(tr, d_h, p):
-    d_a = d_h * (1.0 - tr["h"] * tr["h"])
-    d_x = d_a @ p["W"].T
-    grads = {"W": tr["x"].T @ d_a, "b": d_a.sum(axis=0)}
-    return d_x, {"h": np.zeros_like(d_h)}, grads
+def _feedforward_backward(tr, d_state, p):
+    d_a = d_state["h"] * (1.0 - tr["h"] * tr["h"])
+    return d_a, {"h": np.zeros_like(d_a)}, {}
+
+
+# kind -> (gate suffixes in the column order of xw, step, step_backward)
+_CELLS = {
+    "mgru": (("f", "h"), _mgru_step, _mgru_backward),
+    "gru": (("z", "r", "h"), _gru_step, _gru_backward),
+    "lstm": (("i", "f", "o", "g"), _lstm_step, _lstm_backward),
+    "lstm_google": (("i", "f", "o", "g"), _lstm_google_step,
+                    _lstm_google_backward),
+    "jordan": (("",), _jordan_step, _jordan_backward),
+    "feedforward": (("",), _feedforward_step, _feedforward_backward),
+}
+
+
+def _cell(kind: str):
+    try:
+        return _CELLS[kind]
+    except KeyError:
+        raise ValueError(f"unknown cell kind: {kind}") from None

@@ -48,23 +48,27 @@ def recall_at_k(yhat: np.ndarray, target_codes, k: int) -> float:
 def evaluate_model(model: ModelParams, patients, vocab: CodeVocabulary,
                    ks=(10, 20, 30)) -> dict:
     """Mean Recall@k over every (patient, transition) pair, one sample per
-    transition, all samples weighted equally."""
+    transition, all samples weighted equally. values are ordered by step,
+    then by patient."""
     ks = [k for k in ks if 1 <= k <= len(vocab)]
-    results = {k: [] for k in ks}
     if not patients:
         raise ValueError("empty evaluation cohort")
     batch = build_batch(patients, vocab, model.extras,
                         duration_max=model.duration_max or None,
                         interval_max=model.interval_max or None)
     trace = network.forward(batch, model)
-    yhat = trace["yhat"]
-    for t in range(batch.n_steps):
-        for h in range(batch.n_patients):
-            if batch.mask[t, h] == 0:
-                continue
-            target = set(np.nonzero(batch.targets[t, h])[0].tolist())
-            for k in ks:
-                results[k].append(recall_at_k(yhat[t, h], target, k))
+    results = {}
+    if ks:
+        targets = batch.targets[trace["valid"]]
+        n_targets = targets.sum(axis=1)
+        if not n_targets.all():
+            raise ValueError("empty target code set")
+        # one stable sort of every valid row: ties go to the ascending code
+        # index, as in rank_codes
+        order = np.argsort(-trace["yhat_rows"], axis=1, kind="stable")
+        hits = np.take_along_axis(targets, order[:, :max(ks)], axis=1)
+        hits = hits.cumsum(axis=1)
+        results = {k: (hits[:, k - 1] / n_targets).tolist() for k in ks}
     return {
         k: RecallResult(k=k, values=v, mean=float(np.mean(v)) if v else 0.0)
         for k, v in results.items()

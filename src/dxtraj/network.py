@@ -13,6 +13,18 @@ and fed to the output layer
 over the code slots. Both LReLU slopes are trainable scalars. The backward
 pass (full backpropagation through time, including the slopes and the optional
 embedding) is hand-derived and verified against finite differences.
+
+Packed layout: a batch is padded to (T, P) cells, and only the cells with
+mask 1 are computed. Their rows are packed time-major, x[mask], so the rows of
+step t are the patients flatnonzero(mask[t]) in order. A flow keeps its state
+as a (P, hidden) array; each step gathers the rows of its active patients,
+advances them and scatters them back, so an inactive patient carries its
+state. The backward flow packs mask[::-1] the same way, and one index array
+maps its rows to forward order. A layer's input terms x @ W + b are computed
+for all of its rows before the time loop (cells.project_inputs), and its W
+and b gradients after BPTT (cells.input_backward), so stacked layers run one
+after the other. The joint and output layers run on the packed rows only;
+forward() scatters yhat back to (T, P, |D|), with zeros at padded cells.
 """
 
 from __future__ import annotations
@@ -122,35 +134,87 @@ def zero_grads(model: ModelParams) -> dict:
 # ---------------------------------------------------------------------------
 # forward
 
-def _scan_direction(inp, mask, layer_params, cell_kind, hidden):
-    """Run a stack of cells over the step axis with mask-gated state carry.
-    Padded steps pass the previous state through unchanged.
+def _pack(valid):
+    """Layout of the packed rows of a (T, P) boolean mask: (P, steps), with
+    one (lo, hi, rows) per step that has an active patient. Rows lo:hi belong
+    to that step; rows holds the indices of its patients, or is None when
+    every patient is active."""
+    n_pat = valid.shape[1]
+    steps = []
+    lo = 0
+    for t, n in enumerate(valid.sum(axis=1).tolist()):
+        if n:
+            rows = None if n == n_pat else np.flatnonzero(valid[t])
+            steps.append((lo, lo + n, rows))
+            lo += n
+    return n_pat, steps
 
-    Returns (top-layer h per step, per-layer traces, per-layer gate masks).
+
+def _embed(model, x_rows):
+    """Layer-0 input rows: the code slots replaced by their embedding when
+    the model has one, extras kept."""
+    if model.E is None:
+        return x_rows
+    d = model.n_codes
+    return np.concatenate([x_rows[:, :d] @ model.E, x_rows[:, d:]], axis=1)
+
+
+def _scan_direction(inp, layout, layer_params, cell_kind, hidden):
+    """Run a stack of cells, one layer after the other, over the packed input
+    rows of one direction (layout from _pack). Rows that no step of the
+    layout covers get h = 0.
+
+    Returns (top-layer h per row, per-layer input rows, per-layer step
+    traces).
     """
-    n_steps, n_pat, _ = inp.shape
-    traces = [[] for _ in layer_params]
-    states = [cells.init_state(cell_kind, n_pat, hidden) for _ in layer_params]
-    prev_states = [[] for _ in layer_params]
-    top_h = np.zeros((n_steps, n_pat, hidden))
-    for t in range(n_steps):
-        m = mask[t][:, None]
-        layer_in = inp[t]
-        for l, params in enumerate(layer_params):
-            prev_states[l].append(states[l])
-            stepped, tr = cells.step(cell_kind, layer_in, states[l], params)
-            gated = {k: m * stepped[k] + (1.0 - m) * states[l][k] for k in stepped}
-            traces[l].append(tr)
-            states[l] = gated
-            layer_in = gated["h"]
-        top_h[t] = states[-1]["h"]
-    return top_h, traces, prev_states
+    n_pat, steps = layout
+    inputs, traces = [], []
+    h_rows = inp
+    for params in layer_params:
+        inputs.append(h_rows)
+        xw = cells.project_inputs(cell_kind, h_rows, params)
+        h_rows = np.zeros((len(xw), hidden))  # rows no step covers stay 0
+        state = cells.init_state(cell_kind, n_pat, hidden)
+        owned = True  # no trace holds the state arrays, so they may be written
+        layer_traces = []
+        for lo, hi, rows in steps:
+            if rows is None:
+                state, tr = cells.step(cell_kind, xw[lo:hi], state, params)
+                new = state
+                owned = False
+            else:
+                new, tr = cells.step(cell_kind, xw[lo:hi],
+                                     {k: v[rows] for k, v in state.items()},
+                                     params)
+                if not owned:
+                    state = {k: v.copy() for k, v in state.items()}
+                    owned = True
+                for k, v in new.items():
+                    state[k][rows] = v
+            h_rows[lo:hi] = new["h"]
+            layer_traces.append(tr)
+        traces.append(layer_traces)
+    return h_rows, inputs, traces
+
+
+def _head(hf, hb, model, dropout=None):
+    """Joint and output layers over rows; returns (j_pre, hj, out_pre, yhat)."""
+    j_pre = hf @ model.Vfwd + hb @ model.Vbwd + model.b_joint
+    hj = lrelu(j_pre, float(model.alpha_j))
+    if dropout is not None:
+        hj = hj * dropout
+    out_pre = hj @ model.Wout + model.b_out
+    yhat = softmax_rows(lrelu(out_pre, float(model.alpha_o)))
+    return j_pre, hj, out_pre, yhat
 
 
 def forward(batch: BatchTensor, model: ModelParams, dropout_mask=None) -> dict:
-    """Full forward pass; the returned trace holds every intermediate needed
-    by backward(). dropout_mask, when given, multiplies the joint-layer output
-    (inverted-dropout convention, already scaled)."""
+    """Full forward pass over the valid cells of a batch; the returned trace
+    holds every intermediate needed by backward(). trace["yhat"] is
+    (T, P, |D|) with zero rows at padded cells; trace["yhat_rows"] holds the
+    valid rows, packed. dropout_mask, when given, is (T, P, hidden) and
+    multiplies the joint-layer output (inverted-dropout convention, already
+    scaled)."""
     x, mask = batch.x, batch.mask
     d = model.n_codes
     if x.shape[2] != d + model.extras.width:
@@ -158,80 +222,94 @@ def forward(batch: BatchTensor, model: ModelParams, dropout_mask=None) -> dict:
             f"batch feature width {x.shape[2]} does not match model "
             f"({d} codes + {model.extras.width} extras)")
 
-    if model.E is not None:
-        codes = x[:, :, :d]
-        inp = np.concatenate([codes @ model.E, x[:, :, d:]], axis=2)
-    else:
-        inp = x
+    valid = mask != 0
+    n_valid = int(valid.sum())
+    pos = np.zeros(valid.shape, dtype=np.intp)
+    pos[valid] = np.arange(n_valid)
+    # rev[i] is the forward-order row of row i of the backward flow, whose
+    # rows are packed from the step-reversed mask
+    rev = pos[::-1][valid[::-1]]
+    layout_f, layout_b = _pack(valid), _pack(valid[::-1])
 
-    hf, tr_f, prev_f = _scan_direction(inp, mask, model.fwd, model.cell_kind,
-                                       model.hidden)
-    # backward flow: same machinery on step-reversed data, states re-reversed
-    # so hb[t] summarizes admissions t..T-1
-    hb_rev, tr_b, prev_b = _scan_direction(inp[::-1], mask[::-1], model.bwd,
-                                           model.cell_kind, model.hidden)
-    hb = hb_rev[::-1]
+    x_rows = x[valid]
+    inp = _embed(model, x_rows)
+    hf, in_f, tr_f = _scan_direction(inp, layout_f, model.fwd,
+                                     model.cell_kind, model.hidden)
+    # hb[i] summarizes admissions t..T-1 of the patient of row i
+    hb_rev, in_b, tr_b = _scan_direction(inp[rev], layout_b, model.bwd,
+                                         model.cell_kind, model.hidden)
+    hb = np.empty_like(hb_rev)
+    hb[rev] = hb_rev
 
-    j_pre = hf @ model.Vfwd + hb @ model.Vbwd + model.b_joint
-    hj = lrelu(j_pre, float(model.alpha_j))
-    if dropout_mask is not None:
-        hj = hj * dropout_mask
-    out_pre = hj @ model.Wout + model.b_out
-    out_act = lrelu(out_pre, float(model.alpha_o))
-    yhat = softmax_rows(out_act)
+    dropout = None if dropout_mask is None else dropout_mask[valid]
+    j_pre, hj, out_pre, yhat_rows = _head(hf, hb, model, dropout)
+    yhat = np.zeros(mask.shape + (d,))
+    yhat[valid] = yhat_rows
 
     return {
-        "inp": inp, "x": x, "mask": mask,
-        "hf": hf, "hb": hb, "traces_f": tr_f, "traces_b": tr_b,
-        "prev_f": prev_f, "prev_b": prev_b,
-        "j_pre": j_pre, "hj": hj, "out_pre": out_pre, "out_act": out_act,
-        "yhat": yhat, "dropout_mask": dropout_mask,
+        "valid": valid, "rev": rev, "x_rows": x_rows,
+        "layout_f": layout_f, "layout_b": layout_b,
+        "inputs_f": in_f, "inputs_b": in_b, "traces_f": tr_f, "traces_b": tr_b,
+        "hf": hf, "hb": hb, "j_pre": j_pre, "hj": hj, "out_pre": out_pre,
+        "dropout": dropout, "yhat_rows": yhat_rows, "yhat": yhat,
     }
 
 
 # ---------------------------------------------------------------------------
 # backward
 
-def _bptt_direction(d_top, inp, mask, traces, prev_states, layer_params,
-                    cell_kind, grads, prefix):
-    """Backprop one directional stack. d_top is the gradient flowing into the
-    top layer's gated state at every step. Returns the gradient wrt inp."""
-    n_steps, n_pat, _ = inp.shape
-    n_layers = len(layer_params)
-    d_inp = np.zeros_like(inp)
-    carry = [{k: np.zeros_like(v) for k, v in prev_states[l][0].items()}
-             for l in range(n_layers)]
-    for t in range(n_steps - 1, -1, -1):
-        m = mask[t][:, None]
-        d_h_in = d_top[t]
-        for l in range(n_layers - 1, -1, -1):
-            d_state = dict(carry[l])
-            d_state["h"] = d_state["h"] + d_h_in
-            gated = {k: m * v for k, v in d_state.items()}
-            dx, d_prev, d_params = cells.step_backward(
-                cell_kind, traces[l][t], gated, layer_params[l])
+def _bptt_direction(d_top, layout, inputs, traces, layer_params, cell_kind,
+                    grads, prefix, need_d_inp):
+    """Backprop one directional stack over its packed rows, top layer first.
+    d_top is the gradient flowing into the top layer's h at every row.
+    Returns the gradient wrt the layer-0 input rows, or None when
+    need_d_inp is false."""
+    n_pat, steps = layout
+    d_h = d_top
+    for l in range(len(layer_params) - 1, -1, -1):
+        params = layer_params[l]
+        carry = cells.init_state(cell_kind, n_pat, d_h.shape[1])
+        d_pre = None
+        for (lo, hi, rows), tr in zip(reversed(steps), reversed(traces[l])):
+            if rows is None:
+                d_state = dict(carry)
+                d_state["h"] = carry["h"] + d_h[lo:hi]
+            else:
+                d_state = {k: v[rows] for k, v in carry.items()}
+                d_state["h"] += d_h[lo:hi]
+            d_step, d_prev, d_params = cells.step_backward(
+                cell_kind, tr, d_state, params)
+            if d_pre is None:
+                d_pre = np.empty((len(d_h), d_step.shape[1]))
+            d_pre[lo:hi] = d_step
             for k, g in d_params.items():
                 grads[f"{prefix}{l}.{k}"] += g
-            carry[l] = {k: d_prev[k] + (1.0 - m) * d_state[k] for k in d_state}
-            d_h_in = dx
-        d_inp[t] = d_h_in
-    return d_inp
+            if rows is None:
+                carry = d_prev
+            else:
+                for k, v in d_prev.items():
+                    carry[k][rows] = v
+        d_h, d_params = cells.input_backward(
+            cell_kind, inputs[l], d_pre, params, need_dx=l > 0 or need_d_inp)
+        for k, g in d_params.items():
+            grads[f"{prefix}{l}.{k}"] += g
+    return d_h
 
 
 def backward(trace: dict, batch: BatchTensor, model: ModelParams) -> dict:
     """Gradients of the masked-mean negated cross-entropy loss (see
     training.cross_entropy_loss) with respect to every parameter."""
-    mask, targets = batch.mask, batch.targets
-    yhat = trace["yhat"]
     grads = zero_grads(model)
-    n_valid = mask.sum()
+    n_valid = batch.mask.sum()
     if n_valid == 0:
         return grads
 
+    yhat = trace["yhat_rows"]
+    targets = batch.targets[trace["valid"]]
     yc = np.clip(yhat, LOSS_EPS, 1.0 - LOSS_EPS)
     inside = (yhat > LOSS_EPS) & (yhat < 1.0 - LOSS_EPS)
     d_yhat = -(targets / yc - (1.0 - targets) / (1.0 - yc)) / n_valid
-    d_yhat = np.where(inside, d_yhat, 0.0) * mask[:, :, None]
+    d_yhat = np.where(inside, d_yhat, 0.0)
 
     # softmax rows: d_z = y * (g - <g, y>)
     dot = np.sum(d_yhat * yhat, axis=-1, keepdims=True)
@@ -242,42 +320,37 @@ def backward(trace: dict, batch: BatchTensor, model: ModelParams) -> dict:
     d_out_pre = d_out_act * np.where(out_pre >= 0, 1.0, alpha_o)
     grads["alpha_o"] += np.sum(d_out_act * np.where(out_pre < 0, out_pre, 0.0))
 
-    hj = trace["hj"]
-    hid, d = model.hidden, model.n_codes
-    grads["Wout"] += hj.reshape(-1, hid).T @ d_out_pre.reshape(-1, d)
-    grads["b_out"] += d_out_pre.sum(axis=(0, 1))
+    grads["Wout"] += trace["hj"].T @ d_out_pre
+    grads["b_out"] += d_out_pre.sum(axis=0)
     d_hj = d_out_pre @ model.Wout.T
 
-    if trace["dropout_mask"] is not None:
-        d_hj = d_hj * trace["dropout_mask"]
+    if trace["dropout"] is not None:
+        d_hj = d_hj * trace["dropout"]
 
     j_pre = trace["j_pre"]
     alpha_j = float(model.alpha_j)
     d_j_pre = d_hj * np.where(j_pre >= 0, 1.0, alpha_j)
     grads["alpha_j"] += np.sum(d_hj * np.where(j_pre < 0, j_pre, 0.0))
 
-    hf, hb = trace["hf"], trace["hb"]
-    flat_dj = d_j_pre.reshape(-1, hid)
-    grads["Vfwd"] += hf.reshape(-1, hid).T @ flat_dj
-    grads["Vbwd"] += hb.reshape(-1, hid).T @ flat_dj
-    grads["b_joint"] += d_j_pre.sum(axis=(0, 1))
+    grads["Vfwd"] += trace["hf"].T @ d_j_pre
+    grads["Vbwd"] += trace["hb"].T @ d_j_pre
+    grads["b_joint"] += d_j_pre.sum(axis=0)
     d_hf = d_j_pre @ model.Vfwd.T
     d_hb = d_j_pre @ model.Vbwd.T
 
-    inp, mask_arr = trace["inp"], trace["mask"]
-    d_inp = _bptt_direction(d_hf, inp, mask_arr, trace["traces_f"],
-                            trace["prev_f"], model.fwd, model.cell_kind,
-                            grads, "fwd")
-    d_inp_rev = _bptt_direction(d_hb[::-1], inp[::-1], mask_arr[::-1],
-                                trace["traces_b"], trace["prev_b"], model.bwd,
-                                model.cell_kind, grads, "bwd")
-    d_inp = d_inp + d_inp_rev[::-1]
-
-    if model.E is not None:
+    rev = trace["rev"]
+    embedded = model.E is not None
+    d_inp = _bptt_direction(d_hf, trace["layout_f"], trace["inputs_f"],
+                            trace["traces_f"], model.fwd, model.cell_kind,
+                            grads, "fwd", embedded)
+    d_inp_rev = _bptt_direction(d_hb[rev], trace["layout_b"],
+                                trace["inputs_b"], trace["traces_b"],
+                                model.bwd, model.cell_kind, grads, "bwd",
+                                embedded)
+    if embedded:
+        d_inp[rev] += d_inp_rev
         e = model.embed_dim
-        codes = trace["x"][:, :, :model.n_codes]
-        grads["E"] += codes.reshape(-1, model.n_codes).T @ \
-            d_inp[:, :, :e].reshape(-1, e)
+        grads["E"] += trace["x_rows"][:, :model.n_codes].T @ d_inp[:, :e]
 
     return grads
 
@@ -325,13 +398,29 @@ def rank_codes(yhat_row: np.ndarray) -> np.ndarray:
 
 def predict_topk(model: ModelParams, history: PatientRecord,
                  vocab: CodeVocabulary, k: int) -> list:
-    """Top-k (code index, probability) for the admission after the history."""
+    """Top-k (code index, probability) for the admission after the history.
+
+    Only the last step is read, and the backward flow's state there has seen
+    the last admission only, so its time loop runs over that one admission.
+    The products over rows keep the shapes forward() gives them, because a
+    BLAS result for one row can change in the last bit with the number of
+    rows: the answer equals forward()'s last row exactly.
+    """
     if not history.admissions:
         raise ValueError("empty admission history")
     if not (1 <= k <= len(vocab)):
         raise ValueError(f"k={k} out of range [1, {len(vocab)}]")
     batch = build_history_tensor(history, model, vocab)
-    trace = forward(batch, model)
-    probs = trace["yhat"][-1, 0, :]
+    inp = _embed(model, batch.x[:, 0])
+    # one patient, active at every step
+    steps = [(t, t + 1, None) for t in range(len(inp))]
+    hf = _scan_direction(inp, (1, steps), model.fwd, model.cell_kind,
+                         model.hidden)[0]
+    # a contiguous copy, laid out as forward()'s inp[rev]
+    hb_rev = _scan_direction(inp[::-1].copy(), (1, steps[:1]), model.bwd,
+                             model.cell_kind, model.hidden)[0]
+    hb = np.zeros_like(hf)
+    hb[-1] = hb_rev[0]
+    probs = _head(hf, hb, model)[3][-1]
     order = rank_codes(probs)[:k]
     return [(int(i), float(probs[i])) for i in order]

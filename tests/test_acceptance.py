@@ -82,7 +82,8 @@ def test_04_mgru_step_scalar_oracle():
         "Wf": np.array([[1.0]]), "Uf": np.array([[0.0]]), "bf": np.zeros(1),
         "Wh": np.array([[1.0]]), "Uh": np.array([[0.0]]), "bh": np.zeros(1),
     }
-    state, _ = cells.mgru_step(np.array([[0.2]]), np.array([[0.4]]), params)
+    xw = cells.project_inputs("mgru", np.array([[0.2]]), params)
+    state, _ = cells.step("mgru", xw, {"h": np.array([[0.4]])}, params)
     h = float(state["h"][0, 0])
     report("minimal-GRU scalar step oracle (+/- 1e-6)",
            abs(h - 0.2885901) <= 1e-6, f"h = {h:.7f}")

@@ -16,9 +16,14 @@ def scalar_mgru_params():
     }
 
 
+def mgru(x, h_prev, params):
+    """One minimal-GRU step on raw inputs x."""
+    xw = cells.project_inputs("mgru", x, params)
+    return cells.step("mgru", xw, {"h": h_prev}, params)
+
+
 def test_mgru_scalar_oracle():
-    state, _ = cells.mgru_step(np.array([[0.2]]), np.array([[0.4]]),
-                               scalar_mgru_params())
+    state, _ = mgru(np.array([[0.2]]), np.array([[0.4]]), scalar_mgru_params())
     assert abs(state["h"][0, 0] - MGRU_SCALAR) < 1e-6
 
 
@@ -27,10 +32,10 @@ def test_mgru_zero_params():
     v = np.array([[0.8, -0.3]])
     zero2 = {k: np.zeros((2, 2)) if v_.ndim == 2 else np.zeros(2)
              for k, v_ in cells.init_params("mgru", 2, 2, SeededRng(0)).items()}
-    state, _ = cells.mgru_step(np.zeros((1, 2)), v, zero2)
+    state, _ = mgru(np.zeros((1, 2)), v, zero2)
     # all-zero weights: f = 0.5 everywhere, candidate = 0, h = 0.5 * h_prev
     npt.assert_allclose(state["h"], 0.5 * v)
-    state, _ = cells.mgru_step(np.array([[0.0]]), np.array([[0.0]]), zero)
+    state, _ = mgru(np.array([[0.0]]), np.array([[0.0]]), zero)
     npt.assert_allclose(state["h"], 0.0)
 
 
@@ -39,7 +44,7 @@ def test_mgru_convex_combination():
     p = cells.init_params("mgru", 3, 3, rng)
     x = rng.normal(1.0, (5, 3))
     h_prev = rng.normal(1.0, (5, 3))
-    state, tr = cells.mgru_step(x, h_prev, p)
+    state, tr = mgru(x, h_prev, p)
     lo = np.minimum(h_prev, tr["hc"])
     hi = np.maximum(h_prev, tr["hc"])
     assert (state["h"] >= lo - 1e-12).all() and (state["h"] <= hi + 1e-12).all()
@@ -52,7 +57,7 @@ def test_mgru_forced_gate_limits():
     x = rng.normal(1.0, (3, 2))
     h_prev = rng.normal(1.0, (3, 2))
     for forced, expect_candidate in ((1.0, True), (0.0, False)):
-        _, tr = cells.mgru_step(x, h_prev, p)
+        _, tr = mgru(x, h_prev, p)
         f = np.full_like(tr["f"], forced)
         h = (1 - f) * h_prev + f * tr["hc"]
         npt.assert_array_equal(h, tr["hc"] if expect_candidate else h_prev)
@@ -63,71 +68,97 @@ def test_backward_zero_and_linearity():
     p = cells.init_params("mgru", 3, 4, rng)
     x = rng.normal(1.0, (2, 3))
     h_prev = rng.normal(1.0, (2, 4))
-    _, tr = cells.mgru_step(x, h_prev, p)
-    dx, dprev, grads = cells.mgru_backward(tr, np.zeros((2, 4)), p)
-    assert not dx.any() and not dprev["h"].any()
+    _, tr = mgru(x, h_prev, p)
+    d_pre, dprev, grads = cells.step_backward("mgru", tr, {"h": np.zeros((2, 4))}, p)
+    assert not d_pre.any() and not dprev["h"].any()
     assert all(not g.any() for g in grads.values())
 
     d = rng.normal(1.0, (2, 4))
-    dx1, dp1, g1 = cells.mgru_backward(tr, d, p)
-    dx2, dp2, g2 = cells.mgru_backward(tr, 2.0 * d, p)
-    npt.assert_allclose(dx2, 2.0 * dx1, atol=1e-12)
+    d1, dp1, g1 = cells.step_backward("mgru", tr, {"h": d}, p)
+    d2, dp2, g2 = cells.step_backward("mgru", tr, {"h": 2.0 * d}, p)
+    npt.assert_allclose(d2, 2.0 * d1, atol=1e-12)
     npt.assert_allclose(dp2["h"], 2.0 * dp1["h"], atol=1e-12)
     for k in g1:
         npt.assert_allclose(g2[k], 2.0 * g1[k], atol=1e-12)
 
 
+def _flat_check(objective, arrays, analytic):
+    """Max relative error between the analytic gradients and central finite
+    differences of objective over the named arrays."""
+    names = sorted(arrays)
+    sizes = [arrays[n].size for n in names]
+    offsets = np.cumsum([0] + sizes)
+    theta0 = np.concatenate([arrays[n].ravel() for n in names])
+
+    def unpack(theta):
+        return {n: theta[lo:hi].reshape(arrays[n].shape)
+                for n, lo, hi in zip(names, offsets[:-1], offsets[1:])}
+
+    numeric = finite_diff_grad(lambda th: objective(unpack(th)), theta0, 1e-5)
+    flat = np.concatenate([analytic[n].ravel() for n in names])
+    assert flat.size == theta0.size
+    return max_relative_error(flat, numeric)
+
+
 def _step_gradcheck(kind, in_size, hid, n_pat, seed):
-    """Finite-difference check of a single step: scalar loss is a fixed random
-    projection of every state array."""
+    """Finite-difference check of a single step over its projected inputs xw,
+    the biases added to them, its state and the parameters a step reads;
+    the scalar loss is a fixed random projection of every state array."""
     rng = SeededRng(seed)
     params = cells.init_params(kind, in_size, hid, rng)
     for v in params.values():
         v += rng.normal(0.4, v.shape)
     x = rng.normal(1.0, (n_pat, in_size))
+    xw = cells.project_inputs(kind, x, params)
     state0 = cells.init_state(kind, n_pat, hid)
     for v in state0.values():
         v += rng.normal(0.7, v.shape)
-    weights = {k: rng.normal(1.0, (n_pat, hid)) for k in
-               cells.init_state(kind, n_pat, hid)}
+    weights = {k: rng.normal(1.0, (n_pat, hid)) for k in state0}
+    biases = sorted(k for k in params if k.startswith("b"))
+    step_params = [k for k in params if not k.startswith(("W", "b"))]
+    step_params += ["Wproj"] if "Wproj" in params else []
 
-    names = sorted(params)
-    sizes = [params[n].size for n in names]
-    offsets = np.cumsum([0] + sizes)
-    extra = x.size + sum(v.size for v in state0.values())
-    theta0 = np.concatenate(
-        [params[n].ravel() for n in names]
-        + [x.ravel()] + [state0[k].ravel() for k in sorted(state0)])
+    arrays = {"xw": xw, **{f"state.{k}": v for k, v in state0.items()},
+              **{k: params[k] for k in biases + step_params}}
 
-    def unpack(theta):
-        p = {n: theta[lo:hi].reshape(params[n].shape)
-             for n, lo, hi in zip(names, offsets[:-1], offsets[1:])}
-        pos = offsets[-1]
-        xx = theta[pos:pos + x.size].reshape(x.shape)
-        pos += x.size
-        st = {}
-        for k in sorted(state0):
-            st[k] = theta[pos:pos + state0[k].size].reshape(state0[k].shape)
-            pos += state0[k].size
-        return p, xx, st
-
-    def objective(theta):
-        p, xx, st = unpack(theta)
-        new_state, _ = cells.step(kind, xx, st, p)
+    def objective(a):
+        p = {**params, **{k: a[k] for k in biases + step_params}}
+        # the biases enter through the projected inputs: shift xw by the
+        # change of project_inputs at x = 0
+        zero = np.zeros_like(x)
+        xw_b = a["xw"] + (cells.project_inputs(kind, zero, p)
+                          - cells.project_inputs(kind, zero, params))
+        st = {k: a[f"state.{k}"] for k in state0}
+        new_state, _ = cells.step(kind, xw_b, st, p)
         return float(sum(np.sum(weights[k] * new_state[k]) for k in new_state))
 
-    numeric = finite_diff_grad(objective, theta0, 1e-5)
+    _, trace = cells.step(kind, xw, state0, params)
+    d_state = {k: weights[k] for k in state0}
+    d_pre, d_prev, grads = cells.step_backward(kind, trace, d_state, params)
+    _, in_grads = cells.input_backward(kind, x, d_pre, params, need_dx=False)
+    analytic = {"xw": d_pre, **{f"state.{k}": v for k, v in d_prev.items()},
+                **{k: grads.get(k, in_grads.get(k)) for k in biases + step_params}}
+    return _flat_check(objective, arrays, analytic)
 
-    new_state, trace = cells.step(kind, x, state0, params)
-    d_state = dict(weights)
-    if kind == "feedforward":
-        d_state = {"h": weights["h"]}
-    dx, d_prev, grads = cells.step_backward(kind, trace, d_state, params)
-    analytic = np.concatenate(
-        [grads[n].ravel() for n in names] + [dx.ravel()]
-        + [d_prev[k].ravel() for k in sorted(state0)])
-    assert theta0.size == analytic.size == offsets[-1] + extra
-    return max_relative_error(analytic, numeric)
+
+def _input_terms_gradcheck(kind, in_size, hid, n_rows, seed):
+    """Finite-difference check of project_inputs/input_backward over x and
+    every W and b; the loss is a fixed random projection of xw."""
+    rng = SeededRng(seed)
+    params = cells.init_params(kind, in_size, hid, rng)
+    for v in params.values():
+        v += rng.normal(0.4, v.shape)
+    x = rng.normal(1.0, (n_rows, in_size))
+    inputs = [k for k in params if k.startswith(("W", "b")) and k != "Wproj"]
+    weight = rng.normal(1.0, cells.project_inputs(kind, x, params).shape)
+
+    def objective(a):
+        p = {**params, **{k: a[k] for k in inputs}}
+        return float(np.sum(weight * cells.project_inputs(kind, a["x"], p)))
+
+    dx, grads = cells.input_backward(kind, x, weight, params)
+    arrays = {"x": x, **{k: params[k] for k in inputs}}
+    return _flat_check(objective, arrays, {"x": dx, **grads})
 
 
 @pytest.mark.parametrize("kind", CELL_KINDS)
@@ -138,9 +169,19 @@ def test_step_gradients_match_finite_differences(kind, dims):
     assert err <= 1e-4, f"{kind} {dims}: rel err {err}"
 
 
+@pytest.mark.parametrize("kind", CELL_KINDS)
+@pytest.mark.parametrize("dims", [(2, 3, 2), (5, 4, 3), (1, 1, 1)])
+def test_input_term_gradients_match_finite_differences(kind, dims):
+    in_size, hid, n_rows = dims
+    err = _input_terms_gradcheck(kind, in_size, hid, n_rows,
+                                 seed=hash(dims) % 1000)
+    assert err <= 1e-4, f"{kind} {dims}: rel err {err}"
+
+
 def test_feedforward_zero_params():
     p = {"W": np.zeros((3, 2)), "b": np.zeros(2)}
-    state, _ = cells.step("feedforward", np.ones((4, 3)), {"h": np.zeros((4, 2))}, p)
+    xw = cells.project_inputs("feedforward", np.ones((4, 3)), p)
+    state, _ = cells.step("feedforward", xw, {"h": np.zeros((4, 2))}, p)
     npt.assert_array_equal(state["h"], 0.0)
 
 
@@ -179,8 +220,8 @@ def test_shape_mismatch_raises():
 def test_step_deterministic():
     rng = SeededRng(8)
     p = cells.init_params("gru", 3, 3, rng)
-    x = rng.normal(1.0, (2, 3))
+    xw = cells.project_inputs("gru", rng.normal(1.0, (2, 3)), p)
     s = {"h": rng.normal(1.0, (2, 3))}
-    a, _ = cells.step("gru", x, s, p)
-    b, _ = cells.step("gru", x, s, p)
+    a, _ = cells.step("gru", xw, s, p)
+    b, _ = cells.step("gru", xw, s, p)
     npt.assert_array_equal(a["h"], b["h"])

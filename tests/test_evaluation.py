@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dxtraj.ehr_data import build_vocabulary
+from dxtraj import network
+from dxtraj.ehr_data import build_batch, build_vocabulary
 from dxtraj.evaluation import (
     grid_to_csv,
     random_baseline,
@@ -110,6 +111,33 @@ def test_evaluate_model_single_transition():
     model, _ = train(cohort, TrainConfig(seed=0, max_epochs=1))
     res = evaluate_model(model, single, vocab, ks=(10,))
     assert res[10].mean == res[10].values[0]
+
+
+def per_row_recall(model, patients, vocab, k):
+    """Reference: recall_at_k on each valid (step, patient) cell in turn."""
+    batch = build_batch(patients, vocab, model.extras,
+                        duration_max=model.duration_max or None,
+                        interval_max=model.interval_max or None)
+    yhat = network.forward(batch, model)["yhat"]
+    return [recall_at_k(yhat[t, h], set(np.flatnonzero(batch.targets[t, h])), k)
+            for t in range(batch.n_steps) for h in range(batch.n_patients)
+            if batch.mask[t, h]]
+
+
+@pytest.mark.parametrize("tied", [False, True])
+def test_evaluate_model_matches_per_row_recall(tied):
+    cohort = generate_cohort(SynthSpec(n_patients=12, vocab_size=30,
+                                       n_states=3, seed=4))
+    vocab = build_vocabulary(cohort)
+    model = network.init_model("mgru", len(vocab), 6, rng=SeededRng(2))
+    if tied:  # uniform scores: every rank is decided by the tie-break
+        model.Wout[...] = 0.0
+    ks = (1, 5, len(vocab))
+    res = evaluate_model(model, cohort, vocab, ks=ks)
+    for k in ks:
+        ref = per_row_recall(model, cohort, vocab, k)
+        assert res[k].values == ref
+        assert res[k].mean == float(np.mean(ref))
 
 
 def test_perfect_memorizer_reaches_one():

@@ -147,6 +147,97 @@ def test_full_gradient_check_stacked_and_embedded():
 
 
 # ---------------------------------------------------------------------------
+# packed layout: only valid cells are computed
+
+def _loss_grads_yhat(batch, model):
+    from dxtraj.training import cross_entropy_loss
+
+    trace = network.forward(batch, model)
+    loss = cross_entropy_loss(batch.targets, trace["yhat"], batch.mask)
+    return loss, network.backward(trace, batch, model), trace["yhat"]
+
+
+def _assert_same(a, b, tol=1e-12):
+    assert abs(a[0] - b[0]) <= tol
+    for k in a[1]:
+        assert np.abs(a[1][k] - b[1][k]).max() <= tol, k
+
+
+def _ragged_batch(seed):
+    # patients of 3, 0, 2 and 1 steps, listed out of length order
+    return random_batch(5, 4, 3, SeededRng(seed), lengths=(3, 0, 2, 1))
+
+
+@pytest.mark.parametrize("kind", CELL_KINDS)
+def test_trailing_padding_steps_change_nothing(kind):
+    model = small_model(seed=19, kind=kind, layers=2, embed_dim=3)
+    batch = _ragged_batch(23)
+    pad = np.zeros((2,) + batch.x.shape[1:])
+    longer = BatchTensor(
+        x=np.concatenate([batch.x, pad]),
+        mask=np.concatenate([batch.mask, np.zeros((2, 4))]),
+        targets=np.concatenate([batch.targets, pad]),
+        patient_ids=batch.patient_ids)
+    a = _loss_grads_yhat(batch, model)
+    b = _loss_grads_yhat(longer, model)
+    _assert_same(a, b)
+    valid = batch.mask == 1
+    assert np.abs(a[2][valid] - b[2][:3][valid]).max() <= 1e-12
+
+
+@pytest.mark.parametrize("kind", CELL_KINDS)
+def test_patient_order_within_batch_changes_nothing(kind):
+    model = small_model(seed=29, kind=kind, layers=2, embed_dim=3)
+    batch = _ragged_batch(31)
+    perm = [2, 0, 3, 1]
+    shuffled = BatchTensor(x=batch.x[:, perm], mask=batch.mask[:, perm],
+                           targets=batch.targets[:, perm],
+                           patient_ids=[batch.patient_ids[i] for i in perm])
+    a = _loss_grads_yhat(batch, model)
+    b = _loss_grads_yhat(shuffled, model)
+    _assert_same(a, b)
+    valid = shuffled.mask == 1
+    assert np.abs(a[2][:, perm][valid] - b[2][valid]).max() <= 1e-12
+
+
+@pytest.mark.parametrize("kind", CELL_KINDS)
+def test_masked_middle_step_carries_state(kind):
+    # a patient inactive at step 1 (with garbage input there) equals the
+    # same patient with that step removed
+    model = small_model(seed=47, kind=kind, layers=2, embed_dim=3)
+    rng = SeededRng(53)
+    gap = random_batch(5, 2, 3, rng, ragged=False)
+    gap.mask[1, 0] = 0.0
+    gap.x[1, 0] = 1.0
+    gap.targets[1, 0] = 0.0
+    closed = BatchTensor(x=gap.x.copy(), mask=gap.mask.copy(),
+                         targets=gap.targets.copy(),
+                         patient_ids=gap.patient_ids)
+    for arr in (closed.x, closed.mask, closed.targets):
+        arr[1:, 0] = np.concatenate([arr[2:, 0], np.zeros_like(arr[:1, 0])])
+    a = _loss_grads_yhat(gap, model)
+    b = _loss_grads_yhat(closed, model)
+    _assert_same(a, b)
+    npt.assert_allclose(a[2][[0, 2], 0], b[2][[0, 1], 0], rtol=0, atol=1e-12)
+
+
+def test_padded_cells_get_zero_yhat():
+    model = small_model(seed=37)
+    batch = _ragged_batch(41)
+    yhat = network.forward(batch, model)["yhat"]
+    assert not yhat[batch.mask == 0].any()
+
+
+@pytest.mark.parametrize("kind", CELL_KINDS)
+def test_full_gradient_check_ragged_lengths(kind):
+    # distinct lengths 0..T, so every step has a different set of patients
+    err = full_network_gradcheck(kind, n_codes=5, hidden=4, n_patients=4,
+                                 n_steps=3, layers=2, embed_dim=3,
+                                 lengths=(2, 0, 3, 1))
+    assert err <= 1e-4, f"{kind}: {err}"
+
+
+# ---------------------------------------------------------------------------
 # prediction
 
 def history(n):
@@ -194,3 +285,17 @@ def test_forward_feature_width_mismatch():
     batch = random_batch(7, 2, 2, SeededRng(0))
     with pytest.raises(ValueError, match="feature width"):
         network.forward(batch, model)
+
+
+@pytest.mark.parametrize("kind", CELL_KINDS)
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_predict_topk_equals_forward_last_step(kind, n):
+    # sizes at which a one-row product can round differently from a
+    # many-row one
+    vocab = CodeVocabulary([str(i) for i in range(40)])
+    model = small_model(seed=43, n_codes=40, hidden=32, kind=kind, layers=2,
+                        embed_dim=24)
+    batch = network.build_history_tensor(history(n), model, vocab)
+    probs = network.forward(batch, model)["yhat"][-1, 0]
+    expected = [(int(i), float(probs[i])) for i in network.rank_codes(probs)[:5]]
+    assert network.predict_topk(model, history(n), vocab, k=5) == expected
