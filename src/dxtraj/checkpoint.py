@@ -3,6 +3,9 @@
 Layout: magic line, JSON header line (metadata + ordered array index), then
 the concatenated little-endian float64 array bytes. The byte stream is a pure
 function of the model contents, so identical models produce identical files.
+The arrays are written in sorted-name order, which is the layout of the
+model's parameter vector (ModelParams.theta): the payload is that vector's
+bytes, and loading copies it back in one piece.
 """
 
 from __future__ import annotations
@@ -21,9 +24,13 @@ MAGIC = b"DXTRAJ-CKPT"
 VERSION = 1
 
 
-def save_checkpoint(model: ModelParams, path) -> None:
+def _array_index(model: ModelParams) -> list:
+    """Name and shape of every array, in sorted-name (payload) order."""
     arrays = model.flat()
-    names = sorted(arrays)
+    return [{"name": n, "shape": list(arrays[n].shape)} for n in sorted(arrays)]
+
+
+def save_checkpoint(model: ModelParams, path) -> None:
     header = {
         "version": VERSION,
         "cell_kind": model.cell_kind,
@@ -35,11 +42,9 @@ def save_checkpoint(model: ModelParams, path) -> None:
         "duration_max": model.duration_max,
         "interval_max": model.interval_max,
         "vocab_labels": model.vocab_labels,
-        "arrays": [{"name": n, "shape": list(arrays[n].shape)} for n in names],
+        "arrays": _array_index(model),
     }
-    payload = b"".join(
-        np.ascontiguousarray(arrays[n], dtype="<f8").tobytes() for n in names
-    )
+    payload = model.theta.astype("<f8", copy=False).tobytes()
     blob = MAGIC + b"\n" + json.dumps(header, sort_keys=True).encode() + b"\n" + payload
     atomic_write_bytes(path, blob)
 
@@ -65,15 +70,12 @@ def load_checkpoint(path) -> ModelParams:
     model.interval_max = header["interval_max"]
     model.vocab_labels = header["vocab_labels"]
 
-    values = {}
-    offset = 0
-    for spec in header["arrays"]:
-        shape = tuple(spec["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        arr = np.frombuffer(payload, dtype="<f8", count=count, offset=offset)
-        values[spec["name"]] = arr.reshape(shape).astype(np.float64)
-        offset += count * 8
-    model.set_flat(values)
+    if header["arrays"] != _array_index(model):
+        raise ValueError(f"{path}: array index does not match the model")
+    if len(payload) != model.theta.size * 8:
+        raise ValueError(f"{path}: payload holds {len(payload)} bytes, "
+                         f"expected {model.theta.size * 8}")
+    model.theta[...] = np.frombuffer(payload, dtype="<f8")
     return model
 
 

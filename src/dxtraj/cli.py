@@ -189,16 +189,22 @@ def cmd_predict(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    worst = 0.0
+    n_failing = 0
+    worst = (0.0, "")
     for kind in CELL_KINDS:
-        err = full_network_gradcheck(
+        errors = full_network_gradcheck(
             kind, n_codes=args.codes, hidden=args.hidden,
             n_patients=args.patients, n_steps=args.steps, seed=args.seed)
-        log(f"{kind:12s} max relative error {err:.3e}")
-        worst = max(worst, err)
-    print(f"max relative error: {worst:.3e}")
-    if worst > args.tolerance:
-        log("gradcheck FAILED")
+        name = max(errors, key=errors.get)
+        failing = [n for n, err in errors.items() if err > args.tolerance]
+        log(f"{kind:12s} max relative error {errors[name]:.3e} ({name})"
+            + (f"; failing: {', '.join(failing)}" if failing else ""))
+        worst = max(worst, (errors[name], f"{kind} {name}"))
+        n_failing += len(failing)
+    print(f"max relative error: {worst[0]:.3e} ({worst[1]})")
+    if n_failing:
+        log(f"gradcheck FAILED: {n_failing} parameter(s) above "
+            f"{args.tolerance:g}")
         return EXIT_GRADCHECK
     log("gradcheck passed")
     return EXIT_OK

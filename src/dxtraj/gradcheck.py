@@ -38,9 +38,10 @@ def full_network_gradcheck(cell_kind: str, n_codes: int = 5, hidden: int = 4,
                            layers: int = 1, embed_dim: int | None = None,
                            seed: int = 0, eps: float = 1e-5,
                            corrupt: str | None = None,
-                           lengths=None) -> float:
+                           lengths=None) -> dict:
     """Max relative error between analytic and finite-difference gradients
-    over every parameter coordinate.
+    over the coordinates of each parameter, by parameter name (in
+    ModelParams.flat() order).
 
     corrupt names a parameter whose analytic gradient gets perturbed before
     comparison (negative-control test hook). lengths, when given, sets the
@@ -57,23 +58,16 @@ def full_network_gradcheck(cell_kind: str, n_codes: int = 5, hidden: int = 4,
     trace = network.forward(batch, model)
     grads = network.backward(trace, batch, model)
     if corrupt is not None:
-        grads[corrupt] = grads[corrupt] + 0.5
+        grads[corrupt] += 0.5
 
-    arrays = model.flat()
-    names = sorted(arrays)
-    sizes = [arrays[n].size for n in names]
-    offsets = np.cumsum([0] + sizes)
-    theta0 = np.concatenate([arrays[n].ravel() for n in names])
+    theta0 = model.theta.copy()
 
     def objective(theta):
-        for n, lo, hi in zip(names, offsets[:-1], offsets[1:]):
-            arrays[n][...] = theta[lo:hi].reshape(arrays[n].shape)
+        model.theta[...] = theta
         tr = network.forward(batch, model)
         return cross_entropy_loss(batch.targets, tr["yhat"], batch.mask)
 
-    numeric = finite_diff_grad(objective, theta0, eps=eps)
-    for n, lo, hi in zip(names, offsets[:-1], offsets[1:]):
-        arrays[n][...] = theta0[lo:hi].reshape(arrays[n].shape)
-
-    analytic = np.concatenate([grads[n].ravel() for n in names])
-    return max_relative_error(analytic, numeric)
+    numeric = model.views(finite_diff_grad(objective, theta0, eps=eps))
+    model.theta[...] = theta0
+    return {name: max_relative_error(g, numeric[name])
+            for name, g in grads.items()}

@@ -29,6 +29,9 @@ forward() scatters yhat back to (T, P, |D|), with zeros at padded cells.
 
 from __future__ import annotations
 
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,10 +43,20 @@ from .numerics import SeededRng, init_gaussian, init_identity, lrelu, softmax_ro
 LOSS_EPS = 1e-8
 
 
+# the head's trainable arrays, in flat() order after the two stacks
+_HEAD = ("Vfwd", "Vbwd", "b_joint", "alpha_j", "Wout", "b_out", "alpha_o", "E")
+
+
 @dataclass
 class ModelParams:
     """Full trainable parameter set plus the structural metadata needed to
-    rebuild it from a checkpoint."""
+    rebuild it from a checkpoint.
+
+    Every trainable array is a view into one float64 vector, theta, which
+    lays the arrays out in sorted-name order (the checkpoint's order), so a
+    whole model is copied, saved or loaded as one vector. Gradients and
+    optimizer state use vectors with the same layout; views() names their
+    parts."""
     cell_kind: str
     n_codes: int
     hidden: int
@@ -62,6 +75,34 @@ class ModelParams:
     duration_max: float = 0.0
     interval_max: float = 0.0
     vocab_labels: list = field(default_factory=list)
+    theta: np.ndarray = field(init=False, repr=False, compare=False)
+    # name -> (start, stop, shape) of each array in theta, in flat() order
+    layout: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        """Copy the arrays given into theta and keep views of it instead."""
+        cell_slots = [(f"{prefix}{l}.{k}", p, k)
+                      for prefix, stack in (("fwd", self.fwd), ("bwd", self.bwd))
+                      for l, p in enumerate(stack) for k in p]
+        arrays = {name: p[k] for name, p, k in cell_slots}
+        arrays.update((name, getattr(self, name)) for name in _HEAD
+                      if getattr(self, name) is not None)
+        start = {}
+        size = 0
+        for name in sorted(arrays):
+            start[name] = size
+            size += arrays[name].size
+        self.layout = {name: (start[name], start[name] + a.size, a.shape)
+                       for name, a in arrays.items()}
+        self.theta = np.empty(size)
+        views = self.flat()
+        for name, a in arrays.items():
+            views[name][...] = a
+        for name, p, k in cell_slots:
+            p[k] = views[name]
+        for name in _HEAD:
+            if name in views:
+                setattr(self, name, views[name])
 
     @property
     def embed_dim(self) -> int:
@@ -72,36 +113,17 @@ class ModelParams:
         base = self.embed_dim if self.E is not None else self.n_codes
         return base + self.extras.width
 
+    def views(self, vec: np.ndarray) -> dict:
+        """Name -> array view of the part of vec, a vector laid out like
+        theta, that holds each parameter; in flat() order."""
+        return {name: vec[lo:hi].reshape(shape)
+                for name, (lo, hi, shape) in self.layout.items()}
+
     def flat(self) -> dict:
-        """Name -> array view of every trainable parameter. Mutating the
-        arrays mutates the model."""
-        out = {}
-        for l, p in enumerate(self.fwd):
-            for k, v in p.items():
-                out[f"fwd{l}.{k}"] = v
-        for l, p in enumerate(self.bwd):
-            for k, v in p.items():
-                out[f"bwd{l}.{k}"] = v
-        out.update(Vfwd=self.Vfwd, Vbwd=self.Vbwd, b_joint=self.b_joint,
-                   alpha_j=self.alpha_j, Wout=self.Wout, b_out=self.b_out,
-                   alpha_o=self.alpha_o)
-        if self.E is not None:
-            out["E"] = self.E
-        return out
-
-    def set_flat(self, values: dict) -> None:
-        for k, v in self.flat().items():
-            v[...] = values[k]
-
-    def copy(self) -> "ModelParams":
-        m = init_model(self.cell_kind, self.n_codes, self.hidden,
-                       layers=self.layers, extras=self.extras,
-                       embed_dim=self.embed_dim or None, rng=SeededRng(0))
-        m.set_flat(self.flat())
-        m.duration_max = self.duration_max
-        m.interval_max = self.interval_max
-        m.vocab_labels = list(self.vocab_labels)
-        return m
+        """Name -> array view of every trainable parameter: the stacks layer
+        by layer (fwd, then bwd), then the joint and output layers, then E.
+        Mutating the arrays mutates the model."""
+        return self.views(self.theta)
 
 
 def init_model(cell_kind: str, n_codes: int, hidden: int, layers: int = 1,
@@ -127,8 +149,45 @@ def init_model(cell_kind: str, n_codes: int, hidden: int, layers: int = 1,
     )
 
 
-def zero_grads(model: ModelParams) -> dict:
-    return {k: np.zeros_like(v) for k, v in model.flat().items()}
+# ---------------------------------------------------------------------------
+# the worker thread
+
+_worker = None
+_worker_lock = threading.Lock()
+
+
+def _forget_worker():
+    global _worker
+    _worker = None
+
+
+# a forked child has no worker thread; it starts its own on first use
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_worker)
+
+
+def run_pair(here, there):
+    """Call there() on the worker thread while here() runs on the calling
+    thread, and return (here(), there()).
+
+    The worker is one persistent thread, started on first use. Both calls
+    have finished when run_pair returns or raises; an exception of either is
+    raised, here()'s first. The two calls must not write the same arrays,
+    and there() must not call run_pair itself. numpy ufuncs and BLAS release
+    the interpreter lock, so two array-bound calls overlap on two cores.
+    """
+    global _worker
+    with _worker_lock:
+        if _worker is None:
+            _worker = ThreadPoolExecutor(max_workers=1,
+                                         thread_name_prefix="dxtraj-worker")
+        future = _worker.submit(there)
+    try:
+        mine = here()
+    except BaseException:
+        wait([future])
+        raise
+    return mine, future.result()
 
 
 # ---------------------------------------------------------------------------
@@ -233,11 +292,13 @@ def forward(batch: BatchTensor, model: ModelParams, dropout_mask=None) -> dict:
 
     x_rows = x[valid]
     inp = _embed(model, x_rows)
-    hf, in_f, tr_f = _scan_direction(inp, layout_f, model.fwd,
-                                     model.cell_kind, model.hidden)
-    # hb[i] summarizes admissions t..T-1 of the patient of row i
-    hb_rev, in_b, tr_b = _scan_direction(inp[rev], layout_b, model.bwd,
-                                         model.cell_kind, model.hidden)
+    inp_rev = inp[rev]
+    kind, hidden = model.cell_kind, model.hidden
+    # the backward flow scans on the worker thread; hb[i] summarizes
+    # admissions t..T-1 of the patient of row i
+    (hf, in_f, tr_f), (hb_rev, in_b, tr_b) = run_pair(
+        lambda: _scan_direction(inp, layout_f, model.fwd, kind, hidden),
+        lambda: _scan_direction(inp_rev, layout_b, model.bwd, kind, hidden))
     hb = np.empty_like(hb_rev)
     hb[rev] = hb_rev
 
@@ -296,10 +357,19 @@ def _bptt_direction(d_top, layout, inputs, traces, layer_params, cell_kind,
     return d_h
 
 
-def backward(trace: dict, batch: BatchTensor, model: ModelParams) -> dict:
+def backward(trace: dict, batch: BatchTensor, model: ModelParams,
+             grad: np.ndarray | None = None) -> dict:
     """Gradients of the masked-mean negated cross-entropy loss (see
-    training.cross_entropy_loss) with respect to every parameter."""
-    grads = zero_grads(model)
+    training.cross_entropy_loss) with respect to every parameter.
+
+    The gradients are added to grad, a vector laid out like model.theta
+    (zeros when None), and returned as model.views(grad). The two flows
+    backpropagate concurrently, the backward flow on the worker thread; they
+    write disjoint parts of grad.
+    """
+    if grad is None:
+        grad = np.zeros_like(model.theta)
+    grads = model.views(grad)
     n_valid = batch.mask.sum()
     if n_valid == 0:
         return grads
@@ -338,17 +408,18 @@ def backward(trace: dict, batch: BatchTensor, model: ModelParams) -> dict:
     d_hf = d_j_pre @ model.Vfwd.T
     d_hb = d_j_pre @ model.Vbwd.T
 
-    rev = trace["rev"]
+    d_hb_rev = d_hb[trace["rev"]]
+    kind = model.cell_kind
     embedded = model.E is not None
-    d_inp = _bptt_direction(d_hf, trace["layout_f"], trace["inputs_f"],
-                            trace["traces_f"], model.fwd, model.cell_kind,
-                            grads, "fwd", embedded)
-    d_inp_rev = _bptt_direction(d_hb[rev], trace["layout_b"],
+    d_inp, d_inp_rev = run_pair(
+        lambda: _bptt_direction(d_hf, trace["layout_f"], trace["inputs_f"],
+                                trace["traces_f"], model.fwd, kind, grads,
+                                "fwd", embedded),
+        lambda: _bptt_direction(d_hb_rev, trace["layout_b"],
                                 trace["inputs_b"], trace["traces_b"],
-                                model.bwd, model.cell_kind, grads, "bwd",
-                                embedded)
+                                model.bwd, kind, grads, "bwd", embedded))
     if embedded:
-        d_inp[rev] += d_inp_rev
+        d_inp[trace["rev"]] += d_inp_rev
         e = model.embed_dim
         grads["E"] += trace["x_rows"][:, :model.n_codes].T @ d_inp[:, :e]
 

@@ -41,13 +41,18 @@ class SeededRng:
 
 
 def sigmoid(x):
-    """Numerically stable logistic function, elementwise."""
+    """Numerically stable logistic function, elementwise.
+
+    With e = exp(-|x|), it is 1 / (1 + e) for x >= 0 and e / (e + 1)
+    otherwise, so exp never overflows; nan stays nan.
+    """
     x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (ex + 1.0)
+    e = np.abs(x, out=np.empty_like(x))
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    out = np.where(x >= 0, 1.0, e)
+    e += 1.0
+    out /= e
     return out
 
 

@@ -29,8 +29,8 @@ def test_01_gradient_correctness():
     t0 = time.perf_counter()
     worst = {}
     for kind in CELL_KINDS:
-        worst[kind] = full_network_gradcheck(
-            kind, n_codes=5, hidden=4, n_patients=2, n_steps=3)
+        worst[kind] = max(full_network_gradcheck(
+            kind, n_codes=5, hidden=4, n_patients=2, n_steps=3).values())
     elapsed = time.perf_counter() - t0
     detail = ", ".join(f"{k}={v:.2e}" for k, v in worst.items())
     report("gradient correctness (rel err <= 1e-4, < 30 s)",

@@ -34,6 +34,33 @@ def test_roundtrip_identical_arrays_and_meta(tmp_path):
         npt.assert_array_equal(loaded.flat()[k], v)
 
 
+def test_roundtrip_restores_into_the_arena(tmp_path):
+    model = make_model()
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(model, path)
+    loaded = load_checkpoint(path)
+    npt.assert_array_equal(loaded.theta, model.theta)
+    # the payload is theta's bytes, after the two header lines
+    assert path.read_bytes().split(b"\n", 2)[2] == model.theta.tobytes()
+    for v in loaded.flat().values():
+        assert np.shares_memory(v, loaded.theta)
+    assert np.shares_memory(loaded.bwd[1]["Wf"], loaded.theta)
+    loaded.flat()["Wout"][...] = 0.0
+    assert not loaded.Wout.any()
+
+
+def test_rejects_mismatched_index_and_payload(tmp_path):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(make_model(), path)
+    blob = path.read_bytes()
+    path.write_bytes(blob[:-8])
+    with pytest.raises(ValueError, match="payload"):
+        load_checkpoint(path)
+    path.write_bytes(blob.replace(b'"Wout"', b'"Wfoo"', 1))
+    with pytest.raises(ValueError, match="array index"):
+        load_checkpoint(path)
+
+
 def test_roundtrip_identical_outputs(tmp_path):
     model = make_model()
     batch = random_batch(6, 2, 3, SeededRng(0),

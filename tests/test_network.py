@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -104,10 +106,11 @@ def test_reversal_consistency_vbwd_zero():
     batch = random_batch(5, 2, 3, SeededRng(3))
     trace = network.forward(batch, model)
 
-    uni = model.copy()
-    for p_dst, p_src in zip(uni.bwd, model.bwd):
-        for k in p_dst:
-            p_dst[k][...] = 0.0  # different bwd params must not matter
+    uni = small_model(seed=13)
+    uni.Vbwd[...] = 0.0
+    for p in uni.bwd:
+        for k in p:
+            p[k][...] = 0.0  # different bwd params must not matter
     trace_uni = network.forward(batch, uni)
     npt.assert_allclose(trace_uni["yhat"], trace["yhat"], atol=1e-12)
 
@@ -134,16 +137,31 @@ def test_patient_duplication_doubles_gradients():
 
 @pytest.mark.parametrize("kind", CELL_KINDS)
 def test_full_gradient_check_all_kinds(kind):
-    err = full_network_gradcheck(kind, n_codes=5, hidden=4, n_patients=2,
-                                 n_steps=3)
-    assert err <= 1e-4, f"{kind}: {err}"
+    errors = full_network_gradcheck(kind, n_codes=5, hidden=4, n_patients=2,
+                                    n_steps=3)
+    assert max(errors.values()) <= 1e-4, f"{kind}: {errors}"
+
+
+def worst_error(**kw):
+    return max(full_network_gradcheck(**kw).values())
 
 
 def test_full_gradient_check_stacked_and_embedded():
-    assert full_network_gradcheck("mgru", layers=2) <= 1e-4
-    assert full_network_gradcheck("mgru", embed_dim=3) <= 1e-4
-    assert full_network_gradcheck("gru", embed_dim=3) <= 1e-4  # DoctorAI combo
-    assert full_network_gradcheck("mgru", n_steps=1) <= 1e-4
+    assert worst_error(cell_kind="mgru", layers=2) <= 1e-4
+    assert worst_error(cell_kind="mgru", embed_dim=3) <= 1e-4
+    assert worst_error(cell_kind="gru", embed_dim=3) <= 1e-4  # DoctorAI combo
+    assert worst_error(cell_kind="mgru", n_steps=1) <= 1e-4
+
+
+@pytest.mark.parametrize("name", ["fwd1.Uf", "bwd0.Wh", "E", "alpha_o"])
+def test_full_gradient_check_names_corrupted_parameter(name):
+    # negative control: a perturbed analytic gradient fails, and only the
+    # parameter it belongs to is reported
+    errors = full_network_gradcheck("mgru", layers=2, embed_dim=3,
+                                    corrupt=name)
+    assert set(errors) == set(small_model(layers=2, embed_dim=3).flat())
+    assert errors[name] > 1e-4
+    assert [n for n, err in errors.items() if err > 1e-4] == [name]
 
 
 # ---------------------------------------------------------------------------
@@ -231,10 +249,134 @@ def test_padded_cells_get_zero_yhat():
 @pytest.mark.parametrize("kind", CELL_KINDS)
 def test_full_gradient_check_ragged_lengths(kind):
     # distinct lengths 0..T, so every step has a different set of patients
-    err = full_network_gradcheck(kind, n_codes=5, hidden=4, n_patients=4,
-                                 n_steps=3, layers=2, embed_dim=3,
-                                 lengths=(2, 0, 3, 1))
-    assert err <= 1e-4, f"{kind}: {err}"
+    errors = full_network_gradcheck(kind, n_codes=5, hidden=4, n_patients=4,
+                                    n_steps=3, layers=2, embed_dim=3,
+                                    lengths=(2, 0, 3, 1))
+    assert max(errors.values()) <= 1e-4, f"{kind}: {errors}"
+
+
+# ---------------------------------------------------------------------------
+# the two flows on two threads, and the parameter arena
+
+@pytest.mark.parametrize("kind", CELL_KINDS)
+def test_concurrent_flows_equal_serial_scans_and_repeat(kind):
+    model = small_model(seed=61, kind=kind, layers=2, embed_dim=3)
+    batch = _ragged_batch(67)
+    trace = network.forward(batch, model)
+    hf = network._scan_direction(trace["inputs_f"][0], trace["layout_f"],
+                                 model.fwd, kind, model.hidden)[0]
+    hb_rev = network._scan_direction(trace["inputs_b"][0], trace["layout_b"],
+                                     model.bwd, kind, model.hidden)[0]
+    npt.assert_array_equal(trace["hf"], hf)
+    npt.assert_array_equal(trace["hb"][trace["rev"]], hb_rev)
+    first = network.backward(trace, batch, model)
+    for _ in range(20):
+        again = network.backward(network.forward(batch, model), batch, model)
+        for k, g in first.items():
+            npt.assert_array_equal(again[k], g, err_msg=k)
+
+
+def test_concurrent_callers_share_the_worker(monkeypatch):
+    # more calling threads than cores, switching often: each caller's
+    # gradients still equal a lone call's bit for bit
+    import sys
+    import threading
+
+    model = small_model(seed=71, layers=2, embed_dim=3)
+    batch = _ragged_batch(73)
+    expected = network.backward(network.forward(batch, model), batch, model)
+    results = []
+
+    def caller():
+        for _ in range(5):
+            results.append(network.backward(network.forward(batch, model),
+                                            batch, model))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=caller) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(results) == 20
+    for grads in results:
+        for k, g in expected.items():
+            npt.assert_array_equal(grads[k], g, err_msg=k)
+
+
+def test_run_pair_waits_for_both_and_raises():
+    import threading
+    import time
+
+    done = threading.Event()
+
+    def slow():
+        time.sleep(0.05)
+        done.set()
+
+    def fail():
+        raise KeyError("here")
+
+    with pytest.raises(KeyError):
+        network.run_pair(fail, slow)
+    assert done.is_set()
+    with pytest.raises(ZeroDivisionError):
+        network.run_pair(lambda: 1, lambda: 1 / 0)
+    assert network.run_pair(lambda: 1, lambda: 2) == (1, 2)
+
+
+def _pair_in_child():
+    os._exit(0 if network.run_pair(lambda: 1, lambda: 2) == (1, 2) else 1)
+
+
+@pytest.mark.skipif(not hasattr(os, "register_at_fork"), reason="no fork")
+def test_forked_child_starts_its_own_worker():
+    import multiprocessing
+
+    network.run_pair(lambda: None, lambda: None)  # the parent's worker runs
+    child = multiprocessing.get_context("fork").Process(target=_pair_in_child)
+    child.start()
+    child.join(timeout=30)
+    if child.is_alive():
+        child.kill()
+        child.join()
+    assert child.exitcode == 0
+
+
+def test_backward_adds_into_the_given_vector():
+    model = small_model(seed=79, layers=2, embed_dim=3)
+    batch = _ragged_batch(83)
+    trace = network.forward(batch, model)
+    fresh = network.backward(trace, batch, model)
+    grad = np.ones_like(model.theta)
+    grads = network.backward(trace, batch, model, grad)
+    assert list(grads) == list(model.flat())
+    for k, g in grads.items():
+        assert np.shares_memory(g, grad)
+        # the sums run in another order than fresh + 1
+        npt.assert_allclose(g, fresh[k] + 1.0, rtol=0, atol=1e-12)
+
+
+def test_flat_views_are_the_model():
+    model = small_model(seed=89, layers=2, embed_dim=3)
+    batch = _ragged_batch(97)
+    before = network.forward(batch, model)["yhat"]
+    flat = model.flat()
+    assert sum(v.size for v in flat.values()) == model.theta.size
+    names = sorted(flat)
+    starts = [model.layout[n][0] for n in names]
+    assert starts == sorted(starts)  # theta is in sorted-name order
+    for v in flat.values():
+        assert np.shares_memory(v, model.theta)
+    assert np.shares_memory(model.fwd[1]["Uh"], model.theta)
+    flat["Vbwd"][...] += 0.5
+    npt.assert_array_equal(model.Vbwd, flat["Vbwd"])
+    assert np.abs(network.forward(batch, model)["yhat"] - before).max() > 0
 
 
 # ---------------------------------------------------------------------------

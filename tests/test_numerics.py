@@ -28,6 +28,33 @@ def test_sigmoid_examples():
     npt.assert_allclose(sigmoid(np.array(np.log(3.0))), 0.75, atol=1e-12)
 
 
+def masked_sigmoid(x):
+    # the formula with boolean masks that sigmoid() replaced
+    x = np.asarray(x, dtype=np.float64)
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (ex + 1.0)
+    return out
+
+
+def test_sigmoid_equals_masked_formula():
+    x = SeededRng(7).normal(3.0, (630, 271))
+    npt.assert_array_equal(sigmoid(x), masked_sigmoid(x))
+    special = np.array([0.0, -0.0, 800.0, -800.0, np.inf, -np.inf, np.nan,
+                        5e-324, -5e-324, 36.0, -36.0, 710.0, -745.0])
+    out = sigmoid(special)
+    npt.assert_array_equal(out, masked_sigmoid(special))
+    assert np.isnan(out[6]) and out[4] == 1.0 and out[5] == 0.0
+    assert sigmoid(np.array(-0.0)) == 0.5 and sigmoid(np.array(-0.0)).shape == ()
+
+
+@given(finite_arrays)
+def test_sigmoid_equals_masked_formula_anywhere(x):
+    npt.assert_array_equal(sigmoid(x), masked_sigmoid(x))
+
+
 @given(finite_arrays)
 def test_sigmoid_symmetry(x):
     npt.assert_allclose(sigmoid(x) + sigmoid(-x), 1.0, atol=1e-12)

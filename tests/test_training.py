@@ -2,9 +2,10 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from dxtraj import network
-from dxtraj.ehr_data import ExtraFeatures
+from dxtraj import network, training
+from dxtraj.ehr_data import BatchTensor, ExtraFeatures
 from dxtraj.gradcheck import random_batch
+from dxtraj.network import LOSS_EPS
 from dxtraj.numerics import SeededRng
 from dxtraj.synth import SynthSpec, generate_cohort
 from dxtraj.training import (
@@ -14,7 +15,6 @@ from dxtraj.training import (
     adadelta_update,
     clip_gradients,
     cross_entropy_loss,
-    embed_input,
     l2_penalty,
     split_patients,
     train,
@@ -66,6 +66,25 @@ def test_cross_entropy_masked_steps_contribute_nothing():
         cross_entropy_loss(y, garbled, mask)
 
 
+def old_cross_entropy_loss(targets, yhat, mask):
+    # the formula over every padded cell, as it was before the loss was
+    # evaluated on the valid rows only
+    yc = np.clip(yhat, LOSS_EPS, 1.0 - LOSS_EPS)
+    per_step = np.sum(
+        targets * np.log(yc) + (1.0 - targets) * np.log(1.0 - yc), axis=-1)
+    return float(-np.sum(per_step * mask) / mask.sum())
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_cross_entropy_on_valid_rows_equals_padded_formula(seed):
+    rng = SeededRng(seed)
+    model = network.init_model("mgru", 7, 5, rng=rng)
+    batch = random_batch(7, 5, 6, rng, lengths=(6, 0, 3, 1, 5))
+    yhat = network.forward(batch, model)["yhat"]
+    assert cross_entropy_loss(batch.targets, yhat, batch.mask) == \
+        old_cross_entropy_loss(batch.targets, yhat, batch.mask)
+
+
 # ---------------------------------------------------------------------------
 # clipping / optimizer
 
@@ -91,8 +110,7 @@ def test_adadelta_zero_gradient_no_step():
     model = small_model()
     before = {k: v.copy() for k, v in model.flat().items()}
     state = AdadeltaState(model)
-    adadelta_update(model, {k: np.zeros_like(v) for k, v in before.items()},
-                    state, 0.95, 1e-6)
+    adadelta_update(model, np.zeros_like(model.theta), state, 0.95, 1e-6)
     for k, v in model.flat().items():
         npt.assert_array_equal(v, before[k])
 
@@ -100,7 +118,7 @@ def test_adadelta_zero_gradient_no_step():
 def test_adadelta_first_step_formula():
     model = small_model()
     rho, eps = 0.95, 1e-6
-    g = {k: np.full_like(v, 0.5) for k, v in model.flat().items()}
+    g = np.full_like(model.theta, 0.5)
     before = {k: v.copy() for k, v in model.flat().items()}
     adadelta_update(model, g, AdadeltaState(model), rho, eps)
     expected_step = -np.sqrt(eps) / np.sqrt((1 - rho) * 0.25 + eps) * 0.5
@@ -111,13 +129,100 @@ def test_adadelta_first_step_formula():
 def test_adadelta_step_opposes_gradient():
     model = small_model()
     rng = SeededRng(5)
-    g = {k: rng.normal(1.0, v.shape) for k, v in model.flat().items()}
+    grad = np.zeros_like(model.theta)
+    g = model.views(grad)
+    for k, v in g.items():
+        v[...] = rng.normal(1.0, v.shape)
     before = {k: v.copy() for k, v in model.flat().items()}
-    adadelta_update(model, g, AdadeltaState(model), 0.95, 1e-6)
+    adadelta_update(model, grad, AdadeltaState(model), 0.95, 1e-6)
     for k, v in model.flat().items():
         step = v - before[k]
         nz = g[k] != 0
         assert (np.sign(step[nz]) == -np.sign(g[k][nz])).all()
+
+
+# The per-array update of ADADELTA, L2 and clipping, on dicts of fresh
+# arrays: the reference the in-place passes over blocks must match bit for bit.
+
+def reference_l2(model, grads, coeff):
+    if coeff == 0.0:
+        return
+    for k, v in model.flat().items():
+        if training._l2_applies(k):
+            grads[k] = grads[k] + 2.0 * coeff * v
+
+
+def reference_norm(grads):
+    return np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
+
+
+def reference_clip(grads, clip_norm):
+    total = reference_norm(grads)
+    if total > clip_norm:
+        scale = clip_norm / total
+        return {k: g * scale for k, g in grads.items()}
+    return grads
+
+
+def reference_adadelta(model, grads, g_acc, dx_acc, rho, eps):
+    arrays = model.flat()
+    for k, g in grads.items():
+        g_acc[k] = rho * g_acc[k] + (1.0 - rho) * g * g
+        step = -np.sqrt(dx_acc[k] + eps) / np.sqrt(g_acc[k] + eps) * g
+        dx_acc[k] = rho * dx_acc[k] + (1.0 - rho) * step * step
+        arrays[k][...] = arrays[k] + step
+
+
+def update_model(kind, seed):
+    rng = SeededRng(seed)
+    model = network.init_model(kind, 6, 5, layers=2, embed_dim=3, rng=rng)
+    for v in model.flat().values():
+        v[...] = v + rng.normal(0.3, v.shape)
+    return model
+
+
+@pytest.mark.parametrize("block", [7, training.BLOCK])
+@pytest.mark.parametrize("l2_coeff", [0.0, 1e-2])
+@pytest.mark.parametrize("clip_norm", [1e-3, 1e3])
+@pytest.mark.parametrize("kind", ["mgru", "lstm_google"])
+def test_arena_update_equals_per_array_formulas(kind, clip_norm, l2_coeff,
+                                                block, monkeypatch):
+    # 5 updates through _epoch_pass against the per-array formulas; a 7-element
+    # block makes blocks cross array borders and both halves hold many
+    monkeypatch.setattr(training, "BLOCK", block)
+    config = TrainConfig(clip_norm=clip_norm, l2_coeff=l2_coeff)
+    batches = [random_batch(6, 4, 3, SeededRng(60 + i), lengths=(3, 0, 2, 1))
+               for i in range(5)]
+    model = update_model(kind, seed=59)
+    ref = update_model(kind, seed=59)
+    g_acc = {k: np.zeros_like(v) for k, v in ref.flat().items()}
+    dx_acc = {k: np.zeros_like(v) for k, v in ref.flat().items()}
+    state = AdadeltaState(model)
+    for batch in batches:
+        training._epoch_pass([batch], model, config, SeededRng(0),
+                             update_state=state)
+        trace = network.forward(batch, ref)
+        grads = {k: g.copy()
+                 for k, g in network.backward(trace, batch, ref).items()}
+        reference_l2(ref, grads, l2_coeff)
+        assert (reference_norm(grads) > clip_norm) == (clip_norm < 1.0)
+        grads = reference_clip(grads, clip_norm)
+        reference_adadelta(ref, grads, g_acc, dx_acc, config.adadelta_rho,
+                           config.adadelta_eps)
+        npt.assert_array_equal(model.theta, ref.theta)
+    for k, v in model.views(state.g_acc).items():
+        npt.assert_array_equal(v, g_acc[k])
+    for k, v in model.views(state.dx_acc).items():
+        npt.assert_array_equal(v, dx_acc[k])
+
+
+def test_clip_gradients_scales_views_in_place():
+    model = small_model()
+    grad = np.ones_like(model.theta)
+    grads = model.views(grad)
+    out = clip_gradients(grads, 1.0)
+    assert out is grads
+    npt.assert_allclose(np.linalg.norm(grad), 1.0, rtol=1e-12)
 
 
 def test_descent_sanity_one_step_reduces_batch_loss():
@@ -155,23 +260,34 @@ def test_l2_penalty_recomputation_excludes_biases_and_slopes():
     assert {"bf", "bh", "b_joint", "b_out", "alpha_j", "alpha_o"} <= names
 
 
+def embed_input(x, E, extras=ExtraFeatures()):
+    """The layer-0 input of the one (step, patient) cell of x, as
+    network.forward() computes it for a model with embedding E."""
+    n_codes, dim = E.shape
+    model = network.init_model("mgru", n_codes, 3, extras=extras,
+                               embed_dim=dim, rng=SeededRng(0))
+    model.E[...] = E
+    batch = BatchTensor(x=x, mask=np.ones((1, 1)),
+                        targets=np.zeros((1, 1, n_codes)), patient_ids=["p"])
+    return network.forward(batch, model)["inputs_f"][0][0]
+
+
 def test_embed_input():
     E = SeededRng(2).normal(1.0, (4, 3))
     one_hot = np.zeros((1, 1, 4))
     one_hot[0, 0, 2] = 1.0
-    npt.assert_allclose(embed_input(one_hot, E)[0, 0], E[2])
+    npt.assert_allclose(embed_input(one_hot, E), E[2])
     two_hot = one_hot.copy()
     two_hot[0, 0, 0] = 1.0
-    npt.assert_allclose(embed_input(two_hot, E)[0, 0], E[0] + E[2])
-    npt.assert_allclose(embed_input(two_hot, np.eye(4))[0, 0],
-                        two_hot[0, 0])
+    npt.assert_allclose(embed_input(two_hot, E), E[0] + E[2])
+    npt.assert_allclose(embed_input(two_hot, np.eye(4)), two_hot[0, 0])
 
 
 def test_embed_input_keeps_extras():
     E = np.eye(2)
     x = np.array([[[1.0, 0.0, 0.7]]])  # 2 code slots + 1 extra
-    out = embed_input(x, E)
-    npt.assert_allclose(out[0, 0], [1.0, 0.0, 0.7])
+    out = embed_input(x, E, ExtraFeatures(duration=True))
+    npt.assert_allclose(out, [1.0, 0.0, 0.7])
 
 
 # ---------------------------------------------------------------------------
@@ -262,11 +378,6 @@ def test_train_max_epochs_bound():
     _, report = train(cohort, cfg)
     assert report.iterations == 1
     assert len(report.train_loss) == 1
-
-
-def test_pretrain_hook_not_implemented():
-    with pytest.raises(NotImplementedError):
-        train(planted_cohort(), TrainConfig(pretrain=True))
 
 
 def test_divergence_detected():
