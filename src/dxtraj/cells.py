@@ -8,7 +8,8 @@ loop (Appleyard et al. 2016); a step adds only the recurrent term:
 
     pre<g> = xw[:, block g] + h @ U<g>
 
-Each cell exposes
+Each kind is one entry of the table _CELLS (its gates, step functions, state
+arrays and optional matrices), and these functions take the kind first:
 
     init_params(in_size, hid, rng)  -> dict of named arrays
     init_state(n_patients, hid)     -> dict of state arrays ("h" always present)
@@ -30,6 +31,8 @@ differences in the test suite.
 
 from __future__ import annotations
 
+from typing import Callable, NamedTuple
+
 import numpy as np
 
 from .numerics import SeededRng, init_gaussian, init_identity, sigmoid, tanh_act
@@ -37,71 +40,34 @@ from .numerics import SeededRng, init_gaussian, init_identity, sigmoid, tanh_act
 CELL_KINDS = ("mgru", "gru", "lstm", "lstm_google", "jordan", "feedforward")
 
 
-def _gauss(rows, cols, rng):
-    return init_gaussian(rows, cols, rng)
-
-
-def _zeros(n):
-    return np.zeros(n, dtype=np.float64)
-
-
 # ---------------------------------------------------------------------------
 # parameter construction
 
 def init_params(kind: str, in_size: int, hid: int, rng: SeededRng) -> dict:
-    """Input-to-hidden matrices are Gaussian, square recurrent matrices are
-    identity, biases are zero."""
-    if kind == "mgru":
-        return {
-            "Wf": _gauss(in_size, hid, rng), "Uf": init_identity(hid), "bf": _zeros(hid),
-            "Wh": _gauss(in_size, hid, rng), "Uh": init_identity(hid), "bh": _zeros(hid),
-        }
-    if kind == "gru":
-        return {
-            "Wz": _gauss(in_size, hid, rng), "Uz": init_identity(hid), "bz": _zeros(hid),
-            "Wr": _gauss(in_size, hid, rng), "Ur": init_identity(hid), "br": _zeros(hid),
-            "Wh": _gauss(in_size, hid, rng), "Uh": init_identity(hid), "bh": _zeros(hid),
-        }
-    if kind == "lstm" or kind == "lstm_google":
-        p = {
-            "Wi": _gauss(in_size, hid, rng), "Ui": init_identity(hid), "bi": _zeros(hid),
-            "Wf": _gauss(in_size, hid, rng), "Uf": init_identity(hid), "bf": _zeros(hid),
-            "Wo": _gauss(in_size, hid, rng), "Uo": init_identity(hid), "bo": _zeros(hid),
-            "Wg": _gauss(in_size, hid, rng), "Ug": init_identity(hid), "bg": _zeros(hid),
-        }
-        if kind == "lstm_google":
-            p["Wproj"] = init_identity(hid)
-        return p
-    if kind == "jordan":
-        return {"W": _gauss(in_size, hid, rng), "U": init_identity(hid), "b": _zeros(hid)}
-    if kind == "feedforward":
-        return {"W": _gauss(in_size, hid, rng), "b": _zeros(hid)}
-    raise ValueError(f"unknown cell kind: {kind}")
+    """Per gate, in the cell's gate order: a Gaussian input matrix W<g>, an
+    identity recurrent matrix U<g> (recurrent kinds) and a zero bias b<g>;
+    then an identity Wproj for lstm_google."""
+    cell = _cell(kind)
+    p = {}
+    for g in cell.gates:
+        p["W" + g] = init_gaussian(in_size, hid, rng)
+        if cell.recurrent:
+            p["U" + g] = init_identity(hid)
+        p["b" + g] = np.zeros(hid)
+    if cell.proj:
+        p["Wproj"] = init_identity(hid)
+    return p
 
 
 def param_count(kind: str, in_size: int, hid: int) -> int:
     """Exact number of trainable scalars for one cell."""
-    block = in_size * hid + hid * hid + hid
-    if kind == "mgru":
-        return 2 * block
-    if kind == "gru":
-        return 3 * block
-    if kind == "lstm":
-        return 4 * block
-    if kind == "lstm_google":
-        return 4 * block + hid * hid
-    if kind == "jordan":
-        return block
-    if kind == "feedforward":
-        return in_size * hid + hid
-    raise ValueError(f"unknown cell kind: {kind}")
+    cell = _cell(kind)
+    per_gate = in_size * hid + cell.recurrent * hid * hid + hid
+    return len(cell.gates) * per_gate + cell.proj * hid * hid
 
 
 def init_state(kind: str, n_patients: int, hid: int) -> dict:
-    state = {"h": np.zeros((n_patients, hid))}
-    if kind in ("lstm", "lstm_google"):
-        state["c"] = np.zeros((n_patients, hid))
-    return state
+    return {k: np.zeros((n_patients, hid)) for k in _cell(kind).state}
 
 
 # ---------------------------------------------------------------------------
@@ -110,7 +76,7 @@ def init_state(kind: str, n_patients: int, hid: int) -> dict:
 def project_inputs(kind: str, x: np.ndarray, params: dict) -> np.ndarray:
     """x @ W<g> + b<g> for every gate g, stacked by columns: the xw that
     step() takes, for any number of rows."""
-    gates = _cell(kind)[0]
+    gates = _cell(kind).gates
     w0 = params["W" + gates[0]]
     if x.shape[1] != w0.shape[0]:
         raise ValueError(
@@ -129,7 +95,7 @@ def input_backward(kind: str, x: np.ndarray, d_pre: np.ndarray, params: dict,
     """W<g> and b<g> gradients from the inputs x and the stacked d_pre rows
     of the same steps; dx = sum over g of d_pre[:, block g] @ W<g>.T, or None
     when need_dx is false."""
-    gates = _cell(kind)[0]
+    gates = _cell(kind).gates
     hid = d_pre.shape[1] // len(gates)
     d_w = x.T @ d_pre
     d_b = d_pre.sum(axis=0)
@@ -152,11 +118,11 @@ def input_backward(kind: str, x: np.ndarray, d_pre: np.ndarray, params: dict,
 # steps
 
 def step(kind: str, xw: np.ndarray, state: dict, params: dict):
-    return _cell(kind)[1](xw, state, params)
+    return _cell(kind).step(xw, state, params)
 
 
 def step_backward(kind: str, trace: dict, d_state: dict, params: dict):
-    return _cell(kind)[2](trace, d_state, params)
+    return _cell(kind).backward(trace, d_state, params)
 
 
 def _check_shapes(xw, h_prev, n_gates):
@@ -325,15 +291,25 @@ def _feedforward_backward(tr, d_state, p):
     return d_a, {"h": np.zeros_like(d_a)}, {}
 
 
-# kind -> (gate suffixes in the column order of xw, step, step_backward)
+class _Cell(NamedTuple):
+    gates: tuple             # gate suffixes, in the column order of xw
+    step: Callable
+    backward: Callable
+    recurrent: bool = True   # a U<g> per gate
+    state: tuple = ("h",)    # names of the state arrays
+    proj: bool = False       # a recurrent projection Wproj
+
+
 _CELLS = {
-    "mgru": (("f", "h"), _mgru_step, _mgru_backward),
-    "gru": (("z", "r", "h"), _gru_step, _gru_backward),
-    "lstm": (("i", "f", "o", "g"), _lstm_step, _lstm_backward),
-    "lstm_google": (("i", "f", "o", "g"), _lstm_google_step,
-                    _lstm_google_backward),
-    "jordan": (("",), _jordan_step, _jordan_backward),
-    "feedforward": (("",), _feedforward_step, _feedforward_backward),
+    "mgru": _Cell(("f", "h"), _mgru_step, _mgru_backward),
+    "gru": _Cell(("z", "r", "h"), _gru_step, _gru_backward),
+    "lstm": _Cell(("i", "f", "o", "g"), _lstm_step, _lstm_backward,
+                  state=("h", "c")),
+    "lstm_google": _Cell(("i", "f", "o", "g"), _lstm_google_step,
+                         _lstm_google_backward, state=("h", "c"), proj=True),
+    "jordan": _Cell(("",), _jordan_step, _jordan_backward),
+    "feedforward": _Cell(("",), _feedforward_step, _feedforward_backward,
+                         recurrent=False),
 }
 
 

@@ -5,7 +5,8 @@ the concatenated little-endian float64 array bytes. The byte stream is a pure
 function of the model contents, so identical models produce identical files.
 The arrays are written in sorted-name order, which is the layout of the
 model's parameter vector (ModelParams.theta): the payload is that vector's
-bytes, and loading copies it back in one piece.
+bytes, and loading reads it straight into the vector of a model built
+without drawing weights.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ import numpy as np
 
 from .ehr_data import ExtraFeatures
 from .network import ModelParams, init_model
-from .numerics import SeededRng
 
 MAGIC = b"DXTRAJ-CKPT"
 VERSION = 1
@@ -57,25 +57,24 @@ def load_checkpoint(path) -> ModelParams:
         header = json.loads(fh.readline())
         if header["version"] != VERSION:
             raise ValueError(f"{path}: unsupported version {header['version']}")
-        payload = fh.read()
-
-    model = init_model(
-        header["cell_kind"], header["n_codes"], header["hidden"],
-        layers=header["layers"],
-        extras=ExtraFeatures.from_dict(header["extras"]),
-        embed_dim=header["embed_dim"] or None,
-        rng=SeededRng(0),
-    )
+        # the structure only: no weights are drawn, the payload fills theta
+        model = init_model(
+            header["cell_kind"], header["n_codes"], header["hidden"],
+            layers=header["layers"],
+            extras=ExtraFeatures.from_dict(header["extras"]),
+            embed_dim=header["embed_dim"] or None,
+        )
+        if header["arrays"] != _array_index(model):
+            raise ValueError(f"{path}: array index does not match the model")
+        n_bytes = fh.readinto(model.theta) + len(fh.read())
+    if n_bytes != model.theta.nbytes:
+        raise ValueError(f"{path}: payload holds {n_bytes} bytes, "
+                         f"expected {model.theta.nbytes}")
+    if not np.little_endian:
+        model.theta.byteswap(inplace=True)
     model.duration_max = header["duration_max"]
     model.interval_max = header["interval_max"]
     model.vocab_labels = header["vocab_labels"]
-
-    if header["arrays"] != _array_index(model):
-        raise ValueError(f"{path}: array index does not match the model")
-    if len(payload) != model.theta.size * 8:
-        raise ValueError(f"{path}: payload holds {len(payload)} bytes, "
-                         f"expected {model.theta.size * 8}")
-    model.theta[...] = np.frombuffer(payload, dtype="<f8")
     return model
 
 

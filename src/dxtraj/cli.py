@@ -143,6 +143,9 @@ def cmd_evaluate(args) -> int:
     except VocabularyError as exc:
         log(f"error: {exc}")
         return EXIT_VOCAB
+    except ValueError as exc:
+        log(f"error: {exc}")
+        return EXIT_INPUT
     out = {str(k): r.mean for k, r in results.items()}
     print(json.dumps(out, indent=2))
     return EXIT_OK

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -124,21 +125,57 @@ def load_patients(path) -> list:
             if not line:
                 continue
             try:
-                obj = json.loads(line)
+                patients.append(_patient_record(json.loads(line)))
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-            adms = [
-                Admission(
-                    timestamp=int(a["timestamp"]),
-                    codes=set(a["icd9"]),
-                    adm_type=a.get("type"),
-                    duration=a.get("duration_hours"),
-                )
-                for a in obj["admissions"]
-            ]
-            adms.sort(key=lambda a: a.timestamp)
-            patients.append(PatientRecord(str(obj["patient_id"]), adms))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
     return patients
+
+
+def _all_strings(items) -> bool:
+    # str.join checks every item in C, three times faster than isinstance
+    try:
+        "".join(items)
+    except TypeError:
+        return False
+    return True
+
+
+def _patient_record(obj) -> PatientRecord:
+    """The record of one parsed JSON line; a field that is missing or of the
+    wrong type, or a non-finite duration, is a ValueError naming it. The
+    values come from json.loads, so their types are exact (bool is not
+    int)."""
+    if type(obj) is not dict:
+        raise ValueError("expected a JSON object")
+    pid = obj.get("patient_id")
+    if type(pid) not in (str, int):
+        raise ValueError("patient_id: expected a string or an integer")
+    raw = obj.get("admissions")
+    if type(raw) is not list:
+        raise ValueError("admissions: expected a list")
+    adms = []
+    for i, a in enumerate(raw):
+        if type(a) is not dict:
+            raise ValueError(f"admissions[{i}]: expected an object")
+        ts, codes = a.get("timestamp"), a.get("icd9")
+        adm_type, duration = a.get("type"), a.get("duration_hours")
+        if type(ts) is not int:
+            field, expected = "timestamp", "an integer"
+        elif type(codes) is not list or not _all_strings(codes):
+            field, expected = "icd9", "a list of strings"
+        elif adm_type is not None and type(adm_type) is not str:
+            field, expected = "type", "a string or null"
+        elif duration is not None and (type(duration) not in (int, float)
+                                       or not math.isfinite(duration)):
+            field, expected = "duration_hours", "a finite number or null"
+        else:
+            adms.append(Admission(ts, set(codes), adm_type, duration))
+            continue
+        raise ValueError(f"admissions[{i}].{field}: expected {expected}")
+    adms.sort(key=lambda a: a.timestamp)
+    return PatientRecord(str(pid), adms)
 
 
 def save_patients(patients, path) -> None:

@@ -25,6 +25,21 @@ for all of its rows before the time loop (cells.project_inputs), and its W
 and b gradients after BPTT (cells.input_backward), so stacked layers run one
 after the other. The joint and output layers run on the packed rows only;
 forward() scatters yhat back to (T, P, |D|), with zeros at padded cells.
+
+Two threads: the calling thread runs the forward flow and one worker thread
+(run_pair) the backward flow, in forward() and in backward(). Each flow ends
+(forward) or starts (backward) with its own products of the joint layer:
+hf @ Vfwd on the caller, hb @ Vbwd on the worker, and in backward() the
+Vfwd, b_joint and d_hf terms on the caller, the Vbwd, alpha_j and d_hb terms
+on the worker. The row-wise work of the head (the joint and output LReLUs,
+dropout, softmax, the loss gradient, and the summands of the slope
+gradients) runs by halves of the rows, one half on each thread
+(run_by_halves). hj @ Wout and d_out_pre @ Wout.T stay on the caller; in
+backward() the Wout, b_out and alpha_o gradients run on the worker beside
+the latter. A product is never split by rows: with this BLAS, a row of a
+matrix product can change in the last bit with the number of rows in the
+call, so every product keeps its full shape and every reduction runs over
+the whole array, and the trained weights do not depend on the threads.
 """
 
 from __future__ import annotations
@@ -130,9 +145,10 @@ def init_model(cell_kind: str, n_codes: int, hidden: int, layers: int = 1,
                extras: ExtraFeatures | None = None, embed_dim: int | None = None,
                rng: SeededRng | None = None) -> ModelParams:
     """Weights: Gaussian for rectangular matrices, identity for square ones,
-    zeros for biases, 0.01 for both LReLU slopes."""
+    zeros for biases, 0.01 for both LReLU slopes. With rng None nothing is
+    drawn and the Gaussian matrices are zeros: the structure of a model whose
+    values are about to be overwritten (checkpoint loading)."""
     extras = extras or ExtraFeatures()
-    rng = rng or SeededRng(0)
     E = init_gaussian(n_codes, embed_dim, rng) if embed_dim else None
     in0 = (embed_dim if embed_dim else n_codes) + extras.width
     fwd = [cells.init_params(cell_kind, in0 if l == 0 else hidden, hidden, rng)
@@ -153,12 +169,18 @@ def init_model(cell_kind: str, n_codes: int, hidden: int, layers: int = 1,
 # the worker thread
 
 _worker = None
+_worker_ident = None  # thread id of the worker, once it has started
 _worker_lock = threading.Lock()
 
 
 def _forget_worker():
-    global _worker
-    _worker = None
+    global _worker, _worker_ident
+    _worker = _worker_ident = None
+
+
+def _mark_worker():
+    global _worker_ident
+    _worker_ident = threading.get_ident()
 
 
 # a forked child has no worker thread; it starts its own on first use
@@ -172,15 +194,20 @@ def run_pair(here, there):
 
     The worker is one persistent thread, started on first use. Both calls
     have finished when run_pair returns or raises; an exception of either is
-    raised, here()'s first. The two calls must not write the same arrays,
-    and there() must not call run_pair itself. numpy ufuncs and BLAS release
-    the interpreter lock, so two array-bound calls overlap on two cores.
+    raised, here()'s first. The two calls must not write the same arrays.
+    Called on the worker itself (from inside a there()), run_pair runs
+    here() and then there() inline, since a task queued behind the running
+    one would never start. numpy ufuncs and BLAS release the interpreter
+    lock, so two array-bound calls overlap on two cores.
     """
     global _worker
+    if threading.get_ident() == _worker_ident:
+        return here(), there()
     with _worker_lock:
         if _worker is None:
             _worker = ThreadPoolExecutor(max_workers=1,
-                                         thread_name_prefix="dxtraj-worker")
+                                         thread_name_prefix="dxtraj-worker",
+                                         initializer=_mark_worker)
         future = _worker.submit(there)
     try:
         mine = here()
@@ -188,6 +215,27 @@ def run_pair(here, there):
         wait([future])
         raise
     return mine, future.result()
+
+
+# Rows from which the head's row-wise work is split between the two threads.
+# A forward, loss and backward of a one-step batch (mgru, |D| = hidden = 271,
+# 1 BLAS thread, 2-core EPYC VM, medians of 150) took 1.47 ms inline and
+# 1.56 ms split at 32 rows, 3.92 and 3.90 ms at 64, 11.8 and 10.7 ms at 256.
+HEAD_SPLIT_ROWS = 64
+
+
+def run_by_halves(n, work):
+    """work(rows), rows a slice of 0:n: the first half of the rows on this
+    thread and the second on the worker, or all n rows in one call on this
+    thread when n < HEAD_SPLIT_ROWS. For row-wise work (elementwise
+    arithmetic and reductions along a row) both give the same bits. Products
+    are never split this way: with this BLAS a row of a matrix product can
+    change in the last bit with the number of rows in the call."""
+    if n < HEAD_SPLIT_ROWS:
+        work(slice(0, n))
+    else:
+        half = n // 2
+        run_pair(lambda: work(slice(0, half)), lambda: work(slice(half, n)))
 
 
 # ---------------------------------------------------------------------------
@@ -256,15 +304,33 @@ def _scan_direction(inp, layout, layer_params, cell_kind, hidden):
     return h_rows, inputs, traces
 
 
-def _head(hf, hb, model, dropout=None):
-    """Joint and output layers over rows; returns (j_pre, hj, out_pre, yhat)."""
-    j_pre = hf @ model.Vfwd + hb @ model.Vbwd + model.b_joint
-    hj = lrelu(j_pre, float(model.alpha_j))
-    if dropout is not None:
-        hj = hj * dropout
-    out_pre = hj @ model.Wout + model.b_out
-    yhat = softmax_rows(lrelu(out_pre, float(model.alpha_o)))
-    return j_pre, hj, out_pre, yhat
+def _head(jf, jb, model, dropout=None):
+    """Joint and output layers over rows, from each flow's joint term,
+    jf = hf @ Vfwd and jb = hb @ Vbwd; returns (j_pre, hj, out_pre, yhat).
+
+    The row-wise work runs by halves (run_by_halves); hj @ Wout is one
+    product on this thread. The returned j_pre is jf, summed in place."""
+    alpha_j, alpha_o = float(model.alpha_j), float(model.alpha_o)
+    hj = np.empty_like(jf)
+    yhat = np.empty((len(jf), model.n_codes))
+
+    def joint(r):
+        j = jf[r]
+        j += jb[r]
+        j += model.b_joint
+        h = lrelu(j, alpha_j, out=hj[r])
+        if dropout is not None:
+            h *= dropout[r]
+
+    def output(r):
+        o = out_pre[r]
+        o += model.b_out
+        softmax_rows(lrelu(o, alpha_o, out=yhat[r]), out=yhat[r])
+
+    run_by_halves(len(jf), joint)
+    out_pre = hj @ model.Wout
+    run_by_halves(len(jf), output)
+    return jf, hj, out_pre, yhat
 
 
 def forward(batch: BatchTensor, model: ModelParams, dropout_mask=None) -> dict:
@@ -294,16 +360,26 @@ def forward(batch: BatchTensor, model: ModelParams, dropout_mask=None) -> dict:
     inp = _embed(model, x_rows)
     inp_rev = inp[rev]
     kind, hidden = model.cell_kind, model.hidden
-    # the backward flow scans on the worker thread; hb[i] summarizes
-    # admissions t..T-1 of the patient of row i
-    (hf, in_f, tr_f), (hb_rev, in_b, tr_b) = run_pair(
-        lambda: _scan_direction(inp, layout_f, model.fwd, kind, hidden),
-        lambda: _scan_direction(inp_rev, layout_b, model.bwd, kind, hidden))
-    hb = np.empty_like(hb_rev)
-    hb[rev] = hb_rev
 
+    def forward_flow():
+        hf, in_f, tr_f = _scan_direction(inp, layout_f, model.fwd, kind,
+                                         hidden)
+        return hf, hf @ model.Vfwd, in_f, tr_f
+
+    def backward_flow():
+        # hb[i] summarizes admissions t..T-1 of the patient of row i
+        hb_rev, in_b, tr_b = _scan_direction(inp_rev, layout_b, model.bwd,
+                                             kind, hidden)
+        hb = np.empty_like(hb_rev)
+        hb[rev] = hb_rev
+        return hb, hb @ model.Vbwd, in_b, tr_b
+
+    # the backward flow runs on the worker thread, each flow up to its own
+    # term of the joint layer
+    (hf, jf, in_f, tr_f), (hb, jb, in_b, tr_b) = run_pair(forward_flow,
+                                                          backward_flow)
     dropout = None if dropout_mask is None else dropout_mask[valid]
-    j_pre, hj, out_pre, yhat_rows = _head(hf, hb, model, dropout)
+    j_pre, hj, out_pre, yhat_rows = _head(jf, jb, model, dropout)
     yhat = np.zeros(mask.shape + (d,))
     yhat[valid] = yhat_rows
 
@@ -374,50 +450,68 @@ def backward(trace: dict, batch: BatchTensor, model: ModelParams,
     if n_valid == 0:
         return grads
 
-    yhat = trace["yhat_rows"]
+    yhat, out_pre, j_pre = trace["yhat_rows"], trace["out_pre"], trace["j_pre"]
     targets = batch.targets[trace["valid"]]
-    yc = np.clip(yhat, LOSS_EPS, 1.0 - LOSS_EPS)
-    inside = (yhat > LOSS_EPS) & (yhat < 1.0 - LOSS_EPS)
-    d_yhat = -(targets / yc - (1.0 - targets) / (1.0 - yc)) / n_valid
-    d_yhat = np.where(inside, d_yhat, 0.0)
+    dropout = trace["dropout"]
+    alpha_j, alpha_o = float(model.alpha_j), float(model.alpha_o)
+    n = len(yhat)
+    # d_out_pre rows, then d_j_pre rows; *_terms hold the summands of the
+    # slope gradients, summed whole afterwards
+    d_out_pre, o_terms = np.empty_like(yhat), np.empty_like(yhat)
+    j_terms = np.empty_like(j_pre)
 
-    # softmax rows: d_z = y * (g - <g, y>)
-    dot = np.sum(d_yhat * yhat, axis=-1, keepdims=True)
-    d_out_act = yhat * (d_yhat - dot)
+    def output_rows(r):
+        y, t = yhat[r], targets[r]
+        yc = np.clip(y, LOSS_EPS, 1.0 - LOSS_EPS)
+        inside = (y > LOSS_EPS) & (y < 1.0 - LOSS_EPS)
+        d_yhat = -(t / yc - (1.0 - t) / (1.0 - yc)) / n_valid
+        d_yhat = np.where(inside, d_yhat, 0.0)
+        # softmax rows: d_z = y * (g - <g, y>)
+        dot = np.sum(d_yhat * y, axis=-1, keepdims=True)
+        d_out_act = y * (d_yhat - dot)
+        o = out_pre[r]
+        np.multiply(d_out_act, np.where(o < 0, o, 0.0), out=o_terms[r])
+        np.multiply(d_out_act, np.where(o >= 0, 1.0, alpha_o),
+                    out=d_out_pre[r])
 
-    out_pre = trace["out_pre"]
-    alpha_o = float(model.alpha_o)
-    d_out_pre = d_out_act * np.where(out_pre >= 0, 1.0, alpha_o)
-    grads["alpha_o"] += np.sum(d_out_act * np.where(out_pre < 0, out_pre, 0.0))
+    def output_grads():
+        grads["Wout"] += trace["hj"].T @ d_out_pre
+        grads["b_out"] += d_out_pre.sum(axis=0)
+        grads["alpha_o"] += np.sum(o_terms)
 
-    grads["Wout"] += trace["hj"].T @ d_out_pre
-    grads["b_out"] += d_out_pre.sum(axis=0)
-    d_hj = d_out_pre @ model.Wout.T
+    def joint_rows(r):
+        d, j = d_j_pre[r], j_pre[r]  # d holds d_hj until the last line
+        if dropout is not None:
+            d *= dropout[r]
+        np.multiply(d, np.where(j < 0, j, 0.0), out=j_terms[r])
+        d *= np.where(j >= 0, 1.0, alpha_j)
 
-    if trace["dropout"] is not None:
-        d_hj = d_hj * trace["dropout"]
+    run_by_halves(n, output_rows)
+    d_j_pre, _ = run_pair(lambda: d_out_pre @ model.Wout.T, output_grads)
+    run_by_halves(n, joint_rows)
 
-    j_pre = trace["j_pre"]
-    alpha_j = float(model.alpha_j)
-    d_j_pre = d_hj * np.where(j_pre >= 0, 1.0, alpha_j)
-    grads["alpha_j"] += np.sum(d_hj * np.where(j_pre < 0, j_pre, 0.0))
-
-    grads["Vfwd"] += trace["hf"].T @ d_j_pre
-    grads["Vbwd"] += trace["hb"].T @ d_j_pre
-    grads["b_joint"] += d_j_pre.sum(axis=0)
-    d_hf = d_j_pre @ model.Vfwd.T
-    d_hb = d_j_pre @ model.Vbwd.T
-
-    d_hb_rev = d_hb[trace["rev"]]
+    # each flow's joint-layer gradients join its backpropagation: the
+    # backward flow's on the worker thread
+    rev = trace["rev"]
     kind = model.cell_kind
     embedded = model.E is not None
-    d_inp, d_inp_rev = run_pair(
-        lambda: _bptt_direction(d_hf, trace["layout_f"], trace["inputs_f"],
-                                trace["traces_f"], model.fwd, kind, grads,
-                                "fwd", embedded),
-        lambda: _bptt_direction(d_hb_rev, trace["layout_b"],
-                                trace["inputs_b"], trace["traces_b"],
-                                model.bwd, kind, grads, "bwd", embedded))
+
+    def forward_flow():
+        grads["Vfwd"] += trace["hf"].T @ d_j_pre
+        grads["b_joint"] += d_j_pre.sum(axis=0)
+        return _bptt_direction(d_j_pre @ model.Vfwd.T, trace["layout_f"],
+                               trace["inputs_f"], trace["traces_f"],
+                               model.fwd, kind, grads, "fwd", embedded)
+
+    def backward_flow():
+        grads["Vbwd"] += trace["hb"].T @ d_j_pre
+        grads["alpha_j"] += np.sum(j_terms)
+        return _bptt_direction((d_j_pre @ model.Vbwd.T)[rev],
+                               trace["layout_b"], trace["inputs_b"],
+                               trace["traces_b"], model.bwd, kind, grads,
+                               "bwd", embedded)
+
+    d_inp, d_inp_rev = run_pair(forward_flow, backward_flow)
     if embedded:
         d_inp[trace["rev"]] += d_inp_rev
         e = model.embed_dim
@@ -492,6 +586,6 @@ def predict_topk(model: ModelParams, history: PatientRecord,
                              model.cell_kind, model.hidden)[0]
     hb = np.zeros_like(hf)
     hb[-1] = hb_rev[0]
-    probs = _head(hf, hb, model)[3][-1]
+    probs = _head(hf @ model.Vfwd, hb @ model.Vbwd, model)[3][-1]
     order = rank_codes(probs)[:k]
     return [(int(i), float(probs[i])) for i in order]

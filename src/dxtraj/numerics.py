@@ -60,22 +60,32 @@ def tanh_act(x):
     return np.tanh(np.asarray(x, dtype=np.float64))
 
 
-def lrelu(x, slope: float):
-    """Leaky ReLU: x for x >= 0, slope * x otherwise."""
+def lrelu(x, slope: float, out=None):
+    """Leaky ReLU: x for x >= 0, slope * x otherwise; written into out, which
+    must not overlap x, when given."""
     x = np.asarray(x, dtype=np.float64)
-    return np.where(x >= 0, x, slope * x)
+    if out is None:
+        out = np.empty_like(x)
+    np.multiply(x, slope, out=out)
+    np.copyto(out, x, where=x >= 0)
+    return out
 
 
-def softmax_rows(x):
-    """Row-wise softmax with max-subtraction stabilization."""
+def softmax_rows(x, out=None):
+    """Row-wise softmax with max-subtraction stabilization; written into out,
+    which may be x, when given."""
     x = np.asarray(x, dtype=np.float64)
-    shifted = x - np.max(x, axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / np.sum(e, axis=-1, keepdims=True)
+    out = np.subtract(x, np.max(x, axis=-1, keepdims=True), out=out)
+    np.exp(out, out=out)
+    out /= np.sum(out, axis=-1, keepdims=True)
+    return out
 
 
-def init_gaussian(rows: int, cols: int, rng: SeededRng) -> np.ndarray:
-    """Zero-mean Gaussian with std sqrt(2 / (rows + cols))."""
+def init_gaussian(rows: int, cols: int, rng: SeededRng | None) -> np.ndarray:
+    """Zero-mean Gaussian with std sqrt(2 / (rows + cols)); zeros, with no
+    draw, when rng is None."""
+    if rng is None:
+        return np.zeros((rows, cols))
     std = np.sqrt(2.0 / (rows + cols))
     return rng.normal(std, (rows, cols))
 

@@ -9,7 +9,9 @@ vectors, with a small scratch buffer for each of the two threads that run
 them: the calling thread takes the first half of the blocks and the worker
 thread (network.run_pair) the second. Every element's arithmetic is that of
 the per-array formulas, so the trained weights do not depend on the blocking
-or on the threads.
+or on the threads. The loss likewise computes its per-row sums by halves of
+the rows on the two threads, and its masked sum as one reduction over the
+whole array: a reduction split between threads would add in another order.
 """
 
 from __future__ import annotations
@@ -92,18 +94,25 @@ class TrainReport:
 def cross_entropy_loss(targets, yhat, mask) -> float:
     """Negated multi-label cross entropy, summed over codes and averaged over
     unmasked steps. Probabilities are clamped to [eps, 1-eps]. Only the rows
-    of unmasked steps are evaluated."""
+    of unmasked steps are evaluated, their sums by halves on the two threads
+    (network.run_by_halves); the masked sum is one reduction."""
     if yhat.shape != targets.shape:
         raise ValueError(f"shape mismatch: {yhat.shape} vs {targets.shape}")
     n_valid = mask.sum()
     if n_valid == 0:
         return 0.0
     valid = mask != 0
-    y = targets[valid]
-    yc = np.clip(yhat[valid], LOSS_EPS, 1.0 - LOSS_EPS)
+    y, yv = targets[valid], yhat[valid]
+    sums = np.empty(len(y))
+
+    def rows(r):
+        yc = np.clip(yv[r], LOSS_EPS, 1.0 - LOSS_EPS)
+        sums[r] = np.sum(y[r] * np.log(yc) + (1.0 - y[r]) * np.log(1.0 - yc),
+                         axis=-1)
+
+    network.run_by_halves(len(sums), rows)
     per_step = np.zeros(mask.shape)
-    per_step[valid] = np.sum(y * np.log(yc) + (1.0 - y) * np.log(1.0 - yc),
-                             axis=-1)
+    per_step[valid] = sums
     return float(-np.sum(per_step * mask) / n_valid)
 
 

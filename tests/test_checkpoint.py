@@ -100,3 +100,35 @@ def test_atomic_write_leaves_no_temp_files(tmp_path):
     save_checkpoint(model, tmp_path / "m.ckpt")
     leftovers = [p for p in tmp_path.iterdir() if p.name.startswith(".tmp")]
     assert leftovers == []
+
+
+def test_rejects_trailing_payload_bytes(tmp_path):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(make_model(), path)
+    path.write_bytes(path.read_bytes() + bytes(8))
+    with pytest.raises(ValueError, match="payload"):
+        load_checkpoint(path)
+
+
+def test_load_draws_no_weights(tmp_path, monkeypatch):
+    # the loaded model is built without the Gaussian draws of init_model
+    model = make_model()
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(model, path)
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("load_checkpoint drew random weights")
+
+    monkeypatch.setattr(SeededRng, "normal", no_draws)
+    npt.assert_array_equal(load_checkpoint(path).theta, model.theta)
+
+
+def test_init_model_without_rng_has_the_seeded_structure():
+    seeded = network.init_model("lstm_google", 6, 4, layers=2, embed_dim=3,
+                                extras=ExtraFeatures(adm_type=True),
+                                rng=SeededRng(5))
+    bare = network.init_model("lstm_google", 6, 4, layers=2, embed_dim=3,
+                              extras=ExtraFeatures(adm_type=True))
+    assert bare.layout == seeded.layout
+    assert not bare.Wout.any() and not bare.E.any()
+    npt.assert_array_equal(bare.fwd[1]["Ui"], np.eye(4))

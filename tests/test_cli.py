@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from dxtraj.cli import main
 from dxtraj.checkpoint import load_checkpoint
 
@@ -86,6 +88,28 @@ def test_prepare_missing_map_exit_2(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", ["prepare", "train"])
+@pytest.mark.parametrize("field, value", [("timestamp", None),
+                                          ("duration_hours", float("nan"))])
+def test_malformed_record_exit_2(tmp_path, capsys, command, field, value):
+    # a missing timestamp or a NaN duration on line 2 is named, not a traceback
+    record = two_admission_patient()
+    if value is None:
+        del record["admissions"][1][field]
+    else:
+        record["admissions"][1][field] = value
+    inp = tmp_path / "patients.jsonl"
+    write_patient_file(inp, [two_admission_patient("p0"), record])
+    ccs = tmp_path / "map.csv"
+    ccs.write_text(TABLE1_MAP)
+    args = {"prepare": ["--input", str(inp), "--ccs", str(ccs), "--output",
+                        str(tmp_path / "out.jsonl")],
+            "train": ["--cohort", str(inp), "--model", str(tmp_path / "m.ckpt")]}
+    code = main([command, *args[command]])
+    assert code == 2
+    assert "patients.jsonl:2: admissions[1]." in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # synth / train / evaluate / predict pipeline
 
@@ -150,6 +174,24 @@ def test_train_max_epochs_one_row(tmp_path, capsys):
                   "--max-epochs", "1")
     assert code == 0
     assert len(json.loads(report.read_text())["train_loss"]) == 1
+
+
+def test_evaluate_single_admission_patient_exit_2(tmp_path, capsys):
+    cohort, _ = synth_cohort(tmp_path, capsys)
+    model = tmp_path / "m.ckpt"
+    code, _ = run(capsys, "train", "--cohort", str(cohort), "--model",
+                  str(model), "--max-epochs", "1")
+    assert code == 0
+    label = load_checkpoint(model).vocab_labels[0]
+    short = tmp_path / "short.jsonl"
+    write_patient_file(short, [{
+        "patient_id": "x",
+        "admissions": [{"timestamp": 5, "icd9": [label], "type": None,
+                        "duration_hours": 1.0}],
+    }])
+    code = main(["evaluate", "--model", str(model), "--cohort", str(short)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_predict_unknown_code_exit_4(tmp_path, capsys):

@@ -275,3 +275,51 @@ def test_load_patients_bad_json(tmp_path):
 def test_filter_report_json():
     r = FilterReport(admissions_empty_codes=2)
     assert json.loads(json.dumps(r.to_dict()))["admissions_empty_codes"] == 2
+
+
+GOOD_RECORD = {"patient_id": "ok", "admissions": [
+    {"timestamp": 1, "icd9": ["1"], "type": None, "duration_hours": 2.5}]}
+
+
+def _admission(**fields):
+    return {"patient_id": "p", "admissions": [
+        GOOD_RECORD["admissions"][0], {"timestamp": 5, "icd9": ["1"], **fields}]}
+
+
+@pytest.mark.parametrize("record, field", [
+    ([1, 2], "expected a JSON object"),
+    ({"admissions": []}, "patient_id"),
+    ({"patient_id": True, "admissions": []}, "patient_id"),
+    ({"patient_id": "p"}, "admissions"),
+    ({"patient_id": "p", "admissions": {}}, "admissions"),
+    ({"patient_id": "p", "admissions": ["x"]}, r"admissions\[0\]: expected"),
+    ({"patient_id": "p", "admissions": [{"icd9": ["1"]}]},
+     r"admissions\[0\]\.timestamp"),
+    (_admission(timestamp="5"), r"admissions\[1\]\.timestamp"),
+    (_admission(timestamp=5.5), r"admissions\[1\]\.timestamp"),
+    ({"patient_id": "p", "admissions": [{"timestamp": 5}]}, "icd9"),
+    (_admission(icd9="0600"), "icd9"),
+    (_admission(icd9=["0600", 600]), "icd9"),
+    (_admission(type=3), r"\.type"),
+    (_admission(duration_hours=float("nan")), "duration_hours"),
+    (_admission(duration_hours=float("inf")), "duration_hours"),
+    (_admission(duration_hours="12"), "duration_hours"),
+])
+def test_load_patients_names_line_and_field(tmp_path, record, field):
+    # line 1 is good and line 2 blank, so the bad record is on line 3
+    path = tmp_path / "pat.jsonl"
+    path.write_text(json.dumps(GOOD_RECORD) + "\n\n" + json.dumps(record) + "\n")
+    with pytest.raises(ValueError, match=rf"pat\.jsonl:3: .*{field}"):
+        ehr_data.load_patients(path)
+
+
+def test_load_patients_accepts_integer_ids_and_null_fields(tmp_path):
+    path = tmp_path / "pat.jsonl"
+    record = {"patient_id": 7, "admissions": [
+        {"timestamp": 3, "icd9": [], "type": None, "duration_hours": None},
+        {"timestamp": 1, "icd9": ["a"], "duration_hours": 4}]}
+    path.write_text(json.dumps(record) + "\n")
+    [p] = ehr_data.load_patients(path)
+    assert p.patient_id == "7"
+    assert [(a.timestamp, a.codes, a.adm_type, a.duration)
+            for a in p.admissions] == [(1, {"a"}, None, 4), (3, set(), None, None)]

@@ -330,6 +330,25 @@ def test_run_pair_waits_for_both_and_raises():
     assert network.run_pair(lambda: 1, lambda: 2) == (1, 2)
 
 
+def test_run_pair_called_on_the_worker_runs_inline():
+    # a run_pair reached from the worker would otherwise queue behind itself
+    import threading
+
+    order, result = [], []
+
+    def there():
+        return network.run_pair(lambda: order.append("here") or 1,
+                                lambda: order.append("there") or 2)
+
+    caller = threading.Thread(
+        target=lambda: result.append(network.run_pair(lambda: 0, there)))
+    caller.start()
+    caller.join(timeout=30)
+    assert not caller.is_alive()
+    assert result == [(0, (1, 2))]
+    assert order == ["here", "there"]
+
+
 def _pair_in_child():
     os._exit(0 if network.run_pair(lambda: 1, lambda: 2) == (1, 2) else 1)
 
@@ -430,10 +449,10 @@ def test_forward_feature_width_mismatch():
 
 
 @pytest.mark.parametrize("kind", CELL_KINDS)
-@pytest.mark.parametrize("n", [1, 2, 4])
+@pytest.mark.parametrize("n", [1, 2, 4, 63, 64, 631])
 def test_predict_topk_equals_forward_last_step(kind, n):
     # sizes at which a one-row product can round differently from a
-    # many-row one
+    # many-row one, and the head's rows inline (63) or by halves (64, 631)
     vocab = CodeVocabulary([str(i) for i in range(40)])
     model = small_model(seed=43, n_codes=40, hidden=32, kind=kind, layers=2,
                         embed_dim=24)
@@ -441,3 +460,88 @@ def test_predict_topk_equals_forward_last_step(kind, n):
     probs = network.forward(batch, model)["yhat"][-1, 0]
     expected = [(int(i), float(probs[i])) for i in network.rank_codes(probs)[:5]]
     assert network.predict_topk(model, history(n), vocab, k=5) == expected
+
+
+# ---------------------------------------------------------------------------
+# the head on two threads
+
+def serial_head(hf, hb, model, dropout):
+    """The joint and output layers on one thread, as one formula per layer:
+    the reference for the head split between two threads."""
+    j_pre = hf @ model.Vfwd + hb @ model.Vbwd + model.b_joint
+    hj = np.where(j_pre >= 0, j_pre, float(model.alpha_j) * j_pre)
+    if dropout is not None:
+        hj = hj * dropout
+    out_pre = hj @ model.Wout + model.b_out
+    act = np.where(out_pre >= 0, out_pre, float(model.alpha_o) * out_pre)
+    e = np.exp(act - np.max(act, axis=-1, keepdims=True))
+    return j_pre, hj, out_pre, e / np.sum(e, axis=-1, keepdims=True)
+
+
+def serial_backward(trace, batch, model):
+    """The gradient vector with the head's backward on one thread and the
+    flows' backpropagation called one after the other (no embedding)."""
+    grad = np.zeros_like(model.theta)
+    grads = model.views(grad)
+    n_valid = batch.mask.sum()
+    yhat = trace["yhat_rows"]
+    targets = batch.targets[trace["valid"]]
+    yc = np.clip(yhat, network.LOSS_EPS, 1.0 - network.LOSS_EPS)
+    inside = (yhat > network.LOSS_EPS) & (yhat < 1.0 - network.LOSS_EPS)
+    d_yhat = -(targets / yc - (1.0 - targets) / (1.0 - yc)) / n_valid
+    d_yhat = np.where(inside, d_yhat, 0.0)
+    dot = np.sum(d_yhat * yhat, axis=-1, keepdims=True)
+    d_out_act = yhat * (d_yhat - dot)
+    out_pre = trace["out_pre"]
+    d_out_pre = d_out_act * np.where(out_pre >= 0, 1.0, float(model.alpha_o))
+    grads["alpha_o"] += np.sum(d_out_act * np.where(out_pre < 0, out_pre, 0.0))
+    grads["Wout"] += trace["hj"].T @ d_out_pre
+    grads["b_out"] += d_out_pre.sum(axis=0)
+    d_hj = d_out_pre @ model.Wout.T
+    if trace["dropout"] is not None:
+        d_hj = d_hj * trace["dropout"]
+    j_pre = trace["j_pre"]
+    d_j_pre = d_hj * np.where(j_pre >= 0, 1.0, float(model.alpha_j))
+    grads["alpha_j"] += np.sum(d_hj * np.where(j_pre < 0, j_pre, 0.0))
+    grads["Vfwd"] += trace["hf"].T @ d_j_pre
+    grads["Vbwd"] += trace["hb"].T @ d_j_pre
+    grads["b_joint"] += d_j_pre.sum(axis=0)
+    d_hf = d_j_pre @ model.Vfwd.T
+    d_hb = d_j_pre @ model.Vbwd.T
+    for d_top, side, params in ((d_hf, "f", model.fwd),
+                                (d_hb[trace["rev"]], "b", model.bwd)):
+        network._bptt_direction(d_top, trace["layout_" + side],
+                                trace["inputs_" + side],
+                                trace["traces_" + side], params,
+                                model.cell_kind, grads,
+                                "fwd" if side == "f" else "bwd", False)
+    return grad
+
+
+def rows_batch(n, n_codes, rng):
+    """A ragged batch with exactly n valid rows: patients of 3 steps, one
+    shorter patient for the remainder, and one all-padding patient."""
+    lengths = [3] * (n // 3) + ([n % 3] if n % 3 else []) + [0]
+    return random_batch(n_codes, len(lengths), 3, rng, lengths=lengths)
+
+
+@pytest.mark.parametrize("kind", ["mgru", "lstm_google"])
+@pytest.mark.parametrize("dropout", [False, True])
+@pytest.mark.parametrize("n", [1, 63, 64, 631])
+def test_head_on_two_threads_equals_serial_head(kind, dropout, n):
+    # 63 rows run inline, 64 and more by halves on the two threads
+    model = small_model(seed=101, n_codes=271, hidden=271, kind=kind)
+    rng = SeededRng(n)
+    batch = rows_batch(n, 271, rng)
+    mask = None
+    if dropout:
+        mask = (rng.uniform(batch.x.shape[:2] + (271,)) < 0.7) / 0.7
+    trace = network.forward(batch, model, dropout_mask=mask)
+    assert len(trace["yhat_rows"]) == n
+    expected = serial_head(trace["hf"], trace["hb"], model,
+                           None if mask is None else mask[trace["valid"]])
+    for name, want in zip(("j_pre", "hj", "out_pre", "yhat_rows"), expected):
+        npt.assert_array_equal(trace[name], want, err_msg=name)
+    grad = np.zeros_like(model.theta)
+    network.backward(trace, batch, model, grad)
+    npt.assert_array_equal(grad, serial_backward(trace, batch, model))

@@ -70,6 +70,25 @@ def test_tanh_odd(x):
     npt.assert_allclose(tanh_act(x), -tanh_act(-x), atol=1e-12)
 
 
+def test_lrelu_and_softmax_into_out_equal_their_formulas():
+    # the head writes both in place; the values are those of the plain
+    # formulas, bit for bit
+    x = SeededRng(11).normal(3.0, (630, 271))
+    x[0, :7] = [0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, -800.0]
+    plain = np.where(x >= 0, x, 0.03 * x)
+    out = np.empty_like(x)
+    assert lrelu(x, 0.03, out=out) is out
+    npt.assert_array_equal(out, plain)
+    npt.assert_array_equal(lrelu(x, 0.03), plain)
+    assert np.signbit(out[0, 1]) and lrelu(np.array(-0.0), 0.1).shape == ()
+    x = x[1:]
+    e = np.exp(x - np.max(x, axis=-1, keepdims=True))
+    plain = e / np.sum(e, axis=-1, keepdims=True)
+    npt.assert_array_equal(softmax_rows(x), plain)
+    assert softmax_rows(x, out=x) is x
+    npt.assert_array_equal(x, plain)
+
+
 def test_lrelu():
     assert lrelu(np.array(-2.0), 0.1) == pytest.approx(-0.2)
     assert lrelu(np.array(3.0), 0.7) == 3.0

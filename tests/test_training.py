@@ -85,6 +85,19 @@ def test_cross_entropy_on_valid_rows_equals_padded_formula(seed):
         old_cross_entropy_loss(batch.targets, yhat, batch.mask)
 
 
+@pytest.mark.parametrize("n", [1, 63, 64, 631])
+def test_cross_entropy_by_halves_equals_padded_formula(n):
+    # 63 rows run inline, 64 and more by halves on the two threads
+    rng = SeededRng(n)
+    lengths = [3] * (n // 3) + ([n % 3] if n % 3 else []) + [0]
+    batch = random_batch(90, len(lengths), 3, rng, lengths=lengths)
+    model = network.init_model("mgru", 90, 64, rng=rng)
+    yhat = network.forward(batch, model)["yhat"]
+    assert batch.mask.sum() == n
+    assert cross_entropy_loss(batch.targets, yhat, batch.mask) == \
+        old_cross_entropy_loss(batch.targets, yhat, batch.mask)
+
+
 # ---------------------------------------------------------------------------
 # clipping / optimizer
 
