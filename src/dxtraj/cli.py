@@ -12,12 +12,18 @@ import json
 import os
 import sys
 
+# One BLAS thread unless the caller chose otherwise: training runs its own
+# second thread (network.run_pair), BLAS threads beside it slow it down, and
+# the trained weights depend on the BLAS thread count. numpy reads these
+# once, when first imported, so they are set before the imports below.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 from . import ehr_data, evaluation, synth
 from .cells import CELL_KINDS
 from .checkpoint import atomic_write_text, load_checkpoint, save_checkpoint
 from .ehr_data import CodeVocabulary, VocabularyError
 from .gradcheck import full_network_gradcheck
-from .numerics import SeededRng
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -33,21 +39,10 @@ def log(msg):
         print(msg, file=sys.stderr)
 
 
-def _data_dir():
-    return os.environ.get("DXTRAJ_DATA_DIR", ".")
-
-
-def _resolve(path):
-    if path is None or os.path.isabs(path) or os.path.exists(path):
-        return path
-    candidate = os.path.join(_data_dir(), path)
-    return candidate if os.path.exists(candidate) else path
-
-
 def cmd_prepare(args) -> int:
     try:
-        ccs = ehr_data.load_ccs_map(_resolve(args.ccs))
-        raw = ehr_data.load_patients(_resolve(args.input))
+        ccs = ehr_data.load_ccs_map(args.ccs)
+        raw = ehr_data.load_patients(args.input)
     except (OSError, ValueError) as exc:
         log(f"error: {exc}")
         return EXIT_INPUT
@@ -93,7 +88,7 @@ def _load_config(args):
 
     values = {}
     if args.config:
-        with open(_resolve(args.config)) as fh:
+        with open(args.config) as fh:
             values.update(json.load(fh))
     for flag in ("seed", "max_epochs", "hidden_size", "cell_kind",
                  "batch_size", "patience_epochs"):
@@ -107,7 +102,7 @@ def cmd_train(args) -> int:
     from .training import TrainingDivergedError, train
 
     try:
-        cohort = ehr_data.load_patients(_resolve(args.cohort))
+        cohort = ehr_data.load_patients(args.cohort)
         config = _load_config(args)
     except (OSError, ValueError, TypeError) as exc:
         log(f"error: {exc}")
@@ -131,8 +126,8 @@ def cmd_train(args) -> int:
 
 def cmd_evaluate(args) -> int:
     try:
-        model = load_checkpoint(_resolve(args.model))
-        patients = ehr_data.load_patients(_resolve(args.cohort))
+        model = load_checkpoint(args.model)
+        patients = ehr_data.load_patients(args.cohort)
     except (OSError, ValueError) as exc:
         log(f"error: {exc}")
         return EXIT_INPUT
@@ -155,8 +150,8 @@ def cmd_predict(args) -> int:
     from .network import predict_topk
 
     try:
-        model = load_checkpoint(_resolve(args.model))
-        patients = ehr_data.load_patients(_resolve(args.history))
+        model = load_checkpoint(args.model)
+        patients = ehr_data.load_patients(args.history)
     except (OSError, ValueError) as exc:
         log(f"error: {exc}")
         return EXIT_INPUT
@@ -167,7 +162,7 @@ def cmd_predict(args) -> int:
     descriptions = {}
     if args.ccs:
         try:
-            descriptions = ehr_data.load_ccs_map(_resolve(args.ccs)).labels
+            descriptions = ehr_data.load_ccs_map(args.ccs).labels
         except (OSError, ValueError) as exc:
             log(f"error: {exc}")
             return EXIT_INPUT
@@ -215,8 +210,8 @@ def cmd_gradcheck(args) -> int:
 
 def cmd_compare(args) -> int:
     try:
-        cohort = ehr_data.load_patients(_resolve(args.cohort))
-        with open(_resolve(args.grid)) as fh:
+        cohort = ehr_data.load_patients(args.cohort)
+        with open(args.grid) as fh:
             grid_spec = json.load(fh)
     except (OSError, ValueError) as exc:
         log(f"error: {exc}")

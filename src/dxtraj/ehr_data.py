@@ -1,5 +1,6 @@
 """Patient/admission data model, ICD-9 -> CCS mapping, cohort filtering, and
-padded multi-hot batch construction with masks.
+the admission encoder, which writes batches as packed multi-hot rows with a
+mask.
 
 File formats:
   * patients: JSON lines, one object per patient:
@@ -95,22 +96,56 @@ class ExtraFeatures:
 
 @dataclass
 class BatchTensor:
-    """Padded batch: x and targets are (steps, patients, features) with the
-    target at step i being the multi-hot of the following admission."""
-    x: np.ndarray        # (T, P, |D| + extras)
-    mask: np.ndarray     # (T, P) of {0, 1}
-    targets: np.ndarray  # (T, P, |D|)
+    """A batch of patients on a grid of (step, patient) cells, of which mask
+    marks the valid ones. Only the valid cells are stored, as rows packed
+    time-major, in the order of x[mask != 0]: the rows of step t are the
+    patients flatnonzero(mask[t]), in order. The target of the cell at step
+    i is the multi-hot of the patient's admission i + 1."""
+    x_rows: np.ndarray       # (n_valid, |D| + extras)
+    target_rows: np.ndarray  # (n_valid, |D|)
+    mask: np.ndarray         # (T, P) of {0, 1}
     patient_ids: list
     duration_max: float = 0.0
     interval_max: float = 0.0
 
+    def __post_init__(self):
+        n_valid = np.count_nonzero(self.mask)
+        if not len(self.x_rows) == len(self.target_rows) == n_valid:
+            raise ValueError(
+                f"{len(self.x_rows)} input and {len(self.target_rows)} target "
+                f"rows for {n_valid} valid cells")
+
+    @classmethod
+    def from_padded(cls, x, mask, targets, patient_ids, **constants):
+        """The batch of padded (T, P, ·) inputs and targets; what they hold
+        at the cells that mask leaves out is dropped."""
+        valid = mask != 0
+        return cls(x[valid], targets[valid], mask, patient_ids, **constants)
+
+    def pad(self, rows: np.ndarray) -> np.ndarray:
+        """Packed rows (n_valid, ...) laid out on the (T, P) grid, zeros at
+        the cells that mask leaves out."""
+        out = np.zeros(self.mask.shape + rows.shape[1:], dtype=rows.dtype)
+        out[self.mask != 0] = rows
+        return out
+
+    @property
+    def x(self) -> np.ndarray:
+        """The inputs padded to (T, P, |D| + extras), built on each call."""
+        return self.pad(self.x_rows)
+
+    @property
+    def targets(self) -> np.ndarray:
+        """The targets padded to (T, P, |D|), built on each call."""
+        return self.pad(self.target_rows)
+
     @property
     def n_steps(self) -> int:
-        return self.x.shape[0]
+        return self.mask.shape[0]
 
     @property
     def n_patients(self) -> int:
-        return self.x.shape[1]
+        return self.mask.shape[1]
 
 
 # ---------------------------------------------------------------------------
@@ -282,85 +317,112 @@ def build_vocabulary(patients) -> CodeVocabulary:
 # ---------------------------------------------------------------------------
 # batch construction
 
-def multi_hot(codes, vocab: CodeVocabulary) -> np.ndarray:
-    v = np.zeros(len(vocab))
-    for c in codes:
-        idx = vocab.index.get(c)
-        if idx is None:
-            raise VocabularyError(f"code {c!r} not in vocabulary")
-        v[idx] = 1.0
-    return v
+def encode_patients(patients, vocab: CodeVocabulary,
+                    extras: ExtraFeatures | None = None,
+                    duration_max: float | None = None,
+                    interval_max: float | None = None,
+                    every_admission: bool = False) -> BatchTensor:
+    """The packed batch of a list of patients: the admission encoder.
+
+    A patient with m admissions has m - 1 steps, or m with every_admission
+    (a history to predict from): step i holds admission i as input and
+    admission i + 1 as target, a zero row when there is none. Each
+    admission's codes are mapped through the vocabulary once, and the
+    multi-hot slots of the input rows and of the target rows are set by one
+    assignment each.
+
+    The extras follow the code slots: the one-hot admission type, the
+    duration over duration_max and the interval since the previous
+    admission (0 for the first) over interval_max. A constant of None is the
+    maximum over these patients' admissions when its extra is on; a
+    constant that is not positive leaves its slot at zero.
+    """
+    extras = extras or ExtraFeatures()
+    d, n_pat = len(vocab), len(patients)
+    lead = 0 if every_admission else 1
+    n_steps = [len(p.admissions) - lead for p in patients]
+    valid = np.arange(max(n_steps))[:, None] < np.array(n_steps)
+    n_valid = sum(n_steps)
+    # row[t, h] is the packed row of the cell (t, h), or -1 where there is
+    # none: -1 writes to a scratch row after the last, dropped at the end.
+    # The extra last step stands for step -1, which no patient has.
+    row = np.full((len(valid) + 1, n_pat), -1, dtype=np.intp)
+    row[:-1][valid] = np.arange(n_valid)
+    # admission i of patient h is the input of the cell (i, h) and the
+    # target of the cell (i - 1, h): the rows of each admission, both roles
+    cell = np.array([i * n_pat + h for h, p in enumerate(patients)
+                     for i in range(len(p.admissions))], dtype=np.intp)
+    adm_rows = row.ravel()[cell - [[0], [n_pat]]]
+
+    index = vocab.index
+    try:
+        cols = np.array([index[c] for p in patients for a in p.admissions
+                         for c in a.codes], dtype=np.intp)
+    except KeyError as exc:
+        raise VocabularyError(f"code {exc.args[0]!r} not in vocabulary") from None
+    counts = [len(a.codes) for p in patients for a in p.admissions]
+    code_in, code_target = np.repeat(adm_rows, counts, axis=1)
+    x_rows = np.zeros((n_valid + 1, d + extras.width))
+    target_rows = np.zeros((n_valid + 1, d))
+    x_rows[code_in, cols] = 1.0
+    target_rows[code_target, cols] = 1.0
+
+    if extras.width:
+        if extras.duration and duration_max is None:
+            duration_max = max((a.duration or 0.0)
+                               for p in patients for a in p.admissions)
+        if extras.interval and interval_max is None:
+            interval_max = max([0.0] + [
+                float(b.timestamp - a.timestamp) for p in patients
+                for a, b in zip(p.admissions, p.admissions[1:])])
+
+        def extra_values(adm, prev):
+            values = []
+            if extras.adm_type:
+                values += [float(adm.adm_type == t) for t in ADMISSION_TYPES]
+            if extras.duration:
+                values.append(adm.duration / duration_max
+                              if adm.duration is not None and duration_max
+                              and duration_max > 0 else 0.0)
+            if extras.interval:
+                ivl = 0.0 if prev is None else float(
+                    adm.timestamp - prev.timestamp)
+                values.append(ivl / interval_max
+                              if interval_max and interval_max > 0 else 0.0)
+            return values
+
+        x_rows[adm_rows[0], d:] = [
+            extra_values(a, p.admissions[i - 1] if i else None)
+            for p in patients for i, a in enumerate(p.admissions)]
+
+    return BatchTensor(x_rows=x_rows[:-1], target_rows=target_rows[:-1],
+                       mask=valid * 1.0,
+                       patient_ids=[p.patient_id for p in patients],
+                       duration_max=float(duration_max or 0.0),
+                       interval_max=float(interval_max or 0.0))
 
 
 def build_batch(patients, vocab: CodeVocabulary,
                 extras: ExtraFeatures | None = None,
                 duration_max: float | None = None,
                 interval_max: float | None = None) -> BatchTensor:
-    """Build the padded (steps, patients, features) input tensor with mask and
-    one-step-ahead targets.
+    """The packed batch of patients with two admissions or more, with
+    one-step-ahead targets (encode_patients).
 
-    A patient with m admissions contributes m-1 steps: step i holds admission i
-    as input and admission i+1 as target. duration_max/interval_max override the
-    per-batch normalization constants (used at inference with stored constants).
+    duration_max/interval_max override the per-batch normalization
+    constants (used at inference with stored constants).
     """
-    extras = extras or ExtraFeatures()
     if not patients:
         raise ValueError("empty patient list")
     for p in patients:
         if len(p.admissions) < 2:
             raise ValueError(f"patient {p.patient_id} has fewer than 2 admissions")
-
-    n_steps = max(len(p.admissions) - 1 for p in patients)
-    n_pat = len(patients)
-    d = len(vocab)
-    feat = d + extras.width
-
-    dur_max = duration_max
-    ivl_max = interval_max
-    if extras.duration and dur_max is None:
-        dur_max = max((a.duration or 0.0) for p in patients for a in p.admissions)
-    if extras.interval and ivl_max is None:
-        ivl_max = 0.0
-        for p in patients:
-            for i in range(1, len(p.admissions)):
-                ivl = p.admissions[i].timestamp - p.admissions[i - 1].timestamp
-                ivl_max = max(ivl_max, float(ivl))
-
-    x = np.zeros((n_steps, n_pat, feat))
-    targets = np.zeros((n_steps, n_pat, d))
-    mask = np.zeros((n_steps, n_pat))
-
-    for h, p in enumerate(patients):
-        for i in range(len(p.admissions) - 1):
-            adm = p.admissions[i]
-            x[i, h, :d] = multi_hot(adm.codes, vocab)
-            col = d
-            if extras.adm_type:
-                if adm.adm_type in ADMISSION_TYPES:
-                    x[i, h, col + ADMISSION_TYPES.index(adm.adm_type)] = 1.0
-                col += 4
-            if extras.duration:
-                if adm.duration is not None and dur_max and dur_max > 0:
-                    x[i, h, col] = adm.duration / dur_max
-                col += 1
-            if extras.interval:
-                ivl = 0.0 if i == 0 else float(
-                    adm.timestamp - p.admissions[i - 1].timestamp)
-                if ivl_max and ivl_max > 0:
-                    x[i, h, col] = ivl / ivl_max
-                col += 1
-            targets[i, h, :] = multi_hot(p.admissions[i + 1].codes, vocab)
-            mask[i, h] = 1.0
-
-    return BatchTensor(x=x, mask=mask, targets=targets,
-                       patient_ids=[p.patient_id for p in patients],
-                       duration_max=float(dur_max or 0.0),
-                       interval_max=float(ivl_max or 0.0))
+    return encode_patients(patients, vocab, extras, duration_max, interval_max)
 
 
 def split_batches(patients, vocab, extras=None, batch_size=None) -> list:
-    """Group patients into batches of at most batch_size, padding within each
-    group. batch_size None means one batch for the whole list."""
+    """Group patients into batches of at most batch_size, each with its own
+    grid of cells. batch_size None means one batch for the whole list."""
     if batch_size is None or batch_size >= len(patients):
         return [build_batch(patients, vocab, extras)]
     return [

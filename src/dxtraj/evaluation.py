@@ -45,6 +45,25 @@ def recall_at_k(yhat: np.ndarray, target_codes, k: int) -> float:
     return hits / len(target_codes)
 
 
+def top_k_hits(yhat: np.ndarray, targets: np.ndarray, k: int) -> np.ndarray:
+    """Per row, the sum of targets over the k highest entries of yhat, ties
+    at the k-th value taken by ascending code index, as in rank_codes.
+
+    One partition per row finds the k-th value; every entry above it is in,
+    and only the rows with more entries equal to it than places left rank
+    those by index."""
+    kth = -np.partition(-yhat, k - 1, axis=1)[:, k - 1:k]
+    top = yhat > kth
+    tied = yhat == kth
+    left = k - top.sum(axis=1)
+    over = np.flatnonzero(tied.sum(axis=1) > left)
+    top |= tied
+    if over.size:
+        sub = tied[over]
+        top[over] &= ~(sub & (np.cumsum(sub, axis=1) > left[over, None]))
+    return np.sum(targets * top, axis=1)
+
+
 def evaluate_model(model: ModelParams, patients, vocab: CodeVocabulary,
                    ks=(10, 20, 30)) -> dict:
     """Mean Recall@k over every (patient, transition) pair, one sample per
@@ -59,16 +78,13 @@ def evaluate_model(model: ModelParams, patients, vocab: CodeVocabulary,
     trace = network.forward(batch, model)
     results = {}
     if ks:
-        targets = batch.targets[trace["valid"]]
+        targets = batch.target_rows
         n_targets = targets.sum(axis=1)
         if not n_targets.all():
             raise ValueError("empty target code set")
-        # one stable sort of every valid row: ties go to the ascending code
-        # index, as in rank_codes
-        order = np.argsort(-trace["yhat_rows"], axis=1, kind="stable")
-        hits = np.take_along_axis(targets, order[:, :max(ks)], axis=1)
-        hits = hits.cumsum(axis=1)
-        results = {k: (hits[:, k - 1] / n_targets).tolist() for k in ks}
+        yhat = trace["yhat_rows"]
+        results = {k: (top_k_hits(yhat, targets, k) / n_targets).tolist()
+                   for k in ks}
     return {
         k: RecallResult(k=k, values=v, mean=float(np.mean(v)) if v else 0.0)
         for k, v in results.items()

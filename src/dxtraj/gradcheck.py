@@ -27,10 +27,8 @@ def random_batch(n_codes, n_patients, n_steps, rng: SeededRng,
         mask = (np.arange(n_steps)[:, None] < np.asarray(lengths)) * 1.0
     elif ragged and n_steps > 1 and n_patients > 1:
         mask[-1, -1] = 0.0
-    x *= mask[:, :, None]
-    targets *= mask[:, :, None]
-    return BatchTensor(x=x, mask=mask, targets=targets,
-                       patient_ids=[f"p{i}" for i in range(n_patients)])
+    return BatchTensor.from_padded(
+        x, mask, targets, patient_ids=[f"p{i}" for i in range(n_patients)])
 
 
 def full_network_gradcheck(cell_kind: str, n_codes: int = 5, hidden: int = 4,
@@ -65,7 +63,8 @@ def full_network_gradcheck(cell_kind: str, n_codes: int = 5, hidden: int = 4,
     def objective(theta):
         model.theta[...] = theta
         tr = network.forward(batch, model)
-        return cross_entropy_loss(batch.targets, tr["yhat"], batch.mask)
+        return cross_entropy_loss(batch.target_rows, tr["yhat_rows"],
+                                  batch.mask)
 
     numeric = model.views(finite_diff_grad(objective, theta0, eps=eps))
     model.theta[...] = theta0

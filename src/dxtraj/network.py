@@ -14,17 +14,18 @@ over the code slots. Both LReLU slopes are trainable scalars. The backward
 pass (full backpropagation through time, including the slopes and the optional
 embedding) is hand-derived and verified against finite differences.
 
-Packed layout: a batch is padded to (T, P) cells, and only the cells with
-mask 1 are computed. Their rows are packed time-major, x[mask], so the rows of
-step t are the patients flatnonzero(mask[t]) in order. A flow keeps its state
-as a (P, hidden) array; each step gathers the rows of its active patients,
-advances them and scatters them back, so an inactive patient carries its
-state. The backward flow packs mask[::-1] the same way, and one index array
-maps its rows to forward order. A layer's input terms x @ W + b are computed
-for all of its rows before the time loop (cells.project_inputs), and its W
-and b gradients after BPTT (cells.input_backward), so stacked layers run one
-after the other. The joint and output layers run on the packed rows only;
-forward() scatters yhat back to (T, P, |D|), with zeros at padded cells.
+Packed layout: a batch lays its patients out on (T, P) cells, of which only
+those with mask 1 are stored and computed: the batch holds their rows packed
+time-major (BatchTensor), so the rows of step t are the patients
+flatnonzero(mask[t]) in order. A flow keeps its state as a (P, hidden)
+array; each step gathers the rows of its active patients, advances them and
+scatters them back, so an inactive patient carries its state. The backward
+flow packs mask[::-1] the same way, and one index array maps its rows to
+forward order. A layer's input terms x @ W + b are computed for all of its
+rows before the time loop (cells.project_inputs), and its W and b gradients
+after BPTT (cells.input_backward), so stacked layers run one after the
+other. The joint and output layers, the loss and its gradient run on the
+packed rows only.
 
 Two threads: the calling thread runs the forward flow and one worker thread
 (run_pair) the backward flow, in forward() and in backward(). Each flow ends
@@ -52,7 +53,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import cells
-from .ehr_data import BatchTensor, ExtraFeatures, PatientRecord, CodeVocabulary, multi_hot
+from .ehr_data import (BatchTensor, CodeVocabulary, ExtraFeatures,
+                       PatientRecord, encode_patients)
 from .numerics import SeededRng, init_gaussian, init_identity, lrelu, softmax_rows
 
 LOSS_EPS = 1e-8
@@ -335,16 +337,15 @@ def _head(jf, jb, model, dropout=None):
 
 def forward(batch: BatchTensor, model: ModelParams, dropout_mask=None) -> dict:
     """Full forward pass over the valid cells of a batch; the returned trace
-    holds every intermediate needed by backward(). trace["yhat"] is
-    (T, P, |D|) with zero rows at padded cells; trace["yhat_rows"] holds the
-    valid rows, packed. dropout_mask, when given, is (T, P, hidden) and
-    multiplies the joint-layer output (inverted-dropout convention, already
-    scaled)."""
-    x, mask = batch.x, batch.mask
+    holds every intermediate needed by backward(). trace["yhat_rows"] holds
+    the predictions of the valid cells, packed like batch.x_rows.
+    dropout_mask, when given, is (T, P, hidden) and multiplies the
+    joint-layer output (inverted-dropout convention, already scaled)."""
+    x_rows, mask = batch.x_rows, batch.mask
     d = model.n_codes
-    if x.shape[2] != d + model.extras.width:
+    if x_rows.shape[1] != d + model.extras.width:
         raise ValueError(
-            f"batch feature width {x.shape[2]} does not match model "
+            f"batch feature width {x_rows.shape[1]} does not match model "
             f"({d} codes + {model.extras.width} extras)")
 
     valid = mask != 0
@@ -356,7 +357,6 @@ def forward(batch: BatchTensor, model: ModelParams, dropout_mask=None) -> dict:
     rev = pos[::-1][valid[::-1]]
     layout_f, layout_b = _pack(valid), _pack(valid[::-1])
 
-    x_rows = x[valid]
     inp = _embed(model, x_rows)
     inp_rev = inp[rev]
     kind, hidden = model.cell_kind, model.hidden
@@ -380,15 +380,13 @@ def forward(batch: BatchTensor, model: ModelParams, dropout_mask=None) -> dict:
                                                           backward_flow)
     dropout = None if dropout_mask is None else dropout_mask[valid]
     j_pre, hj, out_pre, yhat_rows = _head(jf, jb, model, dropout)
-    yhat = np.zeros(mask.shape + (d,))
-    yhat[valid] = yhat_rows
 
     return {
         "valid": valid, "rev": rev, "x_rows": x_rows,
         "layout_f": layout_f, "layout_b": layout_b,
         "inputs_f": in_f, "inputs_b": in_b, "traces_f": tr_f, "traces_b": tr_b,
         "hf": hf, "hb": hb, "j_pre": j_pre, "hj": hj, "out_pre": out_pre,
-        "dropout": dropout, "yhat_rows": yhat_rows, "yhat": yhat,
+        "dropout": dropout, "yhat_rows": yhat_rows,
     }
 
 
@@ -451,7 +449,7 @@ def backward(trace: dict, batch: BatchTensor, model: ModelParams,
         return grads
 
     yhat, out_pre, j_pre = trace["yhat_rows"], trace["out_pre"], trace["j_pre"]
-    targets = batch.targets[trace["valid"]]
+    targets = batch.target_rows
     dropout = trace["dropout"]
     alpha_j, alpha_o = float(model.alpha_j), float(model.alpha_o)
     n = len(yhat)
@@ -525,35 +523,11 @@ def backward(trace: dict, batch: BatchTensor, model: ModelParams,
 
 def build_history_tensor(patient: PatientRecord, model: ModelParams,
                          vocab: CodeVocabulary) -> BatchTensor:
-    """Single-patient tensor using every admission as an input step (no
-    targets); normalization constants come from the trained model."""
-    m = len(patient.admissions)
-    d = len(vocab)
-    ex = model.extras
-    x = np.zeros((m, 1, d + ex.width))
-    for i, adm in enumerate(patient.admissions):
-        x[i, 0, :d] = multi_hot(adm.codes, vocab)
-        col = d
-        if ex.adm_type:
-            from .ehr_data import ADMISSION_TYPES
-            if adm.adm_type in ADMISSION_TYPES:
-                x[i, 0, col + ADMISSION_TYPES.index(adm.adm_type)] = 1.0
-            col += 4
-        if ex.duration:
-            if adm.duration is not None and model.duration_max > 0:
-                x[i, 0, col] = adm.duration / model.duration_max
-            col += 1
-        if ex.interval:
-            ivl = 0.0 if i == 0 else float(
-                adm.timestamp - patient.admissions[i - 1].timestamp)
-            if model.interval_max > 0:
-                x[i, 0, col] = ivl / model.interval_max
-            col += 1
-    mask = np.ones((m, 1))
-    return BatchTensor(x=x, mask=mask, targets=np.zeros((m, 1, d)),
-                       patient_ids=[patient.patient_id],
-                       duration_max=model.duration_max,
-                       interval_max=model.interval_max)
+    """Single-patient batch using every admission as an input step;
+    normalization constants come from the trained model."""
+    return encode_patients([patient], vocab, model.extras,
+                           model.duration_max, model.interval_max,
+                           every_admission=True)
 
 
 def rank_codes(yhat_row: np.ndarray) -> np.ndarray:
@@ -576,7 +550,7 @@ def predict_topk(model: ModelParams, history: PatientRecord,
     if not (1 <= k <= len(vocab)):
         raise ValueError(f"k={k} out of range [1, {len(vocab)}]")
     batch = build_history_tensor(history, model, vocab)
-    inp = _embed(model, batch.x[:, 0])
+    inp = _embed(model, batch.x_rows)
     # one patient, active at every step
     steps = [(t, t + 1, None) for t in range(len(inp))]
     hf = _scan_direction(inp, (1, steps), model.fwd, model.cell_kind,

@@ -17,7 +17,7 @@ whole array: a reduction split between threads would add in another order.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -93,21 +93,26 @@ class TrainReport:
 
 def cross_entropy_loss(targets, yhat, mask) -> float:
     """Negated multi-label cross entropy, summed over codes and averaged over
-    unmasked steps. Probabilities are clamped to [eps, 1-eps]. Only the rows
-    of unmasked steps are evaluated, their sums by halves on the two threads
-    (network.run_by_halves); the masked sum is one reduction."""
+    unmasked steps. Probabilities are clamped to [eps, 1-eps].
+
+    targets and yhat are the rows of the unmasked cells of the (T, P) mask,
+    packed like BatchTensor.x_rows. Their sums run by halves of the rows on
+    the two threads (network.run_by_halves); the masked sum is one reduction
+    over the (T, P) grid."""
     if yhat.shape != targets.shape:
         raise ValueError(f"shape mismatch: {yhat.shape} vs {targets.shape}")
+    valid = mask != 0
+    n_rows = np.count_nonzero(valid)
+    if len(yhat) != n_rows:
+        raise ValueError(f"{len(yhat)} rows for {n_rows} unmasked cells")
     n_valid = mask.sum()
     if n_valid == 0:
         return 0.0
-    valid = mask != 0
-    y, yv = targets[valid], yhat[valid]
-    sums = np.empty(len(y))
+    sums = np.empty(len(yhat))
 
     def rows(r):
-        yc = np.clip(yv[r], LOSS_EPS, 1.0 - LOSS_EPS)
-        sums[r] = np.sum(y[r] * np.log(yc) + (1.0 - y[r]) * np.log(1.0 - yc),
+        y, yc = targets[r], np.clip(yhat[r], LOSS_EPS, 1.0 - LOSS_EPS)
+        sums[r] = np.sum(y * np.log(yc) + (1.0 - y) * np.log(1.0 - yc),
                          axis=-1)
 
     network.run_by_halves(len(sums), rows)
@@ -262,20 +267,23 @@ def _epoch_pass(batches, model, config, rng, update_state=None):
     total_loss = 0.0
     total_weight = 0.0
     for batch in batches:
-        x = batch.x
+        # the noise and dropout draws cover the whole (T, P, ·) grid, padded
+        # cells included, so the seeded stream, and with it the trained
+        # weights, do not depend on how the cells are stored
         dropout_mask = None
         if update_state is not None and config.input_noise_std > 0:
-            noisy = x.copy()
             d = model.n_codes
-            noisy[:, :, :d] += rng.normal(config.input_noise_std,
-                                          x[:, :, :d].shape)
-            batch = _with_x(batch, noisy)
+            noise = rng.normal(config.input_noise_std, batch.mask.shape + (d,))
+            noisy = batch.x_rows.copy()
+            noisy[:, :d] += noise[batch.mask != 0]
+            batch = replace(batch, x_rows=noisy)
         if update_state is not None and config.dropout_rate > 0:
             keep = 1.0 - config.dropout_rate
-            dropout_mask = (rng.uniform((batch.x.shape[0], batch.x.shape[1],
-                                         model.hidden)) < keep) / keep
+            dropout_mask = (rng.uniform(batch.mask.shape + (model.hidden,))
+                            < keep) / keep
         trace = network.forward(batch, model, dropout_mask=dropout_mask)
-        loss = cross_entropy_loss(batch.targets, trace["yhat"], batch.mask)
+        loss = cross_entropy_loss(batch.target_rows, trace["yhat_rows"],
+                                  batch.mask)
         if not np.isfinite(loss):
             raise TrainingDivergedError("non-finite training loss")
         w = batch.mask.sum()
@@ -289,11 +297,6 @@ def _epoch_pass(batches, model, config, rng, update_state=None):
             adadelta_update(model, update_state.grad, update_state,
                             config.adadelta_rho, config.adadelta_eps)
     return total_loss / total_weight if total_weight else 0.0
-
-
-def _with_x(batch, x):
-    from dataclasses import replace
-    return replace(batch, x=x)
 
 
 def train(cohort, config: TrainConfig,

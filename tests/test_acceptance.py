@@ -46,8 +46,9 @@ def test_02_softmax_normalization_100_passes():
         for k, v in model.flat().items():
             v[...] = v + rng.normal(0.3, v.shape)
         batch = random_batch(6, 3, 4, rng)
-        yhat = network.forward(batch, model)["yhat"]
-        sums = yhat.sum(axis=-1)[batch.mask == 1]
+        yhat = network.forward(batch, model)["yhat_rows"]
+        assert len(yhat) == batch.mask.sum()
+        sums = yhat.sum(axis=-1)
         worst = max(worst, float(np.abs(sums - 1.0).max()))
     report("softmax rows sum to 1 +/- 1e-9 over 100 passes", worst <= 1e-9,
            f"worst deviation {worst:.2e}")
@@ -59,15 +60,17 @@ def test_03_masking_invariance():
     for k, v in model.flat().items():
         v[...] = v + rng.normal(0.3, v.shape)
     batch = random_batch(5, 2, 3, rng, ragged=False)
-    padded = BatchTensor(
-        x=np.concatenate([batch.x, np.zeros((3, 1, 5))], axis=1),
-        mask=np.concatenate([batch.mask, np.zeros((3, 1))], axis=1),
-        targets=np.concatenate([batch.targets, np.zeros((3, 1, 5))], axis=1),
-        patient_ids=batch.patient_ids + ["pad"])
+    padded = BatchTensor.from_padded(
+        np.concatenate([batch.x, np.zeros((3, 1, 5))], axis=1),
+        np.concatenate([batch.mask, np.zeros((3, 1))], axis=1),
+        np.concatenate([batch.targets, np.zeros((3, 1, 5))], axis=1),
+        batch.patient_ids + ["pad"])
     tr_a = network.forward(batch, model)
     tr_b = network.forward(padded, model)
-    dl = abs(cross_entropy_loss(batch.targets, tr_a["yhat"], batch.mask)
-             - cross_entropy_loss(padded.targets, tr_b["yhat"], padded.mask))
+    dl = abs(cross_entropy_loss(batch.target_rows, tr_a["yhat_rows"],
+                                batch.mask)
+             - cross_entropy_loss(padded.target_rows, tr_b["yhat_rows"],
+                                  padded.mask))
     g_a = network.backward(tr_a, batch, model)
     g_b = network.backward(tr_b, padded, model)
     dg = max(float(np.abs(g_a[k] - g_b[k]).max()) for k in g_a)

@@ -65,10 +65,10 @@ def test_roundtrip_identical_outputs(tmp_path):
     model = make_model()
     batch = random_batch(6, 2, 3, SeededRng(0),
                          extras=ExtraFeatures(duration=True))
-    before = network.forward(batch, model)["yhat"]
+    before = network.forward(batch, model)["yhat_rows"]
     path = tmp_path / "m.ckpt"
     save_checkpoint(model, path)
-    after = network.forward(batch, load_checkpoint(path))["yhat"]
+    after = network.forward(batch, load_checkpoint(path))["yhat_rows"]
     npt.assert_array_equal(before, after)
 
 

@@ -194,6 +194,46 @@ def test_evaluate_single_admission_patient_exit_2(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_relative_paths_are_used_as_given(tmp_path, capsys, monkeypatch):
+    # a file in DXTRAJ_DATA_DIR is not found by a relative path elsewhere
+    data = tmp_path / "data"
+    data.mkdir()
+    write_patient_file(data / "cohort.jsonl", [two_admission_patient("p1"),
+                                               two_admission_patient("p2")])
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.setenv("DXTRAJ_DATA_DIR", str(data))
+    monkeypatch.chdir(work)
+    code = main(["train", "--cohort", "cohort.jsonl", "--model", "m.ckpt",
+                 "--max-epochs", "1"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and "cohort.jsonl" in err
+    assert not (work / "m.ckpt").exists()
+
+
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def test_cli_import_pins_blas_threads_unless_set():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+    env["OMP_NUM_THREADS"] = "3"
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    script = ("import os, sys, dxtraj.cli\n"
+              "print(*(os.environ.get(v) for v in sys.argv[1:]))")
+    out = subprocess.run([sys.executable, "-c", script, *BLAS_VARS],
+                         env=env, capture_output=True, text=True, timeout=120,
+                         check=True).stdout
+    assert out.split() == ["1", "3", "1"]
+
+
 def test_predict_unknown_code_exit_4(tmp_path, capsys):
     cohort, _ = synth_cohort(tmp_path, capsys)
     model = tmp_path / "m.ckpt"

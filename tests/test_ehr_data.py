@@ -3,12 +3,13 @@ import json
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dxtraj import ehr_data
 from dxtraj.ehr_data import (
     Admission,
+    BatchTensor,
     CcsMapError,
     CodeVocabulary,
     ExtraFeatures,
@@ -20,7 +21,6 @@ from dxtraj.ehr_data import (
     filter_cohort,
     load_ccs_map,
     map_icd_to_ccs,
-    multi_hot,
     split_batches,
 )
 
@@ -245,6 +245,125 @@ def test_split_batches():
     batches = split_batches(pats, vocab, batch_size=2)
     assert [b.n_patients for b in batches] == [2, 2, 1]
     assert len(split_batches(pats, vocab)) == 1
+
+
+def old_padded_batch(patients, vocab, extras, duration_max=None,
+                     interval_max=None):
+    """The padded (T, P, ·) builder as it was before batches were packed,
+    one multi_hot per admission and role: the reference for the encoder.
+    Returns (x, mask, targets, duration_max, interval_max)."""
+    def multi_hot(codes):
+        v = np.zeros(len(vocab))
+        for c in codes:
+            v[vocab.index[c]] = 1.0
+        return v
+
+    n_steps = max(len(p.admissions) - 1 for p in patients)
+    d = len(vocab)
+    dur_max, ivl_max = duration_max, interval_max
+    if extras.duration and dur_max is None:
+        dur_max = max((a.duration or 0.0) for p in patients for a in p.admissions)
+    if extras.interval and ivl_max is None:
+        ivl_max = 0.0
+        for p in patients:
+            for i in range(1, len(p.admissions)):
+                ivl = p.admissions[i].timestamp - p.admissions[i - 1].timestamp
+                ivl_max = max(ivl_max, float(ivl))
+    x = np.zeros((n_steps, len(patients), d + extras.width))
+    targets = np.zeros((n_steps, len(patients), d))
+    mask = np.zeros((n_steps, len(patients)))
+    for h, p in enumerate(patients):
+        for i in range(len(p.admissions) - 1):
+            adm = p.admissions[i]
+            x[i, h, :d] = multi_hot(adm.codes)
+            col = d
+            if extras.adm_type:
+                if adm.adm_type in ehr_data.ADMISSION_TYPES:
+                    x[i, h, col + ehr_data.ADMISSION_TYPES.index(adm.adm_type)] = 1.0
+                col += 4
+            if extras.duration:
+                if adm.duration is not None and dur_max and dur_max > 0:
+                    x[i, h, col] = adm.duration / dur_max
+                col += 1
+            if extras.interval:
+                ivl = 0.0 if i == 0 else float(
+                    adm.timestamp - p.admissions[i - 1].timestamp)
+                if ivl_max and ivl_max > 0:
+                    x[i, h, col] = ivl / ivl_max
+                col += 1
+            targets[i, h, :] = multi_hot(p.admissions[i + 1].codes)
+            mask[i, h] = 1.0
+    return x, mask, targets, float(dur_max or 0.0), float(ivl_max or 0.0)
+
+
+LABELS = ["0", "1", "2", "3", "4", "5"]
+
+admissions = st.lists(
+    st.tuples(
+        st.integers(0, 500),                               # gap to the last
+        st.sets(st.sampled_from(LABELS), min_size=1),      # codes
+        st.sampled_from(ehr_data.ADMISSION_TYPES + (None, "other")),
+        st.one_of(st.none(), st.integers(0, 90),
+                  st.floats(0, 1e3, allow_nan=False))),    # duration
+    min_size=2, max_size=6)
+
+
+def as_patient(pid, adms):
+    out, ts = [], 1000
+    for gap, codes, adm_type, duration in adms:
+        ts += gap
+        out.append(Admission(ts, set(codes), adm_type, duration))
+    return PatientRecord(pid, out)
+
+
+cohorts = st.lists(admissions, min_size=1, max_size=5).map(
+    lambda c: [as_patient(f"p{i}", a) for i, a in enumerate(c)])
+extra_sets = st.builds(ExtraFeatures, st.booleans(), st.booleans(),
+                       st.booleans())
+constants = st.one_of(st.none(), st.just(0.0), st.floats(0.5, 1e3))
+
+
+@settings(max_examples=150, deadline=None)
+@given(cohorts, extra_sets, constants, constants)
+def test_packed_batch_equals_old_padded_builder(patients, extras, dmax, imax):
+    vocab = CodeVocabulary(LABELS)
+    batch = build_batch(patients, vocab, extras, dmax, imax)
+    x, mask, targets, dur_max, ivl_max = old_padded_batch(
+        patients, vocab, extras, dmax, imax)
+    npt.assert_array_equal(batch.mask, mask)
+    npt.assert_array_equal(batch.x_rows, x[mask != 0])
+    npt.assert_array_equal(batch.target_rows, targets[mask != 0])
+    npt.assert_array_equal(batch.x, x)
+    npt.assert_array_equal(batch.targets, targets)
+    assert (batch.duration_max, batch.interval_max) == (dur_max, ivl_max)
+
+
+def test_split_batches_hold_only_valid_rows():
+    vocab = CodeVocabulary(["0", "1", "2"])
+    pats = [make_patient(f"p{i}", [{"0"}, {"1", "2"}] * (1 + i % 4))
+            for i in range(11)]
+    batches = split_batches(pats, vocab, ExtraFeatures(True, True, True),
+                            batch_size=4)
+    for b, chunk in zip(batches, [pats[0:4], pats[4:8], pats[8:]]):
+        n_valid = sum(len(p.admissions) - 1 for p in chunk)
+        assert b.mask.sum() == n_valid
+        assert b.x_rows.shape == (n_valid, 3 + 6)
+        assert b.target_rows.shape == (n_valid, 3)
+        # nothing the batch holds is laid out on the padded grid
+        arrays = [v for v in vars(b).values() if isinstance(v, np.ndarray)]
+        assert sum(a.size for a in arrays) == \
+            b.mask.size + n_valid * (3 + 6 + 3)
+
+
+def test_batch_rows_must_match_the_mask():
+    with pytest.raises(ValueError, match="valid cells"):
+        BatchTensor(x_rows=np.zeros((2, 3)), target_rows=np.zeros((2, 3)),
+                    mask=np.ones((1, 3)), patient_ids=["a", "b", "c"])
+    padded = np.arange(12.0).reshape(2, 2, 3)
+    mask = np.array([[1.0, 1.0], [0.0, 1.0]])
+    batch = BatchTensor.from_padded(padded, mask, padded, ["a", "b"])
+    npt.assert_array_equal(batch.x_rows, padded[[0, 0, 1], [0, 1, 1]])
+    npt.assert_array_equal(batch.x, padded * mask[:, :, None])
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from dxtraj import network
 from dxtraj.ehr_data import build_batch, build_vocabulary
@@ -11,6 +12,7 @@ from dxtraj.evaluation import (
     recall_at_k,
     run_comparison,
     evaluate_model,
+    top_k_hits,
 )
 from dxtraj.numerics import SeededRng
 from dxtraj.synth import SynthSpec, generate_cohort
@@ -118,7 +120,7 @@ def per_row_recall(model, patients, vocab, k):
     batch = build_batch(patients, vocab, model.extras,
                         duration_max=model.duration_max or None,
                         interval_max=model.interval_max or None)
-    yhat = network.forward(batch, model)["yhat"]
+    yhat = batch.pad(network.forward(batch, model)["yhat_rows"])
     return [recall_at_k(yhat[t, h], set(np.flatnonzero(batch.targets[t, h])), k)
             for t in range(batch.n_steps) for h in range(batch.n_patients)
             if batch.mask[t, h]]
@@ -138,6 +140,27 @@ def test_evaluate_model_matches_per_row_recall(tied):
         ref = per_row_recall(model, cohort, vocab, k)
         assert res[k].values == ref
         assert res[k].mean == float(np.mean(ref))
+
+
+def argsort_hits(yhat, targets, k):
+    """Hits of each row's top k by one stable argsort of every row, as
+    evaluate_model ranked before: the reference for top_k_hits."""
+    order = np.argsort(-yhat, axis=1, kind="stable")
+    return np.take_along_axis(targets, order[:, :k], axis=1).cumsum(axis=1)[:, -1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 12).flatmap(lambda d: st.tuples(
+    # few distinct values, so most rows tie across the k-th place
+    hnp.arrays(np.float64, st.tuples(st.integers(1, 6), st.just(d)),
+               elements=st.sampled_from([0.0, 0.05, 0.25, 0.5])),
+    st.integers(1, d), st.randoms())))
+def test_top_k_hits_equals_stable_argsort_with_ties(case):
+    yhat, k, rnd = case
+    targets = np.array([[rnd.random() < 0.4 for _ in row] for row in yhat],
+                       dtype=np.float64).reshape(yhat.shape)
+    np.testing.assert_array_equal(top_k_hits(yhat, targets, k),
+                                  argsort_hits(yhat, targets, k))
 
 
 def test_perfect_memorizer_reaches_one():

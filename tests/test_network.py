@@ -6,7 +6,8 @@ import pytest
 
 from dxtraj import network
 from dxtraj.cells import CELL_KINDS
-from dxtraj.ehr_data import Admission, BatchTensor, CodeVocabulary, PatientRecord
+from dxtraj.ehr_data import (Admission, BatchTensor, CodeVocabulary,
+                             ExtraFeatures, PatientRecord)
 from dxtraj.gradcheck import full_network_gradcheck, random_batch
 from dxtraj.numerics import SeededRng
 
@@ -24,8 +25,8 @@ def test_softmax_rows_sum_to_one_at_unmasked_steps():
     model = small_model()
     batch = random_batch(5, 3, 4, rng)
     trace = network.forward(batch, model)
-    sums = trace["yhat"].sum(axis=-1)
-    npt.assert_allclose(sums[batch.mask == 1], 1.0, atol=1e-9)
+    assert len(trace["yhat_rows"]) == batch.mask.sum()
+    npt.assert_allclose(trace["yhat_rows"].sum(axis=-1), 1.0, atol=1e-9)
 
 
 def test_identity_zero_joint_wiring():
@@ -46,30 +47,30 @@ def test_single_step_degenerate_sequence():
     model = small_model()
     batch = random_batch(5, 1, 1, SeededRng(2), ragged=False)
     trace = network.forward(batch, model)
-    assert trace["yhat"].shape == (1, 1, 5)
-    npt.assert_allclose(trace["yhat"].sum(), 1.0, atol=1e-9)
+    assert trace["yhat_rows"].shape == (1, 5)
+    npt.assert_allclose(trace["yhat_rows"].sum(), 1.0, atol=1e-9)
 
 
 def test_future_admission_influences_early_output():
     # backward flow: changing admission 2 changes the prediction at step 0
     model = small_model(seed=7)
     batch = random_batch(5, 1, 3, SeededRng(11), ragged=False)
-    base = network.forward(batch, model)["yhat"][0, 0].copy()
-    x2 = batch.x.copy()
+    base = network.forward(batch, model)["yhat_rows"][0].copy()
+    x2 = batch.x
     x2[2, 0] = 1.0 - x2[2, 0]
-    altered = BatchTensor(x=x2, mask=batch.mask, targets=batch.targets,
-                          patient_ids=batch.patient_ids)
-    changed = network.forward(altered, model)["yhat"][0, 0]
+    altered = BatchTensor.from_padded(x2, batch.mask, batch.targets,
+                                      batch.patient_ids)
+    changed = network.forward(altered, model)["yhat_rows"][0]
     assert np.abs(changed - base).max() > 0
 
 
 def test_zero_mask_gives_zero_gradients():
     model = small_model()
     batch = random_batch(5, 2, 3, SeededRng(0), ragged=False)
-    empty = BatchTensor(x=np.zeros_like(batch.x),
-                        mask=np.zeros_like(batch.mask),
-                        targets=np.zeros_like(batch.targets),
-                        patient_ids=batch.patient_ids)
+    empty = BatchTensor.from_padded(np.zeros_like(batch.x),
+                                    np.zeros_like(batch.mask),
+                                    np.zeros_like(batch.targets),
+                                    batch.patient_ids)
     trace = network.forward(empty, model)
     grads = network.backward(trace, empty, model)
     assert all(not g.any() for g in grads.values())
@@ -80,16 +81,18 @@ def test_masking_invariance_padding_patient():
 
     model = small_model(seed=5)
     batch = random_batch(5, 2, 3, SeededRng(9), ragged=False)
-    padded = BatchTensor(
-        x=np.concatenate([batch.x, np.zeros((3, 1, 5))], axis=1),
-        mask=np.concatenate([batch.mask, np.zeros((3, 1))], axis=1),
-        targets=np.concatenate([batch.targets, np.zeros((3, 1, 5))], axis=1),
-        patient_ids=batch.patient_ids + ["pad"])
+    padded = BatchTensor.from_padded(
+        np.concatenate([batch.x, np.zeros((3, 1, 5))], axis=1),
+        np.concatenate([batch.mask, np.zeros((3, 1))], axis=1),
+        np.concatenate([batch.targets, np.zeros((3, 1, 5))], axis=1),
+        batch.patient_ids + ["pad"])
 
     tr_a = network.forward(batch, model)
     tr_b = network.forward(padded, model)
-    loss_a = cross_entropy_loss(batch.targets, tr_a["yhat"], batch.mask)
-    loss_b = cross_entropy_loss(padded.targets, tr_b["yhat"], padded.mask)
+    loss_a = cross_entropy_loss(batch.target_rows, tr_a["yhat_rows"],
+                                batch.mask)
+    loss_b = cross_entropy_loss(padded.target_rows, tr_b["yhat_rows"],
+                                padded.mask)
     assert abs(loss_a - loss_b) <= 1e-12
 
     g_a = network.backward(tr_a, batch, model)
@@ -112,17 +115,18 @@ def test_reversal_consistency_vbwd_zero():
         for k in p:
             p[k][...] = 0.0  # different bwd params must not matter
     trace_uni = network.forward(batch, uni)
-    npt.assert_allclose(trace_uni["yhat"], trace["yhat"], atol=1e-12)
+    npt.assert_allclose(trace_uni["yhat_rows"], trace["yhat_rows"],
+                        atol=1e-12)
 
 
 def test_patient_duplication_doubles_gradients():
     model = small_model(seed=17)
     batch = random_batch(5, 1, 3, SeededRng(21), ragged=False)
-    double = BatchTensor(
-        x=np.concatenate([batch.x, batch.x], axis=1),
-        mask=np.concatenate([batch.mask, batch.mask], axis=1),
-        targets=np.concatenate([batch.targets, batch.targets], axis=1),
-        patient_ids=["a", "b"])
+    double = BatchTensor.from_padded(
+        np.concatenate([batch.x, batch.x], axis=1),
+        np.concatenate([batch.mask, batch.mask], axis=1),
+        np.concatenate([batch.targets, batch.targets], axis=1),
+        ["a", "b"])
     g1 = network.backward(network.forward(batch, model), batch, model)
     g2 = network.backward(network.forward(double, model), double, model)
     # loss is averaged over unmasked steps, so the mean loss is unchanged and
@@ -168,11 +172,14 @@ def test_full_gradient_check_names_corrupted_parameter(name):
 # packed layout: only valid cells are computed
 
 def _loss_grads_yhat(batch, model):
+    """Loss, gradients, and yhat padded to the batch's (T, P) grid."""
     from dxtraj.training import cross_entropy_loss
 
     trace = network.forward(batch, model)
-    loss = cross_entropy_loss(batch.targets, trace["yhat"], batch.mask)
-    return loss, network.backward(trace, batch, model), trace["yhat"]
+    loss = cross_entropy_loss(batch.target_rows, trace["yhat_rows"],
+                              batch.mask)
+    return (loss, network.backward(trace, batch, model),
+            batch.pad(trace["yhat_rows"]))
 
 
 def _assert_same(a, b, tol=1e-12):
@@ -191,11 +198,11 @@ def test_trailing_padding_steps_change_nothing(kind):
     model = small_model(seed=19, kind=kind, layers=2, embed_dim=3)
     batch = _ragged_batch(23)
     pad = np.zeros((2,) + batch.x.shape[1:])
-    longer = BatchTensor(
-        x=np.concatenate([batch.x, pad]),
-        mask=np.concatenate([batch.mask, np.zeros((2, 4))]),
-        targets=np.concatenate([batch.targets, pad]),
-        patient_ids=batch.patient_ids)
+    longer = BatchTensor.from_padded(
+        np.concatenate([batch.x, pad]),
+        np.concatenate([batch.mask, np.zeros((2, 4))]),
+        np.concatenate([batch.targets, pad]),
+        batch.patient_ids)
     a = _loss_grads_yhat(batch, model)
     b = _loss_grads_yhat(longer, model)
     _assert_same(a, b)
@@ -208,9 +215,9 @@ def test_patient_order_within_batch_changes_nothing(kind):
     model = small_model(seed=29, kind=kind, layers=2, embed_dim=3)
     batch = _ragged_batch(31)
     perm = [2, 0, 3, 1]
-    shuffled = BatchTensor(x=batch.x[:, perm], mask=batch.mask[:, perm],
-                           targets=batch.targets[:, perm],
-                           patient_ids=[batch.patient_ids[i] for i in perm])
+    shuffled = BatchTensor.from_padded(
+        batch.x[:, perm], batch.mask[:, perm], batch.targets[:, perm],
+        [batch.patient_ids[i] for i in perm])
     a = _loss_grads_yhat(batch, model)
     b = _loss_grads_yhat(shuffled, model)
     _assert_same(a, b)
@@ -224,15 +231,16 @@ def test_masked_middle_step_carries_state(kind):
     # same patient with that step removed
     model = small_model(seed=47, kind=kind, layers=2, embed_dim=3)
     rng = SeededRng(53)
-    gap = random_batch(5, 2, 3, rng, ragged=False)
-    gap.mask[1, 0] = 0.0
-    gap.x[1, 0] = 1.0
-    gap.targets[1, 0] = 0.0
-    closed = BatchTensor(x=gap.x.copy(), mask=gap.mask.copy(),
-                         targets=gap.targets.copy(),
-                         patient_ids=gap.patient_ids)
-    for arr in (closed.x, closed.mask, closed.targets):
+    full = random_batch(5, 2, 3, rng, ragged=False)
+    x, mask, targets = full.x, full.mask.copy(), full.targets
+    mask[1, 0] = 0.0
+    x[1, 0] = 1.0
+    targets[1, 0] = 0.0
+    gap = BatchTensor.from_padded(x, mask, targets, full.patient_ids)
+    x, mask, targets = x.copy(), mask.copy(), targets.copy()
+    for arr in (x, mask, targets):
         arr[1:, 0] = np.concatenate([arr[2:, 0], np.zeros_like(arr[:1, 0])])
+    closed = BatchTensor.from_padded(x, mask, targets, full.patient_ids)
     a = _loss_grads_yhat(gap, model)
     b = _loss_grads_yhat(closed, model)
     _assert_same(a, b)
@@ -242,7 +250,7 @@ def test_masked_middle_step_carries_state(kind):
 def test_padded_cells_get_zero_yhat():
     model = small_model(seed=37)
     batch = _ragged_batch(41)
-    yhat = network.forward(batch, model)["yhat"]
+    yhat = batch.pad(network.forward(batch, model)["yhat_rows"])
     assert not yhat[batch.mask == 0].any()
 
 
@@ -384,7 +392,7 @@ def test_backward_adds_into_the_given_vector():
 def test_flat_views_are_the_model():
     model = small_model(seed=89, layers=2, embed_dim=3)
     batch = _ragged_batch(97)
-    before = network.forward(batch, model)["yhat"]
+    before = network.forward(batch, model)["yhat_rows"]
     flat = model.flat()
     assert sum(v.size for v in flat.values()) == model.theta.size
     names = sorted(flat)
@@ -395,7 +403,7 @@ def test_flat_views_are_the_model():
     assert np.shares_memory(model.fwd[1]["Uh"], model.theta)
     flat["Vbwd"][...] += 0.5
     npt.assert_array_equal(model.Vbwd, flat["Vbwd"])
-    assert np.abs(network.forward(batch, model)["yhat"] - before).max() > 0
+    assert np.abs(network.forward(batch, model)["yhat_rows"] - before).max() > 0
 
 
 # ---------------------------------------------------------------------------
@@ -448,6 +456,58 @@ def test_forward_feature_width_mismatch():
         network.forward(batch, model)
 
 
+def old_history_rows(patient, model, vocab):
+    """The history encoder as it was, one multi_hot per admission: the
+    reference for build_history_tensor."""
+    from dxtraj.ehr_data import ADMISSION_TYPES
+
+    d, ex = len(vocab), model.extras
+    x = np.zeros((len(patient.admissions), d + ex.width))
+    for i, adm in enumerate(patient.admissions):
+        for c in adm.codes:
+            x[i, vocab.index[c]] = 1.0
+        col = d
+        if ex.adm_type:
+            if adm.adm_type in ADMISSION_TYPES:
+                x[i, col + ADMISSION_TYPES.index(adm.adm_type)] = 1.0
+            col += 4
+        if ex.duration:
+            if adm.duration is not None and model.duration_max > 0:
+                x[i, col] = adm.duration / model.duration_max
+            col += 1
+        if ex.interval:
+            ivl = 0.0 if i == 0 else float(
+                adm.timestamp - patient.admissions[i - 1].timestamp)
+            if model.interval_max > 0:
+                x[i, col] = ivl / model.interval_max
+            col += 1
+    return x
+
+
+@pytest.mark.parametrize("constants", [(0.0, 0.0), (7.5, 250.0)])
+@pytest.mark.parametrize("extras", [ExtraFeatures(),
+                                    ExtraFeatures(True, True, True)])
+def test_history_rows_equal_the_encoder_rows(extras, constants):
+    from dxtraj.ehr_data import build_batch
+
+    vocab = CodeVocabulary(["0", "1", "2"])
+    patient = PatientRecord("h", [
+        Admission(100, {"0", "2"}, "urgent", 4.0),
+        Admission(130, {"1"}, None, None),
+        Admission(400, {"2"}, "newborn", 11.0)])
+    model = small_model(n_codes=3, hidden=3, extras=extras)
+    model.duration_max, model.interval_max = constants
+    history = network.build_history_tensor(patient, model, vocab)
+    npt.assert_array_equal(history.x_rows,
+                           old_history_rows(patient, model, vocab))
+    npt.assert_array_equal(history.mask, np.ones((3, 1)))
+    # the steps with a target are encoded as evaluation encodes them
+    batch = build_batch([patient], vocab, extras, *constants)
+    npt.assert_array_equal(history.x_rows[:-1], batch.x_rows)
+    npt.assert_array_equal(history.target_rows[:-1], batch.target_rows)
+    assert not history.target_rows[-1].any()
+
+
 @pytest.mark.parametrize("kind", CELL_KINDS)
 @pytest.mark.parametrize("n", [1, 2, 4, 63, 64, 631])
 def test_predict_topk_equals_forward_last_step(kind, n):
@@ -457,7 +517,7 @@ def test_predict_topk_equals_forward_last_step(kind, n):
     model = small_model(seed=43, n_codes=40, hidden=32, kind=kind, layers=2,
                         embed_dim=24)
     batch = network.build_history_tensor(history(n), model, vocab)
-    probs = network.forward(batch, model)["yhat"][-1, 0]
+    probs = network.forward(batch, model)["yhat_rows"][-1]
     expected = [(int(i), float(probs[i])) for i in network.rank_codes(probs)[:5]]
     assert network.predict_topk(model, history(n), vocab, k=5) == expected
 
@@ -485,7 +545,7 @@ def serial_backward(trace, batch, model):
     grads = model.views(grad)
     n_valid = batch.mask.sum()
     yhat = trace["yhat_rows"]
-    targets = batch.targets[trace["valid"]]
+    targets = batch.target_rows
     yc = np.clip(yhat, network.LOSS_EPS, 1.0 - network.LOSS_EPS)
     inside = (yhat > network.LOSS_EPS) & (yhat < 1.0 - network.LOSS_EPS)
     d_yhat = -(targets / yc - (1.0 - targets) / (1.0 - yc)) / n_valid

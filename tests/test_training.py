@@ -30,28 +30,29 @@ def planted_cohort(n=10, vocab=40, seed=7):
 # loss
 
 def test_cross_entropy_uniform_example():
-    y = np.array([[[1.0, 0, 0, 0]]])
-    yhat = np.full((1, 1, 4), 0.25)
+    y = np.array([[1.0, 0, 0, 0]])
+    yhat = np.full((1, 4), 0.25)
     mask = np.ones((1, 1))
     assert cross_entropy_loss(y, yhat, mask) == pytest.approx(2.24934, abs=1e-4)
 
 
 def test_cross_entropy_perfect_prediction_near_zero():
-    y = np.array([[[1.0, 0.0, 1.0]]])
+    y = np.array([[1.0, 0.0, 1.0]])
     yhat = np.where(y == 1.0, 1.0 - 1e-9, 1e-9)
     loss = cross_entropy_loss(y, yhat, np.ones((1, 1)))
     assert 0.0 <= loss < 1e-6
 
 
 def test_cross_entropy_zero_mask():
-    assert cross_entropy_loss(np.ones((2, 1, 3)), np.full((2, 1, 3), 0.5),
+    assert cross_entropy_loss(np.ones((0, 3)), np.full((0, 3), 0.5),
                               np.zeros((2, 1))) == 0.0
 
 
 def test_cross_entropy_shape_mismatch():
     with pytest.raises(ValueError):
-        cross_entropy_loss(np.ones((1, 1, 3)), np.ones((1, 1, 4)),
-                           np.ones((1, 1)))
+        cross_entropy_loss(np.ones((1, 3)), np.ones((1, 4)), np.ones((1, 1)))
+    with pytest.raises(ValueError, match="2 rows for 1 unmasked"):
+        cross_entropy_loss(np.ones((2, 3)), np.ones((2, 3)), np.ones((1, 1)))
 
 
 def test_cross_entropy_masked_steps_contribute_nothing():
@@ -62,8 +63,9 @@ def test_cross_entropy_masked_steps_contribute_nothing():
     mask[2, 1] = 0.0
     garbled = yhat.copy()
     garbled[2, 1] = 0.123
-    assert cross_entropy_loss(y, yhat, mask) == \
-        cross_entropy_loss(y, garbled, mask)
+    valid = mask != 0
+    assert cross_entropy_loss(y[valid], yhat[valid], mask) == \
+        old_cross_entropy_loss(y, garbled, mask)
 
 
 def old_cross_entropy_loss(targets, yhat, mask):
@@ -80,9 +82,9 @@ def test_cross_entropy_on_valid_rows_equals_padded_formula(seed):
     rng = SeededRng(seed)
     model = network.init_model("mgru", 7, 5, rng=rng)
     batch = random_batch(7, 5, 6, rng, lengths=(6, 0, 3, 1, 5))
-    yhat = network.forward(batch, model)["yhat"]
-    assert cross_entropy_loss(batch.targets, yhat, batch.mask) == \
-        old_cross_entropy_loss(batch.targets, yhat, batch.mask)
+    yhat = network.forward(batch, model)["yhat_rows"]
+    assert cross_entropy_loss(batch.target_rows, yhat, batch.mask) == \
+        old_cross_entropy_loss(batch.targets, batch.pad(yhat), batch.mask)
 
 
 @pytest.mark.parametrize("n", [1, 63, 64, 631])
@@ -92,10 +94,10 @@ def test_cross_entropy_by_halves_equals_padded_formula(n):
     lengths = [3] * (n // 3) + ([n % 3] if n % 3 else []) + [0]
     batch = random_batch(90, len(lengths), 3, rng, lengths=lengths)
     model = network.init_model("mgru", 90, 64, rng=rng)
-    yhat = network.forward(batch, model)["yhat"]
+    yhat = network.forward(batch, model)["yhat_rows"]
     assert batch.mask.sum() == n
-    assert cross_entropy_loss(batch.targets, yhat, batch.mask) == \
-        old_cross_entropy_loss(batch.targets, yhat, batch.mask)
+    assert cross_entropy_loss(batch.target_rows, yhat, batch.mask) == \
+        old_cross_entropy_loss(batch.targets, batch.pad(yhat), batch.mask)
 
 
 # ---------------------------------------------------------------------------
@@ -245,13 +247,15 @@ def test_descent_sanity_one_step_reduces_batch_loss():
         v[...] = v + rng.normal(0.2, v.shape)
     batch = random_batch(4, 2, 3, rng)
     trace = network.forward(batch, model)
-    loss0 = cross_entropy_loss(batch.targets, trace["yhat"], batch.mask)
+    loss0 = cross_entropy_loss(batch.target_rows, trace["yhat_rows"],
+                               batch.mask)
     grads = network.backward(trace, batch, model)
     arrays = model.flat()
     for k in arrays:
         arrays[k][...] = arrays[k] - 1e-3 * grads[k]
     loss1 = cross_entropy_loss(
-        batch.targets, network.forward(batch, model)["yhat"], batch.mask)
+        batch.target_rows, network.forward(batch, model)["yhat_rows"],
+        batch.mask)
     assert loss1 < loss0
 
 
@@ -280,8 +284,8 @@ def embed_input(x, E, extras=ExtraFeatures()):
     model = network.init_model("mgru", n_codes, 3, extras=extras,
                                embed_dim=dim, rng=SeededRng(0))
     model.E[...] = E
-    batch = BatchTensor(x=x, mask=np.ones((1, 1)),
-                        targets=np.zeros((1, 1, n_codes)), patient_ids=["p"])
+    batch = BatchTensor.from_padded(x, np.ones((1, 1)),
+                                    np.zeros((1, 1, n_codes)), ["p"])
     return network.forward(batch, model)["inputs_f"][0][0]
 
 
