@@ -80,6 +80,8 @@ def cmd_synth(args) -> int:
             lines.append(f"{icd},{ccs.mapping[icd]},{ccs.labels[icd]}")
         atomic_write_text(args.ccs_out, "\n".join(lines) + "\n")
     log(f"generated {len(cohort)} synthetic patients")
+    k = min(30, spec.vocab_size)
+    log(f"oracle recall@{k} ceiling: {synth.oracle_recall(spec, cohort, k):.3f}")
     return EXIT_OK
 
 
@@ -209,12 +211,19 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    if args.seeds < 1:
+        log("error: --seeds must be at least 1")
+        return EXIT_INPUT
     try:
         cohort = ehr_data.load_patients(args.cohort)
         with open(args.grid) as fh:
             grid_spec = json.load(fh)
     except (OSError, ValueError) as exc:
         log(f"error: {exc}")
+        return EXIT_INPUT
+    if type(grid_spec) is not list or any(type(s) is not dict
+                                          for s in grid_spec):
+        log(f"error: {args.grid}: expected a JSON list of objects")
         return EXIT_INPUT
     seeds = [args.seed + i for i in range(args.seeds)]
     rows = evaluation.run_comparison(cohort, grid_spec, seeds)

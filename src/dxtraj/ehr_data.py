@@ -48,9 +48,6 @@ class CcsMap:
     mapping: dict  # icd9 code -> ccs label
     labels: dict = field(default_factory=dict)  # ccs label -> description
 
-    def __contains__(self, icd: str) -> bool:
-        return icd in self.mapping
-
 
 @dataclass
 class CodeVocabulary:
@@ -317,16 +314,17 @@ def build_vocabulary(patients) -> CodeVocabulary:
 # ---------------------------------------------------------------------------
 # batch construction
 
-def encode_patients(patients, vocab: CodeVocabulary,
-                    extras: ExtraFeatures | None = None,
-                    duration_max: float | None = None,
-                    interval_max: float | None = None,
-                    every_admission: bool = False) -> BatchTensor:
+def build_batch(patients, vocab: CodeVocabulary,
+                extras: ExtraFeatures | None = None,
+                duration_max: float | None = None,
+                interval_max: float | None = None,
+                every_admission: bool = False) -> BatchTensor:
     """The packed batch of a list of patients: the admission encoder.
 
     A patient with m admissions has m - 1 steps, or m with every_admission
     (a history to predict from): step i holds admission i as input and
-    admission i + 1 as target, a zero row when there is none. Each
+    admission i + 1 as target, a zero row when there is none. So every
+    patient needs two admissions, or one with every_admission. Each
     admission's codes are mapped through the vocabulary once, and the
     multi-hot slots of the input rows and of the target rows are set by one
     assignment each.
@@ -337,9 +335,15 @@ def encode_patients(patients, vocab: CodeVocabulary,
     maximum over these patients' admissions when its extra is on; a
     constant that is not positive leaves its slot at zero.
     """
+    if not patients:
+        raise ValueError("empty patient list")
+    lead = 0 if every_admission else 1
+    for p in patients:
+        if len(p.admissions) <= lead:
+            raise ValueError(f"patient {p.patient_id} has " + (
+                "fewer than 2 admissions" if lead else "no admissions"))
     extras = extras or ExtraFeatures()
     d, n_pat = len(vocab), len(patients)
-    lead = 0 if every_admission else 1
     n_steps = [len(p.admissions) - lead for p in patients]
     valid = np.arange(max(n_steps))[:, None] < np.array(n_steps)
     n_valid = sum(n_steps)
@@ -400,24 +404,6 @@ def encode_patients(patients, vocab: CodeVocabulary,
                        patient_ids=[p.patient_id for p in patients],
                        duration_max=float(duration_max or 0.0),
                        interval_max=float(interval_max or 0.0))
-
-
-def build_batch(patients, vocab: CodeVocabulary,
-                extras: ExtraFeatures | None = None,
-                duration_max: float | None = None,
-                interval_max: float | None = None) -> BatchTensor:
-    """The packed batch of patients with two admissions or more, with
-    one-step-ahead targets (encode_patients).
-
-    duration_max/interval_max override the per-batch normalization
-    constants (used at inference with stored constants).
-    """
-    if not patients:
-        raise ValueError("empty patient list")
-    for p in patients:
-        if len(p.admissions) < 2:
-            raise ValueError(f"patient {p.patient_id} has fewer than 2 admissions")
-    return encode_patients(patients, vocab, extras, duration_max, interval_max)
 
 
 def split_batches(patients, vocab, extras=None, batch_size=None) -> list:

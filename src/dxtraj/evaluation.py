@@ -10,7 +10,7 @@ import numpy as np
 
 from . import network
 from .ehr_data import CodeVocabulary, build_batch
-from .network import ModelParams, rank_codes
+from .network import ModelParams
 from .numerics import SeededRng
 
 
@@ -33,21 +33,22 @@ class GridRow:
 
 
 def recall_at_k(yhat: np.ndarray, target_codes, k: int) -> float:
-    """|top-k(yhat) intersect target| / |target|. Ties in yhat are broken by
-    ascending code index."""
+    """|top-k(yhat) intersect target| / |target|, ranked as top_k_hits
+    ranks one row."""
     target_codes = set(target_codes)
     if not target_codes:
         raise ValueError("empty target code set")
+    yhat = np.asarray(yhat, dtype=np.float64).reshape(1, -1)
     if not (1 <= k <= yhat.size):
         raise ValueError(f"k={k} out of range [1, {yhat.size}]")
-    top = rank_codes(np.asarray(yhat, dtype=np.float64))[:k]
-    hits = sum(1 for i in top if int(i) in target_codes)
-    return hits / len(target_codes)
+    targets = np.isin(np.arange(yhat.size), list(target_codes))[None]
+    return float(top_k_hits(yhat, targets, k)[0]) / len(target_codes)
 
 
 def top_k_hits(yhat: np.ndarray, targets: np.ndarray, k: int) -> np.ndarray:
     """Per row, the sum of targets over the k highest entries of yhat, ties
-    at the k-th value taken by ascending code index, as in rank_codes.
+    at the k-th value taken by ascending code index, as in rank_codes: the
+    one top-k rule of recall, the baselines and the oracle.
 
     One partition per row finds the k-th value; every entry above it is in,
     and only the rows with more entries equal to it than places left rank
@@ -64,48 +65,47 @@ def top_k_hits(yhat: np.ndarray, targets: np.ndarray, k: int) -> np.ndarray:
     return np.sum(targets * top, axis=1)
 
 
+def recall_rows(yhat: np.ndarray, targets: np.ndarray, ks) -> dict:
+    """{k: RecallResult} of the rows of yhat (n, |D|) against the multi-hot
+    rows of targets: each row's top-k hits over its number of targets."""
+    n_targets = targets.sum(axis=1)
+    if ks and not n_targets.all():
+        raise ValueError("empty target code set")
+    results = {}
+    for k in ks:
+        if not (1 <= k <= yhat.shape[1]):
+            raise ValueError(f"k={k} out of range [1, {yhat.shape[1]}]")
+        v = (top_k_hits(yhat, targets, k) / n_targets).tolist()
+        results[k] = RecallResult(k=k, values=v,
+                                  mean=float(np.mean(v)) if v else 0.0)
+    return results
+
+
 def evaluate_model(model: ModelParams, patients, vocab: CodeVocabulary,
                    ks=(10, 20, 30)) -> dict:
     """Mean Recall@k over every (patient, transition) pair, one sample per
     transition, all samples weighted equally. values are ordered by step,
-    then by patient."""
+    then by patient. The features are normalised by the model's stored
+    constants, as in serving."""
     ks = [k for k in ks if 1 <= k <= len(vocab)]
     if not patients:
         raise ValueError("empty evaluation cohort")
-    batch = build_batch(patients, vocab, model.extras,
-                        duration_max=model.duration_max or None,
-                        interval_max=model.interval_max or None)
-    trace = network.forward(batch, model)
-    results = {}
-    if ks:
-        targets = batch.target_rows
-        n_targets = targets.sum(axis=1)
-        if not n_targets.all():
-            raise ValueError("empty target code set")
-        yhat = trace["yhat_rows"]
-        results = {k: (top_k_hits(yhat, targets, k) / n_targets).tolist()
-                   for k in ks}
-    return {
-        k: RecallResult(k=k, values=v, mean=float(np.mean(v)) if v else 0.0)
-        for k, v in results.items()
-    }
+    batch = build_batch(patients, vocab, model.extras, model.duration_max,
+                        model.interval_max)
+    yhat = network.forward(batch, model)["yhat_rows"]
+    return recall_rows(yhat, batch.target_rows, ks)
 
 
 def random_baseline(patients, vocab: CodeVocabulary, rng: SeededRng,
                     ks=(10, 20, 30)) -> dict:
-    """Recall of uniformly random scores, one fresh draw per transition."""
+    """Recall of uniformly random scores, one fresh draw of |D| scores per
+    transition, patient by patient."""
     ks = [k for k in ks if 1 <= k <= len(vocab)]
-    results = {k: [] for k in ks}
-    for p in patients:
-        for i in range(len(p.admissions) - 1):
-            scores = rng.uniform(len(vocab))
-            target = {vocab.index[c] for c in p.admissions[i + 1].codes}
-            for k in ks:
-                results[k].append(recall_at_k(scores, target, k))
-    return {
-        k: RecallResult(k=k, values=v, mean=float(np.mean(v)) if v else 0.0)
-        for k, v in results.items()
-    }
+    nexts = [a.codes for p in patients for a in p.admissions[1:]]
+    targets = np.zeros((len(nexts), len(vocab)))
+    for row, codes in enumerate(nexts):
+        targets[row, [vocab.index[c] for c in codes]] = 1.0
+    return recall_rows(rng.uniform(targets.shape), targets, ks)
 
 
 def run_comparison(cohort, grid_spec: list, seeds, ks=(10, 20, 30)) -> list:
@@ -121,7 +121,7 @@ def run_comparison(cohort, grid_spec: list, seeds, ks=(10, 20, 30)) -> list:
     rows = []
     for idx, spec in enumerate(grid_spec):
         spec = dict(spec)
-        label = spec.pop("label", f"config-{idx}")
+        label = str(spec.pop("label", f"config-{idx}"))
         is_random = spec.pop("random_baseline", False)
         row = GridRow(label=label, config=dict(spec))
         try:
@@ -135,15 +135,16 @@ def run_comparison(cohort, grid_spec: list, seeds, ks=(10, 20, 30)) -> list:
                     rng = SeededRng(int(seed))
                     _, test = _seed_split(cohort, spec, int(seed))
                     res = random_baseline(test, vocab, rng, ks=ks)
+                    means = {k: r.mean for k, r in res.items()}
                     iters.append(1)
                 else:
                     config = TrainConfig.from_dict({**spec, "seed": int(seed)})
                     model, report = train(cohort, config)
-                    res = {k: _as_result(k, report.recall.get(k))
-                           for k in ks if k in report.recall}
+                    means = {k: report.recall[k] for k in ks
+                             if k in report.recall}
                     iters.append(report.iterations)
                 times.append(time.perf_counter() - t0)
-                per_seed.append({k: r.mean for k, r in res.items()})
+                per_seed.append(means)
             row.recall = {
                 k: float(np.mean([s[k] for s in per_seed if k in s]))
                 for k in ks if any(k in s for s in per_seed)
@@ -155,10 +156,6 @@ def run_comparison(cohort, grid_spec: list, seeds, ks=(10, 20, 30)) -> list:
             row.error = f"{type(exc).__name__}: {exc}"
         rows.append(row)
     return rows
-
-
-def _as_result(k, mean):
-    return RecallResult(k=k, values=[], mean=float(mean))
 
 
 def _seed_split(cohort, spec, seed):

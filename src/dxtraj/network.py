@@ -54,7 +54,7 @@ import numpy as np
 
 from . import cells
 from .ehr_data import (BatchTensor, CodeVocabulary, ExtraFeatures,
-                       PatientRecord, encode_patients)
+                       PatientRecord, build_batch)
 from .numerics import SeededRng, init_gaussian, init_identity, lrelu, softmax_rows
 
 LOSS_EPS = 1e-8
@@ -525,9 +525,8 @@ def build_history_tensor(patient: PatientRecord, model: ModelParams,
                          vocab: CodeVocabulary) -> BatchTensor:
     """Single-patient batch using every admission as an input step;
     normalization constants come from the trained model."""
-    return encode_patients([patient], vocab, model.extras,
-                           model.duration_max, model.interval_max,
-                           every_admission=True)
+    return build_batch([patient], vocab, model.extras, model.duration_max,
+                       model.interval_max, every_admission=True)
 
 
 def rank_codes(yhat_row: np.ndarray) -> np.ndarray:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ehr_data import ADMISSION_TYPES, Admission, CcsMap, PatientRecord
-from .evaluation import recall_at_k
+from .evaluation import recall_rows
 from .numerics import SeededRng
 
 MAX_ADMISSIONS = 42
@@ -138,13 +138,12 @@ def oracle_recall(spec: SynthSpec, cohort, k: int) -> float:
     below 1 for noise_rate > 0.
     """
     _, kernel, codes_per_state = _resolve(spec)
-    values = []
-    for p in cohort:
-        for i in range(len(p.admissions) - 1):
-            state = _infer_state(p.admissions[i].codes, codes_per_state)
-            predicted = codes_per_state[kernel[state]]
-            scores = np.zeros(spec.vocab_size)
-            scores[list(predicted)] = 1.0
-            target = {c for c in p.admissions[i + 1].codes}
-            values.append(recall_at_k(scores, target, k))
-    return float(np.mean(values)) if values else 0.0
+    pairs = [(a, b) for p in cohort
+             for a, b in zip(p.admissions, p.admissions[1:])]
+    scores = np.zeros((len(pairs), spec.vocab_size))
+    targets = np.zeros_like(scores)
+    for row, (a, b) in enumerate(pairs):
+        state = _infer_state(a.codes, codes_per_state)
+        scores[row, codes_per_state[kernel[state]]] = 1.0
+        targets[row, list(b.codes)] = 1.0
+    return recall_rows(scores, targets, [k])[k].mean

@@ -218,16 +218,6 @@ def adadelta_update(model: ModelParams, grad: np.ndarray,
     _over_halves(state, run)
 
 
-def l2_penalty(model: ModelParams, coeff: float) -> float:
-    """coeff * sum of squared weight-matrix entries; biases and LReLU slopes
-    are excluded."""
-    total = 0.0
-    for k, v in model.flat().items():
-        if _l2_applies(k):
-            total += float(np.sum(v * v))
-    return coeff * total
-
-
 def _l2_applies(key: str) -> bool:
     name = key.split(".")[-1]
     return not (name.startswith("b") or name.startswith("alpha"))

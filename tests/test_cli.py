@@ -1,9 +1,13 @@
 import json
+from pathlib import Path
 
 import pytest
 
+from dxtraj.cells import CELL_KINDS
 from dxtraj.cli import main
 from dxtraj.checkpoint import load_checkpoint
+from dxtraj.synth import SynthSpec, generate_cohort, oracle_recall
+from dxtraj.training import TrainConfig
 
 
 def run(capsys, *argv):
@@ -296,3 +300,67 @@ def test_compare_grid(tmp_path, capsys):
     for a, b in zip(rows, rows2):
         assert a["recall"] == b["recall"]
         assert a["iterations"] == b["iterations"]
+
+
+@pytest.mark.parametrize("grid", [[5], {"a": 1}, [{"label": "m"}, "x"]])
+def test_compare_grid_not_a_list_of_objects_exit_2(tmp_path, capsys, grid):
+    cohort, _ = synth_cohort(tmp_path, capsys)
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps(grid))
+    code = main(["compare", "--cohort", str(cohort), "--grid", str(path),
+                 "--output", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and "grid.json" in err
+    assert not (tmp_path / "out.json").exists()
+
+
+def test_compare_without_seeds_exit_2(tmp_path, capsys):
+    # no seed would average nothing and write a row of NaN
+    cohort, _ = synth_cohort(tmp_path, capsys)
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps([{"label": "r", "random_baseline": True}]))
+    code = main(["compare", "--cohort", str(cohort), "--grid", str(path),
+                 "--seeds", "0", "--output", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_compare_numeric_label_is_written_as_text(tmp_path, capsys):
+    cohort, _ = synth_cohort(tmp_path, capsys)
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps([{"label": 5, "random_baseline": True}]))
+    code, _ = run(capsys, "compare", "--cohort", str(cohort), "--grid",
+                  str(path), "--seeds", "1", "--output", str(tmp_path / "o"))
+    assert code == 0
+    assert (tmp_path / "o.csv").read_text().splitlines()[1].startswith("5,")
+
+
+GRIDS = Path(__file__).resolve().parent.parent / "grids"
+
+
+@pytest.mark.parametrize("path", sorted(GRIDS.glob("*.json")),
+                         ids=lambda path: path.name)
+def test_committed_grids_are_train_configs(path):
+    grid = json.loads(path.read_text())
+    assert grid[-1] == {"label": "random", "random_baseline": True}
+    for row in grid[:-1]:
+        row = dict(row)
+        del row["label"]
+        TrainConfig.from_dict(row)
+
+
+def test_cell_grid_names_every_cell_kind():
+    grid = json.loads((GRIDS / "cell_comparison.json").read_text())
+    assert {row.get("cell_kind") for row in grid} >= set(CELL_KINDS)
+
+
+def test_synth_logs_the_oracle_ceiling(tmp_path, capsys):
+    spec = SynthSpec(n_patients=20, vocab_size=25, n_states=3, seed=4)
+    code = main(["synth", "--patients", "20", "--vocab-size", "25",
+                 "--states", "3", "--seed", "4", "--output",
+                 str(tmp_path / "cohort.jsonl")])
+    ceiling = oracle_recall(spec, generate_cohort(spec), 25)
+    assert code == 0
+    assert f"oracle recall@25 ceiling: {ceiling:.3f}" in capsys.readouterr().err

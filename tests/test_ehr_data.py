@@ -43,7 +43,7 @@ def test_load_ccs_map(tmp_path):
     m = load_ccs_map(f)
     assert m.mapping["01000"] == "1"
     assert m.labels["1"] == "Tuberculosis"
-    assert "01000" in m
+    assert "01000" in m.mapping
 
 
 def test_load_ccs_map_empty(tmp_path):

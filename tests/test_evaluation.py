@@ -4,8 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from dxtraj import network
-from dxtraj.ehr_data import build_batch, build_vocabulary
+from dxtraj import evaluation, network
+from dxtraj.ehr_data import (Admission, CodeVocabulary, ExtraFeatures,
+                             PatientRecord, build_batch, build_vocabulary)
 from dxtraj.evaluation import (
     grid_to_csv,
     random_baseline,
@@ -92,6 +93,29 @@ def test_random_baseline_uniform_expectation():
     assert abs(res[10].mean - expected) <= 3 * se + 1e-3
 
 
+@pytest.mark.parametrize("noise_rate", [0.0, 0.3])
+def test_random_baseline_equals_one_draw_per_transition(noise_rate):
+    """The loop random_baseline replaced: one draw of |D| scores per
+    transition, patient by patient, ranked by a sort."""
+    cohort = generate_cohort(SynthSpec(n_patients=40, vocab_size=30,
+                                       n_states=4, noise_rate=noise_rate,
+                                       seed=8))
+    vocab = build_vocabulary(cohort)
+    ks = (1, 10, len(vocab))
+    rng = SeededRng(9)
+    reference = {k: [] for k in ks}
+    for p in cohort:
+        for i in range(len(p.admissions) - 1):
+            scores = list(rng.uniform(len(vocab)))
+            target = {vocab.index[c] for c in p.admissions[i + 1].codes}
+            for k in ks:
+                reference[k].append(brute_force_recall(scores, target, k))
+    res = random_baseline(cohort, vocab, SeededRng(9), ks=ks)
+    for k in ks:
+        assert res[k].values == reference[k]
+        assert res[k].mean == float(np.mean(reference[k]))
+
+
 def test_evaluate_model_counts_one_sample_per_transition():
     cohort = generate_cohort(SynthSpec(n_patients=6, vocab_size=30,
                                        n_states=3, seed=1))
@@ -117,9 +141,8 @@ def test_evaluate_model_single_transition():
 
 def per_row_recall(model, patients, vocab, k):
     """Reference: recall_at_k on each valid (step, patient) cell in turn."""
-    batch = build_batch(patients, vocab, model.extras,
-                        duration_max=model.duration_max or None,
-                        interval_max=model.interval_max or None)
+    batch = build_batch(patients, vocab, model.extras, model.duration_max,
+                        model.interval_max)
     yhat = batch.pad(network.forward(batch, model)["yhat_rows"])
     return [recall_at_k(yhat[t, h], set(np.flatnonzero(batch.targets[t, h])), k)
             for t in range(batch.n_steps) for h in range(batch.n_patients)
@@ -140,6 +163,32 @@ def test_evaluate_model_matches_per_row_recall(tied):
         ref = per_row_recall(model, cohort, vocab, k)
         assert res[k].values == ref
         assert res[k].mean == float(np.mean(ref))
+
+
+def test_evaluate_model_normalises_as_serving(monkeypatch):
+    """With both stored constants at 0 the extras stay 0 in evaluation, as
+    they do in build_history_tensor, instead of being taken from the
+    evaluation cohort."""
+    vocab = CodeVocabulary(["0", "1", "2"])
+    patient = PatientRecord("e", [Admission(100, {"0"}, "urgent", 4.0),
+                                  Admission(130, {"1"}, None, 8.0),
+                                  Admission(400, {"2"}, "newborn", 2.0)])
+    model = network.init_model("mgru", 3, 4, extras=ExtraFeatures(True, True,
+                                                                  True),
+                               rng=SeededRng(2))
+    assert model.duration_max == model.interval_max == 0.0
+    encoded = []
+
+    def recording_build_batch(*args, **kwargs):
+        encoded.append(build_batch(*args, **kwargs))
+        return encoded[-1]
+
+    monkeypatch.setattr(evaluation, "build_batch", recording_build_batch)
+    evaluation.evaluate_model(model, [patient], vocab, ks=(1,))
+    history = network.build_history_tensor(patient, model, vocab)
+    np.testing.assert_array_equal(encoded[0].x_rows, history.x_rows[:-1])
+    np.testing.assert_array_equal(encoded[0].target_rows,
+                                  history.target_rows[:-1])
 
 
 def argsort_hits(yhat, targets, k):

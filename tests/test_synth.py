@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dxtraj import synth
 from dxtraj.ehr_data import filter_cohort
 from dxtraj.synth import (
     SynthSpec,
@@ -100,6 +101,33 @@ def test_oracle_ceiling_decreases_with_noise():
         cohort = generate_cohort(spec)
         ceilings.append(oracle_recall(spec, cohort, 20))
     assert ceilings[0] > ceilings[1] > ceilings[2]
+
+
+def reference_oracle_recall(spec, cohort, k):
+    """The per-transition loop oracle_recall replaced: 0/1 scores on the
+    next state's codes, ranked by a sort (score descending, then index)."""
+    _, kernel, codes_per_state = synth._resolve(spec)
+    values = []
+    for p in cohort:
+        for a, b in zip(p.admissions, p.admissions[1:]):
+            state = synth._infer_state(a.codes, codes_per_state)
+            scores = np.zeros(spec.vocab_size)
+            scores[codes_per_state[kernel[state]]] = 1.0
+            order = sorted(range(spec.vocab_size),
+                           key=lambda i: (-scores[i], i))
+            values.append(len(set(order[:k]) & b.codes) / len(b.codes))
+    return float(np.mean(values))
+
+
+@pytest.mark.parametrize("k", [1, 5, 13, 20, 40, 60])
+def test_oracle_recall_equals_sorted_reference(k):
+    # 0/1 scores tie at every place past the predicted codes; noise puts
+    # targets among the ties, so the index order decides the hits there
+    spec = SynthSpec(n_patients=60, vocab_size=60, n_states=6,
+                     noise_rate=0.3, seed=3)
+    cohort = generate_cohort(spec)
+    assert oracle_recall(spec, cohort, k) == reference_oracle_recall(
+        spec, cohort, k)
 
 
 def test_identity_ccs_map():

@@ -6,7 +6,7 @@ from dxtraj import network, training
 from dxtraj.ehr_data import BatchTensor, ExtraFeatures
 from dxtraj.gradcheck import random_batch
 from dxtraj.network import LOSS_EPS
-from dxtraj.numerics import SeededRng
+from dxtraj.numerics import SeededRng, finite_diff_grad
 from dxtraj.synth import SynthSpec, generate_cohort
 from dxtraj.training import (
     AdadeltaState,
@@ -15,7 +15,6 @@ from dxtraj.training import (
     adadelta_update,
     clip_gradients,
     cross_entropy_loss,
-    l2_penalty,
     split_patients,
     train,
 )
@@ -262,19 +261,33 @@ def test_descent_sanity_one_step_reduces_batch_loss():
 # ---------------------------------------------------------------------------
 # regularization / embedding
 
-def test_l2_penalty_recomputation_excludes_biases_and_slopes():
-    model = small_model()
-    rng = SeededRng(1)
-    for k, v in model.flat().items():
-        v[...] = rng.normal(1.0, v.shape)
-    coeff = 1e-4
-    expected = coeff * sum(
-        float(np.sum(v * v)) for k, v in model.flat().items()
-        if not (k.split(".")[-1].startswith("b")
-                or k.split(".")[-1].startswith("alpha")))
-    assert l2_penalty(model, coeff) == pytest.approx(expected, rel=1e-12)
-    names = {k.split(".")[-1] for k in model.flat()}
-    assert {"bf", "bh", "b_joint", "b_out", "alpha_j", "alpha_o"} <= names
+# the parameters the L2 term leaves out, named one by one: biases and LReLU
+# slopes
+NO_L2 = {"fwd0.bf", "fwd0.bh", "fwd1.bf", "fwd1.bh", "bwd0.bf", "bwd0.bh",
+         "bwd1.bf", "bwd1.bh", "b_joint", "b_out", "alpha_j", "alpha_o"}
+
+
+@pytest.mark.parametrize("block", [7, 32768])
+def test_add_l2_grads_is_the_gradient_of_the_weight_penalty(block,
+                                                            monkeypatch):
+    monkeypatch.setattr(training, "BLOCK", block)
+    model = network.init_model("mgru", 4, 3, layers=2, embed_dim=2,
+                               rng=SeededRng(0))
+    assert NO_L2 < set(model.layout)
+    model.theta[...] = SeededRng(1).normal(1.0, model.theta.shape)
+    coeff = 0.3
+
+    def penalty(theta):
+        return coeff * sum(float(np.sum(v * v))
+                           for name, v in model.views(theta).items()
+                           if name not in NO_L2)
+
+    state = AdadeltaState(model)
+    training._add_l2_grads(model, state, coeff)
+    numeric = finite_diff_grad(penalty, model.theta.copy())
+    npt.assert_allclose(state.grad, numeric, rtol=1e-6, atol=1e-8)
+    for name, g in model.views(state.grad).items():
+        assert g.any() != (name in NO_L2), name
 
 
 def embed_input(x, E, extras=ExtraFeatures()):
