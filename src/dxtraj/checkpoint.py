@@ -22,6 +22,9 @@ from .network import ModelParams, init_model
 
 MAGIC = b"DXTRAJ-CKPT"
 VERSION = 1
+HEADER_FIELDS = ("version", "cell_kind", "n_codes", "hidden", "layers",
+                 "extras", "embed_dim", "duration_max", "interval_max",
+                 "vocab_labels", "arrays")
 
 
 def _array_index(model: ModelParams) -> list:
@@ -55,6 +58,11 @@ def load_checkpoint(path) -> ModelParams:
         if magic != MAGIC:
             raise ValueError(f"{path}: not a checkpoint file")
         header = json.loads(fh.readline())
+        if type(header) is not dict:
+            raise ValueError(f"{path}: header is not a JSON object")
+        missing = [name for name in HEADER_FIELDS if name not in header]
+        if missing:
+            raise ValueError(f"{path}: header lacks {', '.join(missing)}")
         if header["version"] != VERSION:
             raise ValueError(f"{path}: unsupported version {header['version']}")
         # the structure only: no weights are drawn, the payload fills theta

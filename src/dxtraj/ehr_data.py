@@ -75,8 +75,8 @@ class FilterReport:
 class ExtraFeatures:
     """Which extra input slices to concatenate after the code slots."""
     adm_type: bool = False   # 4-wide one-hot
-    duration: bool = False   # one slice, normalized by batch max
-    interval: bool = False   # one slice, normalized by batch max
+    duration: bool = False   # one slice, over the training split's max
+    interval: bool = False   # likewise; the checkpoint stores both maxima
 
     @property
     def width(self) -> int:
@@ -102,8 +102,6 @@ class BatchTensor:
     target_rows: np.ndarray  # (n_valid, |D|)
     mask: np.ndarray         # (T, P) of {0, 1}
     patient_ids: list
-    duration_max: float = 0.0
-    interval_max: float = 0.0
 
     def __post_init__(self):
         n_valid = np.count_nonzero(self.mask)
@@ -113,11 +111,11 @@ class BatchTensor:
                 f"rows for {n_valid} valid cells")
 
     @classmethod
-    def from_padded(cls, x, mask, targets, patient_ids, **constants):
+    def from_padded(cls, x, mask, targets, patient_ids):
         """The batch of padded (T, P, ·) inputs and targets; what they hold
         at the cells that mask leaves out is dropped."""
         valid = mask != 0
-        return cls(x[valid], targets[valid], mask, patient_ids, **constants)
+        return cls(x[valid], targets[valid], mask, patient_ids)
 
     def pad(self, rows: np.ndarray) -> np.ndarray:
         """Packed rows (n_valid, ...) laid out on the (T, P) grid, zeros at
@@ -314,10 +312,19 @@ def build_vocabulary(patients) -> CodeVocabulary:
 # ---------------------------------------------------------------------------
 # batch construction
 
+def feature_constants(patients, extras: ExtraFeatures) -> tuple:
+    """(duration_max, interval_max) of these patients' admissions, 0.0 for
+    an extra that is off; taken from the training split for every batch."""
+    durations = [a.duration or 0.0 for p in patients for a in p.admissions]
+    intervals = [b.timestamp - a.timestamp for p in patients
+                 for a, b in zip(p.admissions, p.admissions[1:])]
+    return (float(max(durations, default=0)) if extras.duration else 0.0,
+            float(max(intervals, default=0)) if extras.interval else 0.0)
+
+
 def build_batch(patients, vocab: CodeVocabulary,
                 extras: ExtraFeatures | None = None,
-                duration_max: float | None = None,
-                interval_max: float | None = None,
+                duration_max: float = 0.0, interval_max: float = 0.0,
                 every_admission: bool = False) -> BatchTensor:
     """The packed batch of a list of patients: the admission encoder.
 
@@ -331,8 +338,8 @@ def build_batch(patients, vocab: CodeVocabulary,
 
     The extras follow the code slots: the one-hot admission type, the
     duration over duration_max and the interval since the previous
-    admission (0 for the first) over interval_max. A constant of None is the
-    maximum over these patients' admissions when its extra is on; a
+    admission (0 for the first) over interval_max. The constants are the
+    training split's (feature_constants), whatever patients are encoded; a
     constant that is not positive leaves its slot at zero.
     """
     if not patients:
@@ -372,46 +379,29 @@ def build_batch(patients, vocab: CodeVocabulary,
     target_rows[code_target, cols] = 1.0
 
     if extras.width:
-        if extras.duration and duration_max is None:
-            duration_max = max((a.duration or 0.0)
-                               for p in patients for a in p.admissions)
-        if extras.interval and interval_max is None:
-            interval_max = max([0.0] + [
-                float(b.timestamp - a.timestamp) for p in patients
-                for a, b in zip(p.admissions, p.admissions[1:])])
-
-        def extra_values(adm, prev):
-            values = []
-            if extras.adm_type:
-                values += [float(adm.adm_type == t) for t in ADMISSION_TYPES]
-            if extras.duration:
-                values.append(adm.duration / duration_max
-                              if adm.duration is not None and duration_max
-                              and duration_max > 0 else 0.0)
-            if extras.interval:
-                ivl = 0.0 if prev is None else float(
-                    adm.timestamp - prev.timestamp)
-                values.append(ivl / interval_max
-                              if interval_max and interval_max > 0 else 0.0)
-            return values
-
-        x_rows[adm_rows[0], d:] = [
-            extra_values(a, p.admissions[i - 1] if i else None)
-            for p in patients for i, a in enumerate(p.admissions)]
+        rows = adm_rows[0]
+        adms = [a for p in patients for a in p.admissions]
+        if extras.adm_type:
+            x_rows[rows, d:d + 4] = [
+                [a.adm_type == t for t in ADMISSION_TYPES] for a in adms]
+        if extras.duration and duration_max > 0:
+            x_rows[rows, d + 4 * extras.adm_type] = [
+                (a.duration or 0.0) / duration_max for a in adms]
+        if extras.interval and interval_max > 0:
+            # the interval since the admission before, 0 for the first
+            x_rows[rows, -1] = [
+                (b.timestamp - a.timestamp) / interval_max for p in patients
+                for a, b in zip(p.admissions[:1] + p.admissions, p.admissions)]
 
     return BatchTensor(x_rows=x_rows[:-1], target_rows=target_rows[:-1],
                        mask=valid * 1.0,
-                       patient_ids=[p.patient_id for p in patients],
-                       duration_max=float(duration_max or 0.0),
-                       interval_max=float(interval_max or 0.0))
+                       patient_ids=[p.patient_id for p in patients])
 
 
-def split_batches(patients, vocab, extras=None, batch_size=None) -> list:
-    """Group patients into batches of at most batch_size, each with its own
-    grid of cells. batch_size None means one batch for the whole list."""
-    if batch_size is None or batch_size >= len(patients):
-        return [build_batch(patients, vocab, extras)]
-    return [
-        build_batch(patients[i:i + batch_size], vocab, extras)
-        for i in range(0, len(patients), batch_size)
-    ]
+def split_batches(patients, vocab, extras=None, batch_size=None,
+                  duration_max=0.0, interval_max=0.0) -> list:
+    """Batches of at most batch_size patients (None: one batch), each with
+    its own grid of cells, all normalised by the same constants."""
+    size = batch_size or len(patients) or 1
+    return [build_batch(patients[i:i + size], vocab, extras, duration_max,
+                        interval_max) for i in range(0, len(patients), size)]

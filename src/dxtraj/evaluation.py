@@ -81,19 +81,23 @@ def recall_rows(yhat: np.ndarray, targets: np.ndarray, ks) -> dict:
     return results
 
 
+def batch_recall(model: ModelParams, batch, ks) -> dict:
+    """{k: RecallResult} of the model's predictions at the batch's cells."""
+    return recall_rows(network.forward(batch, model)["yhat_rows"],
+                       batch.target_rows, ks)
+
+
 def evaluate_model(model: ModelParams, patients, vocab: CodeVocabulary,
                    ks=(10, 20, 30)) -> dict:
     """Mean Recall@k over every (patient, transition) pair, one sample per
     transition, all samples weighted equally. values are ordered by step,
     then by patient. The features are normalised by the model's stored
-    constants, as in serving."""
-    ks = [k for k in ks if 1 <= k <= len(vocab)]
+    constants, as in training and serving. Every k must lie in [1, |D|]."""
     if not patients:
         raise ValueError("empty evaluation cohort")
     batch = build_batch(patients, vocab, model.extras, model.duration_max,
                         model.interval_max)
-    yhat = network.forward(batch, model)["yhat_rows"]
-    return recall_rows(yhat, batch.target_rows, ks)
+    return batch_recall(model, batch, ks)
 
 
 def random_baseline(patients, vocab: CodeVocabulary, rng: SeededRng,

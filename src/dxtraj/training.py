@@ -22,7 +22,9 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from . import network
-from .ehr_data import ExtraFeatures, build_vocabulary, split_batches
+from .ehr_data import (ExtraFeatures, build_vocabulary, feature_constants,
+                       split_batches)
+from .evaluation import batch_recall
 from .network import LOSS_EPS, ModelParams
 from .numerics import SeededRng
 
@@ -57,6 +59,17 @@ class TrainConfig:
             raise ValueError("patience_epochs must be >= 1")
         if self.clip_norm <= 0:
             raise ValueError("clip_norm must be positive")
+        for name in ("max_epochs", "layers", "hidden_size", "embedding_dim",
+                     "batch_size"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
+        if not 0.0 <= self.dropout_rate < 1.0:
+            raise ValueError(f"dropout_rate must be in [0, 1), "
+                             f"got {self.dropout_rate}")
+        if self.input_noise_std < 0:
+            raise ValueError(f"input_noise_std must be >= 0, "
+                             f"got {self.input_noise_std}")
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -292,12 +305,12 @@ def _epoch_pass(batches, model, config, rng, update_state=None):
 def train(cohort, config: TrainConfig,
           validation_loss_hook=None) -> tuple:
     """Train on a filtered cohort. Returns (best-epoch model, TrainReport).
+    Each split is encoded once, with the training split's feature constants;
+    batch_size splits the training split only.
 
     validation_loss_hook, when given, replaces the computed validation loss
     (test hook for exercising the stopping rule).
     """
-    from .evaluation import evaluate_model
-
     if len(cohort) < 2:
         raise ValueError("cohort must contain at least 2 patients")
     t0 = time.perf_counter()
@@ -306,18 +319,18 @@ def train(cohort, config: TrainConfig,
     hidden = config.hidden_size or len(vocab)
 
     train_pat, test_pat = split_patients(cohort, config.split_fraction, rng)
+    constants = feature_constants(train_pat, config.extra_features)
     train_batches = split_batches(train_pat, vocab, config.extra_features,
-                                  config.batch_size)
+                                  config.batch_size, *constants)
     test_batches = split_batches(test_pat, vocab, config.extra_features,
-                                 config.batch_size)
+                                 None, *constants)
 
     model = network.init_model(
         config.cell_kind, len(vocab), hidden, layers=config.layers,
         extras=config.extra_features, embed_dim=config.embedding_dim,
         rng=rng.spawn(1))
     model.vocab_labels = list(vocab.labels)
-    model.duration_max = max((b.duration_max for b in train_batches), default=0.0)
-    model.interval_max = max((b.interval_max for b in train_batches), default=0.0)
+    model.duration_max, model.interval_max = constants
 
     state = AdadeltaState(model)
     report = TrainReport()
@@ -348,7 +361,8 @@ def train(cohort, config: TrainConfig,
                 break
 
     model.theta[...] = best
-    result = evaluate_model(model, test_pat, vocab, ks=(10, 20, 30))
+    ks = [k for k in (10, 20, 30) if k <= len(vocab)]
+    result = batch_recall(model, test_batches[0], ks)
     report.recall = {k: r.mean for k, r in result.items()}
     report.wall_time_s = time.perf_counter() - t0
     return model, report

@@ -1,9 +1,11 @@
+import json
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from dxtraj import network
-from dxtraj.checkpoint import load_checkpoint, save_checkpoint
+from dxtraj.checkpoint import HEADER_FIELDS, load_checkpoint, save_checkpoint
 from dxtraj.ehr_data import ExtraFeatures
 from dxtraj.gradcheck import random_batch
 from dxtraj.numerics import SeededRng
@@ -58,6 +60,43 @@ def test_rejects_mismatched_index_and_payload(tmp_path):
         load_checkpoint(path)
     path.write_bytes(blob.replace(b'"Wout"', b'"Wfoo"', 1))
     with pytest.raises(ValueError, match="array index"):
+        load_checkpoint(path)
+
+
+def with_header(path, header: bytes):
+    """Replace the header line of the checkpoint at path."""
+    magic, _, payload = path.read_bytes().split(b"\n", 2)
+    path.write_bytes(b"\n".join([magic, header, payload]))
+
+
+def test_saved_header_holds_the_checked_fields(tmp_path):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(make_model(), path)
+    header = json.loads(path.read_bytes().split(b"\n", 2)[1])
+    assert sorted(header) == sorted(HEADER_FIELDS)
+
+
+@pytest.mark.parametrize("header, problem", [
+    (b"[1]", "header is not a JSON object"),
+    (b'"text"', "header is not a JSON object"),
+    (b"{}", "header lacks version, cell_kind, n_codes"),
+])
+def test_rejects_a_malformed_header(tmp_path, header, problem):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(make_model(), path)
+    with_header(path, header)
+    with pytest.raises(ValueError, match=problem):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("field", HEADER_FIELDS)
+def test_rejects_a_header_without_a_field(tmp_path, field):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(make_model(), path)
+    header = json.loads(path.read_bytes().split(b"\n", 2)[1])
+    del header[field]
+    with_header(path, json.dumps(header).encode())
+    with pytest.raises(ValueError, match=f"header lacks {field}$"):
         load_checkpoint(path)
 
 

@@ -258,6 +258,72 @@ def test_predict_unknown_code_exit_4(tmp_path, capsys):
 # ---------------------------------------------------------------------------
 # gradcheck
 
+@pytest.mark.parametrize("argv, field", [
+    (["--batch-size", "-1"], "batch_size"),
+    (["--batch-size", "0"], "batch_size"),
+    (["--max-epochs", "0"], "max_epochs"),
+    (["--hidden-size", "0"], "hidden_size"),
+    ({"layers": 0}, "layers"),
+    ({"dropout_rate": 1.0}, "dropout_rate"),
+])
+def test_train_out_of_range_config_exit_2(tmp_path, capsys, argv, field):
+    cohort, _ = synth_cohort(tmp_path, capsys)
+    if isinstance(argv, dict):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(argv))
+        argv = ["--config", str(config)]
+    model = tmp_path / "m.ckpt"
+    code = main(["train", "--cohort", str(cohort), "--model", str(model),
+                 *argv])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"error: {field} must be")
+    assert not model.exists()
+
+
+def trained_model(tmp_path, capsys):
+    cohort, _ = synth_cohort(tmp_path, capsys)
+    model = tmp_path / "m.ckpt"
+    code, _ = run(capsys, "train", "--cohort", str(cohort), "--model",
+                  str(model), "--max-epochs", "1")
+    assert code == 0
+    return cohort, model
+
+
+@pytest.mark.parametrize("command, header", [
+    ("evaluate", b"{}"), ("evaluate", b"[1]"),
+    ("predict", b"{}"), ("predict", b"[1]"),
+])
+def test_malformed_checkpoint_header_exit_2(tmp_path, capsys, command,
+                                            header):
+    cohort, model = trained_model(tmp_path, capsys)
+    magic, _, payload = model.read_bytes().split(b"\n", 2)
+    model.write_bytes(b"\n".join([magic, header, payload]))
+    data = "--cohort" if command == "evaluate" else "--history"
+    code = main([command, "--model", str(model), data, str(cohort)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"error: {model}: header ")
+
+
+@pytest.mark.parametrize("ks", [["0", "5"], ["5", "500"], ["-1"]])
+def test_evaluate_k_out_of_range_exit_2(tmp_path, capsys, ks):
+    cohort, model = trained_model(tmp_path, capsys)
+    code = main(["evaluate", "--model", str(model), "--cohort", str(cohort),
+                 "--k", *ks])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: k=")
+    assert captured.out == ""
+
+
+def test_evaluate_k_up_to_the_vocabulary(tmp_path, capsys):
+    cohort, model = trained_model(tmp_path, capsys)
+    n_codes = str(len(load_checkpoint(model).vocab_labels))
+    code, out = run(capsys, "evaluate", "--model", str(model), "--cohort",
+                    str(cohort), "--k", "1", n_codes)
+    assert code == 0
+    assert json.loads(out)[n_codes] == 1.0
+
+
 def test_gradcheck_passes(capsys):
     code, out = run(capsys, "gradcheck")
     assert code == 0

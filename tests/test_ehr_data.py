@@ -18,6 +18,7 @@ from dxtraj.ehr_data import (
     VocabularyError,
     build_batch,
     build_vocabulary,
+    feature_constants,
     filter_cohort,
     load_ccs_map,
     map_icd_to_ccs,
@@ -201,11 +202,13 @@ def test_duration_normalization():
     vocab = CodeVocabulary(["0"])
     a = make_patient("a", [{"0"}, {"0"}], durations=[10.0, 40.0])
     b = make_patient("b", [{"0"}, {"0"}], durations=[40.0, 10.0])
-    batch = build_batch([a, b], vocab, ExtraFeatures(duration=True))
+    extras = ExtraFeatures(duration=True)
+    constants = feature_constants([a, b], extras)
+    assert constants == (40.0, 0.0)
+    batch = build_batch([a, b], vocab, extras, *constants)
     assert batch.x.shape[2] == 2
     assert batch.x[0, 0, 1] == pytest.approx(0.25)
     assert batch.x[0, 1, 1] == pytest.approx(1.0)
-    assert batch.duration_max == 40.0
 
 
 def test_interval_and_type_features():
@@ -215,7 +218,9 @@ def test_interval_and_type_features():
         Admission(100, {"0"}, adm_type="urgent", duration=1.0),
         Admission(300, {"0"}, adm_type="elective", duration=1.0),
     ])
-    batch = build_batch([p], vocab, ExtraFeatures(adm_type=True, interval=True))
+    extras = ExtraFeatures(adm_type=True, interval=True)
+    assert feature_constants([p], extras) == (0.0, 200.0)
+    batch = build_batch([p], vocab, extras, *feature_constants([p], extras))
     assert batch.x.shape[2] == 1 + 4 + 1
     # type one-hot order: newborn, elective, emergency, urgent
     npt.assert_array_equal(batch.x[0, 0, 1:5], [0, 0, 1, 0])
@@ -326,8 +331,13 @@ constants = st.one_of(st.none(), st.just(0.0), st.floats(0.5, 1e3))
 @settings(max_examples=150, deadline=None)
 @given(cohorts, extra_sets, constants, constants)
 def test_packed_batch_equals_old_padded_builder(patients, extras, dmax, imax):
+    """A constant of None is derived by feature_constants here and by the
+    old builder from the same patients."""
     vocab = CodeVocabulary(LABELS)
-    batch = build_batch(patients, vocab, extras, dmax, imax)
+    derived = feature_constants(patients, extras)
+    batch = build_batch(patients, vocab, extras,
+                        derived[0] if dmax is None else dmax,
+                        derived[1] if imax is None else imax)
     x, mask, targets, dur_max, ivl_max = old_padded_batch(
         patients, vocab, extras, dmax, imax)
     npt.assert_array_equal(batch.mask, mask)
@@ -335,7 +345,10 @@ def test_packed_batch_equals_old_padded_builder(patients, extras, dmax, imax):
     npt.assert_array_equal(batch.target_rows, targets[mask != 0])
     npt.assert_array_equal(batch.x, x)
     npt.assert_array_equal(batch.targets, targets)
-    assert (batch.duration_max, batch.interval_max) == (dur_max, ivl_max)
+    if dmax is None and extras.duration:
+        assert derived[0] == dur_max
+    if imax is None and extras.interval:
+        assert derived[1] == ivl_max
 
 
 def test_split_batches_hold_only_valid_rows():

@@ -1,9 +1,16 @@
+from dataclasses import replace
+
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dxtraj import network, training
-from dxtraj.ehr_data import BatchTensor, ExtraFeatures
+from dxtraj.cells import CELL_KINDS
+from dxtraj.ehr_data import (BatchTensor, ExtraFeatures, PatientRecord,
+                             build_batch, build_vocabulary, feature_constants)
+from dxtraj.evaluation import evaluate_model
 from dxtraj.gradcheck import random_batch
 from dxtraj.network import LOSS_EPS
 from dxtraj.numerics import SeededRng, finite_diff_grad
@@ -342,6 +349,21 @@ def test_config_validation():
         TrainConfig(clip_norm=0.0)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("batch_size", 0), ("batch_size", -1), ("max_epochs", 0),
+    ("hidden_size", 0), ("layers", 0), ("embedding_dim", 0),
+    ("dropout_rate", 1.0), ("dropout_rate", -0.1), ("input_noise_std", -0.5),
+])
+def test_config_rejects_out_of_range_values(field, value):
+    with pytest.raises(ValueError, match=field):
+        TrainConfig(**{field: value})
+
+
+def test_config_accepts_the_range_bounds():
+    TrainConfig(batch_size=1, max_epochs=1, hidden_size=1, layers=1,
+                embedding_dim=1, dropout_rate=0.0, input_noise_std=0.0)
+
+
 def test_config_roundtrip():
     cfg = TrainConfig(seed=9, extra_features=ExtraFeatures(duration=True))
     again = TrainConfig.from_dict(cfg.to_dict())
@@ -415,3 +437,138 @@ def test_divergence_detected():
     cfg = TrainConfig(seed=0, max_epochs=3)
     with pytest.raises(TrainingDivergedError):
         train(cohort, cfg, validation_loss_hook=lambda e: float("nan"))
+
+
+# ---------------------------------------------------------------------------
+# one encode per split, with the training split's feature constants
+
+ALL_EXTRAS = ExtraFeatures(True, True, True)
+
+
+def train_recording_batches(monkeypatch, cohort, config):
+    """train() with its split_batches calls recorded: returns the model, the
+    report and the batch list of each call, in call order."""
+    calls = []
+    original = training.split_batches
+
+    def recording(*args, **kwargs):
+        calls.append(original(*args, **kwargs))
+        return calls[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(training, "split_batches", recording)
+        model, report = train(cohort, config)
+    return model, report, calls
+
+
+def batch_bytes(batch):
+    return (batch.x_rows.tobytes(), batch.target_rows.tobytes(),
+            batch.mask.tobytes())
+
+
+def test_train_encodes_each_split_once(monkeypatch):
+    cohort = planted_cohort(n=30)
+    config = TrainConfig(seed=2, max_epochs=2, batch_size=4,
+                         extra_features=ALL_EXTRAS)
+    _, _, calls = train_recording_batches(monkeypatch, cohort, config)
+    train_p, test_p = split_patients(cohort, 0.9, SeededRng(2))
+    training_batches, (validation_batch,) = calls
+    assert [b.n_patients for b in training_batches] == [4] * 6 + [3]
+    # the validation split as one batch, with the training split's constants
+    expected = build_batch(test_p, build_vocabulary(cohort), ALL_EXTRAS,
+                           *feature_constants(train_p, ALL_EXTRAS))
+    assert batch_bytes(validation_batch) == batch_bytes(expected)
+
+
+def test_validation_patients_leave_the_training_batches_unchanged(
+        monkeypatch):
+    cohort = planted_cohort(n=30)
+    config = TrainConfig(seed=2, max_epochs=1, batch_size=4,
+                         extra_features=ALL_EXTRAS)
+    _, test_p = split_patients(cohort, 0.9, SeededRng(2))
+    # longer than any duration and interval of the cohort
+    held_out = test_p[0]
+    altered = PatientRecord(held_out.patient_id, [
+        replace(a, timestamp=a.timestamp + i * 10**9, duration=1e6 + i)
+        for i, a in enumerate(held_out.admissions)])
+    runs = [train_recording_batches(monkeypatch, c, config)
+            for c in (cohort, [altered if p is held_out else p
+                               for p in cohort])]
+    (model, _, (batches, val)), (model2, _, (batches2, val2)) = runs
+    assert [batch_bytes(b) for b in batches] == \
+        [batch_bytes(b) for b in batches2]
+    assert (model.duration_max, model.interval_max) == \
+        (model2.duration_max, model2.interval_max)
+    assert batch_bytes(val[0]) != batch_bytes(val2[0])
+
+
+def rows_by_patient(batch):
+    """The batch's input rows, patient by patient, each in step order."""
+    return batch.x.transpose(1, 0, 2)[batch.mask.T != 0]
+
+
+def test_training_batches_are_normalised_as_the_whole_split(monkeypatch):
+    cohort = planted_cohort(n=30)
+    config = TrainConfig(seed=2, max_epochs=1, batch_size=4,
+                         extra_features=ALL_EXTRAS)
+    model, _, (batches, _) = train_recording_batches(monkeypatch, cohort,
+                                                     config)
+    train_p, _ = split_patients(cohort, 0.9, SeededRng(2))
+    constants = feature_constants(train_p, ALL_EXTRAS)
+    assert (model.duration_max, model.interval_max) == constants
+    whole = build_batch(train_p, build_vocabulary(cohort), ALL_EXTRAS,
+                        *constants)
+    d = model.n_codes
+    npt.assert_array_equal(
+        np.concatenate([rows_by_patient(b) for b in batches])[:, d:],
+        rows_by_patient(whole)[:, d:])
+
+
+def test_train_recall_equals_evaluate_model_on_the_validation_split():
+    cohort = planted_cohort(n=30)
+    config = TrainConfig(seed=2, max_epochs=2, batch_size=4,
+                         extra_features=ALL_EXTRAS)
+    model, report = train(cohort, config)
+    _, test_p = split_patients(cohort, 0.9, SeededRng(2))
+    result = evaluate_model(model, test_p, build_vocabulary(cohort))
+    assert report.recall == {k: r.mean for k, r in result.items()}
+
+
+def test_train_recall_leaves_out_k_beyond_the_vocabulary():
+    _, report = train(planted_cohort(n=10, vocab=15),
+                      TrainConfig(seed=0, max_epochs=1))
+    assert list(report.recall) == [10]
+
+
+def loss_and_grad(model, batch):
+    trace = network.forward(batch, model)
+    loss = cross_entropy_loss(batch.target_rows, trace["yhat_rows"],
+                              batch.mask)
+    grad = np.zeros_like(model.theta)
+    network.backward(trace, batch, model, grad)
+    return loss, grad
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 6).flatmap(lambda n: st.tuples(
+           st.integers(0, 10**6), st.permutations(range(n)))),
+       st.sampled_from(CELL_KINDS), st.integers(1, 2),
+       st.builds(ExtraFeatures, st.booleans(), st.booleans(), st.booleans()))
+def test_loss_and_gradients_do_not_depend_on_patient_order(
+        seed_order, kind, layers, extras):
+    seed, order = seed_order
+    cohort = generate_cohort(SynthSpec(
+        n_patients=len(order), vocab_size=12, mean_codes_per_admission=3,
+        n_states=3, noise_rate=0.2, seed=seed))
+    vocab = build_vocabulary(cohort)
+    constants = feature_constants(cohort, extras)
+    model = network.init_model(kind, len(vocab), 5, layers=layers,
+                               extras=extras, rng=SeededRng(seed))
+    loss, grad = loss_and_grad(
+        model, build_batch(cohort, vocab, extras, *constants))
+    loss2, grad2 = loss_and_grad(
+        model, build_batch([cohort[i] for i in order], vocab, extras,
+                           *constants))
+    assert loss2 == pytest.approx(loss, rel=1e-12)
+    npt.assert_allclose(grad2, grad, rtol=1e-12,
+                        atol=1e-12 * np.abs(grad).max())
