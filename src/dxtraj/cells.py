@@ -141,15 +141,15 @@ def _mgru_step(xw, state, p):
     _check_shapes(xw, h_prev, 2)
     hid = h_prev.shape[1]
     f = sigmoid(xw[:, :hid] + h_prev @ p["Uf"])
-    fh = f * h_prev
-    hc = tanh_act(xw[:, hid:] + fh @ p["Uh"])
+    hc = tanh_act(xw[:, hid:] + (f * h_prev) @ p["Uh"])
     h = (1.0 - f) * h_prev + f * hc
-    trace = {"h_prev": h_prev, "f": f, "fh": fh, "hc": hc}
+    # f * h_prev is recomputed by the backward step, with the same bits
+    trace = {"h_prev": h_prev, "f": f, "hc": hc}
     return {"h": h}, trace
 
 
 def _mgru_backward(tr, d_state, p):
-    h_prev, f, fh, hc = tr["h_prev"], tr["f"], tr["fh"], tr["hc"]
+    h_prev, f, hc = tr["h_prev"], tr["f"], tr["hc"]
     d_h = d_state["h"]
     d_hc = d_h * f
     d_ah = d_hc * (1.0 - hc * hc)
@@ -157,7 +157,7 @@ def _mgru_backward(tr, d_state, p):
     d_f = d_h * (hc - h_prev) + d_fh * h_prev
     d_af = d_f * f * (1.0 - f)
     d_h_prev = d_h * (1.0 - f) + d_fh * f + d_af @ p["Uf"].T
-    grads = {"Uf": h_prev.T @ d_af, "Uh": fh.T @ d_ah}
+    grads = {"Uf": h_prev.T @ d_af, "Uh": (f * h_prev).T @ d_ah}
     return np.concatenate([d_af, d_ah], axis=1), {"h": d_h_prev}, grads
 
 
@@ -167,15 +167,15 @@ def _gru_step(xw, state, p):
     hid = h_prev.shape[1]
     z = sigmoid(xw[:, :hid] + h_prev @ p["Uz"])
     r = sigmoid(xw[:, hid:2 * hid] + h_prev @ p["Ur"])
-    rh = r * h_prev
-    hc = tanh_act(xw[:, 2 * hid:] + rh @ p["Uh"])
+    hc = tanh_act(xw[:, 2 * hid:] + (r * h_prev) @ p["Uh"])
     h = (1.0 - z) * h_prev + z * hc
-    trace = {"h_prev": h_prev, "z": z, "r": r, "rh": rh, "hc": hc}
+    # r * h_prev is recomputed by the backward step, with the same bits
+    trace = {"h_prev": h_prev, "z": z, "r": r, "hc": hc}
     return {"h": h}, trace
 
 
 def _gru_backward(tr, d_state, p):
-    h_prev, z, r, rh, hc = tr["h_prev"], tr["z"], tr["r"], tr["rh"], tr["hc"]
+    h_prev, z, r, hc = tr["h_prev"], tr["z"], tr["r"], tr["hc"]
     d_h = d_state["h"]
     d_hc = d_h * z
     d_ah = d_hc * (1.0 - hc * hc)
@@ -185,7 +185,8 @@ def _gru_backward(tr, d_state, p):
     d_r = d_rh * h_prev
     d_ar = d_r * r * (1.0 - r)
     d_h_prev = d_h * (1.0 - z) + d_rh * r + d_az @ p["Uz"].T + d_ar @ p["Ur"].T
-    grads = {"Uz": h_prev.T @ d_az, "Ur": h_prev.T @ d_ar, "Uh": rh.T @ d_ah}
+    grads = {"Uz": h_prev.T @ d_az, "Ur": h_prev.T @ d_ar,
+             "Uh": (r * h_prev).T @ d_ah}
     return np.concatenate([d_az, d_ar, d_ah], axis=1), {"h": d_h_prev}, grads
 
 

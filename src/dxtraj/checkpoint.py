@@ -12,11 +12,13 @@ without drawing weights.
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
 
 import numpy as np
 
+from .cells import CELL_KINDS
 from .ehr_data import ExtraFeatures
 from .network import ModelParams, init_model
 
@@ -25,6 +27,38 @@ VERSION = 1
 HEADER_FIELDS = ("version", "cell_kind", "n_codes", "hidden", "layers",
                  "extras", "embed_dim", "duration_max", "interval_max",
                  "vocab_labels", "arrays")
+
+_FLAGS = sorted(ExtraFeatures().to_dict())
+
+
+def _count(low):
+    # JSON integers only: bool is not an int here
+    return lambda v, header: type(v) is int and v >= low
+
+
+def _size(v, header):
+    return type(v) in (int, float) and math.isfinite(v) and v >= 0
+
+
+# field -> (check of its value, what it must hold), in HEADER_FIELDS order;
+# version and arrays are checked on their own
+_FIELD_CHECKS = {
+    "cell_kind": (lambda v, header: type(v) is str and v in CELL_KINDS,
+                  "one of " + ", ".join(CELL_KINDS)),
+    "n_codes": (_count(1), "an integer >= 1"),
+    "hidden": (_count(1), "an integer >= 1"),
+    "layers": (_count(1), "an integer >= 1"),
+    "extras": (lambda v, header: type(v) is dict and sorted(v) == _FLAGS
+               and all(type(flag) is bool for flag in v.values()),
+               "an object of the booleans " + ", ".join(_FLAGS)),
+    "embed_dim": (_count(0), "an integer >= 0"),
+    "duration_max": (_size, "a finite number >= 0"),
+    "interval_max": (_size, "a finite number >= 0"),
+    "vocab_labels": (lambda v, header: type(v) is list
+                     and len(v) == header["n_codes"]
+                     and all(type(label) is str for label in v),
+                     "a list of n_codes strings"),
+}
 
 
 def _array_index(model: ModelParams) -> list:
@@ -65,6 +99,10 @@ def load_checkpoint(path) -> ModelParams:
             raise ValueError(f"{path}: header lacks {', '.join(missing)}")
         if header["version"] != VERSION:
             raise ValueError(f"{path}: unsupported version {header['version']}")
+        for name, (valid, expected) in _FIELD_CHECKS.items():
+            if not valid(header[name], header):
+                raise ValueError(f"{path}: header field {name}: expected "
+                                 f"{expected}")
         # the structure only: no weights are drawn, the payload fills theta
         model = init_model(
             header["cell_kind"], header["n_codes"], header["hidden"],

@@ -97,9 +97,12 @@ class BatchTensor:
     marks the valid ones. Only the valid cells are stored, as rows packed
     time-major, in the order of x[mask != 0]: the rows of step t are the
     patients flatnonzero(mask[t]), in order. The target of the cell at step
-    i is the multi-hot of the patient's admission i + 1."""
-    x_rows: np.ndarray       # (n_valid, |D| + extras)
-    target_rows: np.ndarray  # (n_valid, |D|)
+    i is the multi-hot of the patient's admission i + 1. build_batch writes
+    the targets as uint8: their values are exactly 0 and 1, and uint8 times
+    float64 promotes exactly, so the loss, its gradient and recall read them
+    as they are."""
+    x_rows: np.ndarray       # (n_valid, |D| + extras), float64
+    target_rows: np.ndarray  # (n_valid, |D|), uint8 from build_batch
     mask: np.ndarray         # (T, P) of {0, 1}
     patient_ids: list
 
@@ -333,8 +336,8 @@ def build_batch(patients, vocab: CodeVocabulary,
     admission i + 1 as target, a zero row when there is none. So every
     patient needs two admissions, or one with every_admission. Each
     admission's codes are mapped through the vocabulary once, and the
-    multi-hot slots of the input rows and of the target rows are set by one
-    assignment each.
+    multi-hot slots of the input rows (float64) and of the target rows
+    (uint8) are set by one assignment each.
 
     The extras follow the code slots: the one-hot admission type, the
     duration over duration_max and the interval since the previous
@@ -374,9 +377,9 @@ def build_batch(patients, vocab: CodeVocabulary,
     counts = [len(a.codes) for p in patients for a in p.admissions]
     code_in, code_target = np.repeat(adm_rows, counts, axis=1)
     x_rows = np.zeros((n_valid + 1, d + extras.width))
-    target_rows = np.zeros((n_valid + 1, d))
+    target_rows = np.zeros((n_valid + 1, d), dtype=np.uint8)
     x_rows[code_in, cols] = 1.0
-    target_rows[code_target, cols] = 1.0
+    target_rows[code_target, cols] = 1
 
     if extras.width:
         rows = adm_rows[0]

@@ -67,7 +67,9 @@ def top_k_hits(yhat: np.ndarray, targets: np.ndarray, k: int) -> np.ndarray:
 
 def recall_rows(yhat: np.ndarray, targets: np.ndarray, ks) -> dict:
     """{k: RecallResult} of the rows of yhat (n, |D|) against the multi-hot
-    rows of targets: each row's top-k hits over its number of targets."""
+    rows of targets (uint8, as build_batch writes them, or float): each
+    row's top-k hits over its number of targets. Both counts are exact
+    integers in either dtype, so the recalls have the same bits."""
     n_targets = targets.sum(axis=1)
     if ks and not n_targets.all():
         raise ValueError("empty target code set")
@@ -106,9 +108,9 @@ def random_baseline(patients, vocab: CodeVocabulary, rng: SeededRng,
     transition, patient by patient."""
     ks = [k for k in ks if 1 <= k <= len(vocab)]
     nexts = [a.codes for p in patients for a in p.admissions[1:]]
-    targets = np.zeros((len(nexts), len(vocab)))
+    targets = np.zeros((len(nexts), len(vocab)), dtype=np.uint8)
     for row, codes in enumerate(nexts):
-        targets[row, [vocab.index[c] for c in codes]] = 1.0
+        targets[row, [vocab.index[c] for c in codes]] = 1
     return recall_rows(rng.uniform(targets.shape), targets, ks)
 
 

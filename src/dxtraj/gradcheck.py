@@ -36,24 +36,33 @@ def full_network_gradcheck(cell_kind: str, n_codes: int = 5, hidden: int = 4,
                            layers: int = 1, embed_dim: int | None = None,
                            seed: int = 0, eps: float = 1e-5,
                            corrupt: str | None = None,
-                           lengths=None) -> dict:
+                           lengths=None, extras: ExtraFeatures | None = None,
+                           dropout_rate: float = 0.0) -> dict:
     """Max relative error between analytic and finite-difference gradients
     over the coordinates of each parameter, by parameter name (in
     ModelParams.flat() order).
 
     corrupt names a parameter whose analytic gradient gets perturbed before
     comparison (negative-control test hook). lengths, when given, sets the
-    number of steps of each patient (see random_batch).
+    number of steps of each patient (see random_batch). extras adds the
+    extra input slices to the model and the batch. With dropout_rate > 0,
+    one inverted-dropout mask of the joint layer is drawn and every forward
+    pass of the check uses it, so the loss stays a function of the weights.
     """
     rng = SeededRng(seed)
     model = network.init_model(cell_kind, n_codes, hidden, layers=layers,
-                               embed_dim=embed_dim, rng=rng)
+                               extras=extras, embed_dim=embed_dim, rng=rng)
     # move off the identity/zero init so no LReLU pre-activation sits at 0
     for k, v in model.flat().items():
         v[...] = v + rng.normal(0.3, v.shape)
-    batch = random_batch(n_codes, n_patients, n_steps, rng, lengths=lengths)
+    batch = random_batch(n_codes, n_patients, n_steps, rng, extras=extras,
+                         lengths=lengths)
+    dropout = None
+    if dropout_rate > 0:
+        keep = 1.0 - dropout_rate
+        dropout = (rng.uniform(batch.mask.shape + (hidden,)) < keep) / keep
 
-    trace = network.forward(batch, model)
+    trace = network.forward(batch, model, dropout_mask=dropout)
     grads = network.backward(trace, batch, model)
     if corrupt is not None:
         grads[corrupt] += 0.5
@@ -62,7 +71,7 @@ def full_network_gradcheck(cell_kind: str, n_codes: int = 5, hidden: int = 4,
 
     def objective(theta):
         model.theta[...] = theta
-        tr = network.forward(batch, model)
+        tr = network.forward(batch, model, dropout_mask=dropout)
         return cross_entropy_loss(batch.target_rows, tr["yhat_rows"],
                                   batch.mask)
 

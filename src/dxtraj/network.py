@@ -31,8 +31,8 @@ Two threads: the calling thread runs the forward flow and one worker thread
 (run_pair) the backward flow, in forward() and in backward(). Each flow ends
 (forward) or starts (backward) with its own products of the joint layer:
 hf @ Vfwd on the caller, hb @ Vbwd on the worker, and in backward() the
-Vfwd, b_joint and d_hf terms on the caller, the Vbwd, alpha_j and d_hb terms
-on the worker. The row-wise work of the head (the joint and output LReLUs,
+Vfwd, b_joint and d_hf terms on the caller, the Vbwd and d_hb terms on the
+worker. The row-wise work of the head (the joint and output LReLUs,
 dropout, softmax, the loss gradient, and the summands of the slope
 gradients) runs by halves of the rows, one half on each thread
 (run_by_halves). hj @ Wout and d_out_pre @ Wout.T stay on the caller; in
@@ -41,6 +41,11 @@ the latter. A product is never split by rows: with this BLAS, a row of a
 matrix product can change in the last bit with the number of rows in the
 call, so every product keeps its full shape and every reduction runs over
 the whole array, and the trained weights do not depend on the threads.
+
+Memory: backward() holds the head's gradient buffers (d_out_pre and the
+summands of the slope gradients) only until d_j_pre is formed and the slope
+gradients are summed, so the two BPTT flows run without them. It reads the
+trace and never writes it.
 """
 
 from __future__ import annotations
@@ -486,7 +491,10 @@ def backward(trace: dict, batch: BatchTensor, model: ModelParams,
 
     run_by_halves(n, output_rows)
     d_j_pre, _ = run_pair(lambda: d_out_pre @ model.Wout.T, output_grads)
+    del d_out_pre, o_terms
     run_by_halves(n, joint_rows)
+    grads["alpha_j"] += np.sum(j_terms)
+    del j_terms  # of the head's buffers, BPTT needs only d_j_pre
 
     # each flow's joint-layer gradients join its backpropagation: the
     # backward flow's on the worker thread
@@ -503,7 +511,6 @@ def backward(trace: dict, batch: BatchTensor, model: ModelParams,
 
     def backward_flow():
         grads["Vbwd"] += trace["hb"].T @ d_j_pre
-        grads["alpha_j"] += np.sum(j_terms)
         return _bptt_direction((d_j_pre @ model.Vbwd.T)[rev],
                                trace["layout_b"], trace["inputs_b"],
                                trace["traces_b"], model.bwd, kind, grads,

@@ -141,9 +141,9 @@ def oracle_recall(spec: SynthSpec, cohort, k: int) -> float:
     pairs = [(a, b) for p in cohort
              for a, b in zip(p.admissions, p.admissions[1:])]
     scores = np.zeros((len(pairs), spec.vocab_size))
-    targets = np.zeros_like(scores)
+    targets = np.zeros(scores.shape, dtype=np.uint8)
     for row, (a, b) in enumerate(pairs):
         state = _infer_state(a.codes, codes_per_state)
         scores[row, codes_per_state[kernel[state]]] = 1.0
-        targets[row, list(b.codes)] = 1.0
+        targets[row, list(b.codes)] = 1
     return recall_rows(scores, targets, [k])[k].mean

@@ -225,3 +225,16 @@ def test_step_deterministic():
     a, _ = cells.step("gru", xw, s, p)
     b, _ = cells.step("gru", xw, s, p)
     npt.assert_array_equal(a["h"], b["h"])
+
+
+@pytest.mark.parametrize("kind, keys", [
+    ("mgru", {"h_prev", "f", "hc"}),        # no fh = f * h_prev
+    ("gru", {"h_prev", "z", "r", "hc"}),    # no rh = r * h_prev
+])
+def test_step_trace_keeps_no_recomputable_product(kind, keys):
+    # the backward step recomputes the gated state from the trace
+    rng = SeededRng(9)
+    p = cells.init_params(kind, 3, 4, rng)
+    xw = cells.project_inputs(kind, rng.normal(1.0, (2, 3)), p)
+    _, trace = cells.step(kind, xw, {"h": rng.normal(1.0, (2, 4))}, p)
+    assert set(trace) == keys

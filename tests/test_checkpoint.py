@@ -1,12 +1,18 @@
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dxtraj import network
+from dxtraj.cells import CELL_KINDS
 from dxtraj.checkpoint import HEADER_FIELDS, load_checkpoint, save_checkpoint
-from dxtraj.ehr_data import ExtraFeatures
+from dxtraj.ehr_data import (Admission, CodeVocabulary, ExtraFeatures,
+                             PatientRecord)
 from dxtraj.gradcheck import random_batch
 from dxtraj.numerics import SeededRng
 
@@ -100,6 +106,47 @@ def test_rejects_a_header_without_a_field(tmp_path, field):
         load_checkpoint(path)
 
 
+NOT_A_FLAGS_OBJECT = [5, [True, False, False], {"adm_type": True},
+                      {"adm_type": 1, "duration": True, "interval": False},
+                      {"adm_type": True, "duration": True, "interval": False,
+                       "embed": True}]
+
+
+@pytest.mark.parametrize("field, value", [
+    ("cell_kind", "rnn"), ("cell_kind", 3), ("cell_kind", ["mgru"]),
+    ("n_codes", 0), ("n_codes", "6"), ("n_codes", 6.0), ("n_codes", True),
+    ("hidden", "4"), ("hidden", 0), ("hidden", False), ("hidden", None),
+    ("layers", 0), ("layers", 2.0), ("layers", -1),
+    *[("extras", v) for v in NOT_A_FLAGS_OBJECT],
+    ("embed_dim", -1), ("embed_dim", None), ("embed_dim", True),
+    ("duration_max", -1.0), ("duration_max", "37.5"), ("duration_max", None),
+    ("duration_max", True), ("duration_max", float("nan")),
+    ("duration_max", float("inf")),
+    ("interval_max", -0.5), ("interval_max", "1"), ("interval_max", [1.0]),
+    ("vocab_labels", ["0", "1"]), ("vocab_labels", list(range(6))),
+    ("vocab_labels", "012345"), ("vocab_labels", None),
+])
+def test_rejects_a_header_field_of_the_wrong_type_or_range(tmp_path, field,
+                                                           value):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(make_model(), path)
+    header = json.loads(path.read_bytes().split(b"\n", 2)[1])
+    header[field] = value
+    with_header(path, json.dumps(header).encode())
+    with pytest.raises(ValueError, match=f"header field {field}: expected"):
+        load_checkpoint(path)
+
+
+def test_accepts_integral_maxima_and_no_embedding(tmp_path):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(make_model(), path)
+    header = json.loads(path.read_bytes().split(b"\n", 2)[1])
+    header.update(duration_max=37, interval_max=0, embed_dim=0)
+    with_header(path, json.dumps(header).encode())
+    loaded = load_checkpoint(path)
+    assert (loaded.duration_max, loaded.interval_max) == (37, 0)
+
+
 def test_roundtrip_identical_outputs(tmp_path):
     model = make_model()
     batch = random_batch(6, 2, 3, SeededRng(0),
@@ -171,3 +218,46 @@ def test_init_model_without_rng_has_the_seeded_structure():
     assert bare.layout == seeded.layout
     assert not bare.Wout.any() and not bare.E.any()
     npt.assert_array_equal(bare.fwd[1]["Ui"], np.eye(4))
+
+
+labels = st.lists(st.text(min_size=1, max_size=8), min_size=2, max_size=7,
+                  unique=True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(CELL_KINDS), layers=st.integers(1, 2),
+       extras=st.builds(ExtraFeatures, st.booleans(), st.booleans(),
+                        st.booleans()),
+       embed_dim=st.one_of(st.none(), st.integers(1, 3)),
+       vocab_labels=labels,
+       maxima=st.tuples(st.one_of(st.just(0.0), st.floats(1.0, 1e6)),
+                        st.one_of(st.just(0), st.floats(1.0, 1e9))),
+       seed=st.integers(0, 2**31))
+def test_checkpoint_round_trip_property(kind, layers, extras, embed_dim,
+                                        vocab_labels, maxima, seed):
+    rng = SeededRng(seed)
+    model = network.init_model(kind, len(vocab_labels), 3, layers=layers,
+                               extras=extras, embed_dim=embed_dim, rng=rng)
+    model.theta[...] += rng.normal(0.3, model.theta.shape)
+    model.duration_max, model.interval_max = maxima
+    model.vocab_labels = vocab_labels
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.ckpt"
+        save_checkpoint(model, path)
+        loaded = load_checkpoint(path)
+        again = Path(tmp) / "again.ckpt"
+        save_checkpoint(loaded, again)
+        assert again.read_bytes() == path.read_bytes()
+    assert loaded.theta.tobytes() == model.theta.tobytes()
+    assert loaded.layout == model.layout
+    for name in ("cell_kind", "n_codes", "hidden", "layers", "extras",
+                 "embed_dim", "duration_max", "interval_max",
+                 "vocab_labels"):
+        assert getattr(loaded, name) == getattr(model, name), name
+    vocab = CodeVocabulary(vocab_labels)
+    history = PatientRecord("p", [
+        Admission(1000 + 50 * i, {vocab_labels[i % len(vocab_labels)]},
+                  "emergency", 12.0 * i) for i in range(3)])
+    k = len(vocab_labels)
+    assert network.predict_topk(loaded, history, vocab, k) == \
+        network.predict_topk(model, history, vocab, k)

@@ -304,6 +304,23 @@ def test_malformed_checkpoint_header_exit_2(tmp_path, capsys, command,
     assert capsys.readouterr().err.startswith(f"error: {model}: header ")
 
 
+@pytest.mark.parametrize("command", ["evaluate", "predict"])
+@pytest.mark.parametrize("field, value", [("extras", 5), ("hidden", "4")])
+def test_checkpoint_header_field_of_the_wrong_type_exit_2(
+        tmp_path, capsys, command, field, value):
+    cohort, model = trained_model(tmp_path, capsys)
+    magic, header, payload = model.read_bytes().split(b"\n", 2)
+    header = json.loads(header)
+    header[field] = value
+    model.write_bytes(b"\n".join([magic, json.dumps(header).encode(),
+                                  payload]))
+    data = "--cohort" if command == "evaluate" else "--history"
+    code = main([command, "--model", str(model), data, str(cohort)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: {model}: header field {field}: expected")
+
+
 @pytest.mark.parametrize("ks", [["0", "5"], ["5", "500"], ["-1"]])
 def test_evaluate_k_out_of_range_exit_2(tmp_path, capsys, ks):
     cohort, model = trained_model(tmp_path, capsys)

@@ -351,6 +351,37 @@ def test_packed_batch_equals_old_padded_builder(patients, extras, dmax, imax):
         assert derived[1] == ivl_max
 
 
+def float_target_rows(patients, vocab, every_admission):
+    """The float64 multi-hot of each valid cell's next admission, a zero
+    row where there is none, packed time-major like BatchTensor's rows."""
+    lead = 0 if every_admission else 1
+    n_steps = max(len(p.admissions) - lead for p in patients)
+    rows = []
+    for t in range(n_steps):
+        for p in patients:
+            if t < len(p.admissions) - lead:
+                row = np.zeros(len(vocab))
+                if t + 1 < len(p.admissions):
+                    row[[vocab.index[c] for c in p.admissions[t + 1].codes]] = 1.0
+                rows.append(row)
+    return np.array(rows)
+
+
+@settings(max_examples=100, deadline=None)
+@given(cohorts, extra_sets, st.booleans())
+def test_target_rows_are_a_one_byte_multi_hot(patients, extras,
+                                              every_admission):
+    vocab = CodeVocabulary(LABELS)
+    batch = build_batch(patients, vocab, extras,
+                        *feature_constants(patients, extras),
+                        every_admission=every_admission)
+    assert batch.target_rows.dtype == np.uint8
+    assert batch.x_rows.dtype == np.float64
+    expected = float_target_rows(patients, vocab, every_admission)
+    assert batch.target_rows.shape == expected.shape
+    assert (batch.target_rows == expected).all()
+
+
 def test_split_batches_hold_only_valid_rows():
     vocab = CodeVocabulary(["0", "1", "2"])
     pats = [make_patient(f"p{i}", [{"0"}, {"1", "2"}] * (1 + i % 4))
@@ -366,6 +397,9 @@ def test_split_batches_hold_only_valid_rows():
         arrays = [v for v in vars(b).values() if isinstance(v, np.ndarray)]
         assert sum(a.size for a in arrays) == \
             b.mask.size + n_valid * (3 + 6 + 3)
+        # float64 masks and inputs, one-byte targets
+        assert sum(a.nbytes for a in arrays) == \
+            8 * (b.mask.size + n_valid * (3 + 6)) + n_valid * 3
 
 
 def test_batch_rows_must_match_the_mask():

@@ -212,6 +212,26 @@ def test_top_k_hits_equals_stable_argsort_with_ties(case):
                                   argsort_hits(yhat, targets, k))
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 12).flatmap(lambda d: st.tuples(
+    hnp.arrays(np.float64, st.tuples(st.integers(1, 6), st.just(d)),
+               elements=st.sampled_from([0.0, 0.05, 0.25, 0.5])),
+    st.randoms())))
+def test_recall_of_one_byte_targets_equals_float_targets(case):
+    yhat, rnd = case
+    targets = np.zeros(yhat.shape, dtype=np.uint8)
+    for row in targets:
+        row[rnd.randrange(len(row))] = 1
+        row[[rnd.random() < 0.4 for _ in row]] = 1
+    ks = range(1, yhat.shape[1] + 1)
+    one_byte = evaluation.recall_rows(yhat, targets, ks)
+    floats = evaluation.recall_rows(yhat, targets.astype(np.float64), ks)
+    for k in ks:
+        assert np.array(one_byte[k].values).tobytes() == \
+            np.array(floats[k].values).tobytes()
+        assert one_byte[k].mean == floats[k].mean
+
+
 def test_perfect_memorizer_reaches_one():
     cohort = generate_cohort(SynthSpec(n_patients=10, vocab_size=40,
                                        n_states=4, noise_rate=0.0, seed=7))

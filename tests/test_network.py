@@ -157,6 +157,37 @@ def test_full_gradient_check_stacked_and_embedded():
     assert worst_error(cell_kind="mgru", n_steps=1) <= 1e-4
 
 
+ALL_EXTRAS = ExtraFeatures(True, True, True)
+
+
+@pytest.mark.parametrize("kind", CELL_KINDS)
+@pytest.mark.parametrize("extras, dropout_rate", [
+    (ALL_EXTRAS, 0.0), (None, 0.3), (ALL_EXTRAS, 0.3)])
+def test_full_gradient_check_extras_and_dropout(kind, extras, dropout_rate):
+    errors = full_network_gradcheck(kind, n_codes=5, hidden=4, n_patients=2,
+                                    n_steps=3, extras=extras,
+                                    dropout_rate=dropout_rate)
+    assert max(errors.values()) <= 1e-4, f"{kind}: {errors}"
+
+
+@pytest.mark.parametrize("kind", CELL_KINDS)
+def test_full_gradient_check_everything_on(kind):
+    # stacked, embedded and ragged, with extras and a fixed dropout mask
+    errors = full_network_gradcheck(kind, n_codes=5, hidden=4, n_patients=4,
+                                    n_steps=3, layers=2, embed_dim=3,
+                                    lengths=(2, 0, 3, 1), extras=ALL_EXTRAS,
+                                    dropout_rate=0.3)
+    assert max(errors.values()) <= 1e-4, f"{kind}: {errors}"
+
+
+def test_gradcheck_with_extras_and_dropout_names_a_corrupted_parameter():
+    # negative control under a fixed dropout mask: only the perturbed
+    # slope fails
+    errors = full_network_gradcheck("mgru", extras=ALL_EXTRAS,
+                                    dropout_rate=0.5, corrupt="alpha_j")
+    assert [n for n, err in errors.items() if err > 1e-4] == ["alpha_j"]
+
+
 @pytest.mark.parametrize("name", ["fwd1.Uf", "bwd0.Wh", "E", "alpha_o"])
 def test_full_gradient_check_names_corrupted_parameter(name):
     # negative control: a perturbed analytic gradient fails, and only the
@@ -605,3 +636,63 @@ def test_head_on_two_threads_equals_serial_head(kind, dropout, n):
     grad = np.zeros_like(model.theta)
     network.backward(trace, batch, model, grad)
     npt.assert_array_equal(grad, serial_backward(trace, batch, model))
+
+
+# ---------------------------------------------------------------------------
+# what backward() holds and writes
+
+@pytest.mark.parametrize("kind", ["mgru", "gru"])
+def test_backward_leaves_the_trace_unchanged(kind):
+    model = small_model(seed=79, kind=kind, layers=2, embed_dim=3)
+    batch = _ragged_batch(83)
+    trace = network.forward(batch, model,
+                            dropout_mask=np.full((3, 4, 4), 1.25))
+    arrays = []
+
+    def collect(value):
+        if isinstance(value, np.ndarray):
+            arrays.append(value)
+        elif isinstance(value, (list, tuple)):
+            for v in value:
+                collect(v)
+        elif isinstance(value, dict):
+            for v in value.values():
+                collect(v)
+
+    collect(trace)
+    before = [a.copy() for a in arrays]
+    first = network.backward(trace, batch, model)
+    for a, b in zip(arrays, before):
+        npt.assert_array_equal(a, b)
+    again = network.backward(trace, batch, model)
+    for k, g in first.items():
+        npt.assert_array_equal(again[k], g, err_msg=k)
+
+
+def test_backward_frees_the_head_buffers_before_bptt(monkeypatch):
+    # d_out_pre and the alpha_o summands are (rows, |D|) each; with |D|
+    # much wider than hidden, neither may still be held when BPTT starts
+    import tracemalloc
+
+    n_codes = 400
+    model = small_model(seed=89, n_codes=n_codes, hidden=4)
+    batch = random_batch(n_codes, 20, 3, SeededRng(97), ragged=False)
+    trace = network.forward(batch, model)
+    grad = np.zeros_like(model.theta)
+    head_buffer = 60 * n_codes * 8
+    held = []
+    original = network._bptt_direction
+
+    def recording(*args, **kwargs):
+        held.append(tracemalloc.get_traced_memory()[0] - start)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(network, "_bptt_direction", recording)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        network.backward(trace, batch, model, grad)
+    finally:
+        tracemalloc.stop()
+    assert len(held) == 2
+    assert max(held) < head_buffer, held

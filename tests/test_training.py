@@ -572,3 +572,58 @@ def test_loss_and_gradients_do_not_depend_on_patient_order(
     assert loss2 == pytest.approx(loss, rel=1e-12)
     npt.assert_allclose(grad2, grad, rtol=1e-12,
                         atol=1e-12 * np.abs(grad).max())
+
+
+@pytest.mark.parametrize("kind", CELL_KINDS)
+@pytest.mark.parametrize("layers", [1, 2])
+@settings(max_examples=8, deadline=None)
+@given(seed=st.integers(0, 10**6), n=st.integers(1, 6),
+       extras=st.builds(ExtraFeatures, st.booleans(), st.booleans(),
+                        st.booleans()),
+       pad_steps=st.integers(1, 5))
+def test_trailing_padding_steps_leave_gradients_bit_identical(
+        kind, layers, seed, n, extras, pad_steps):
+    """Steps at which no patient is active add no packed row, so every
+    gradient keeps its bits. The loss is one reduction over the padded
+    (T, P) grid, so the longer grid may regroup its additions: it moves
+    by rounding only."""
+    cohort = generate_cohort(SynthSpec(
+        n_patients=n, vocab_size=12, mean_codes_per_admission=3,
+        n_states=3, noise_rate=0.2, seed=seed))
+    vocab = build_vocabulary(cohort)
+    batch = build_batch(cohort, vocab, extras,
+                        *feature_constants(cohort, extras))
+    longer = BatchTensor(
+        batch.x_rows, batch.target_rows,
+        np.concatenate([batch.mask, np.zeros((pad_steps, n))]),
+        batch.patient_ids)
+    model = network.init_model(kind, len(vocab), 5, layers=layers,
+                               extras=extras, rng=SeededRng(seed))
+    loss, grad = loss_and_grad(model, batch)
+    loss2, grad2 = loss_and_grad(model, longer)
+    assert grad2.tobytes() == grad.tobytes()
+    # all summands share a sign: each order of summation is within
+    # (cells - 1) * eps of the exact sum
+    assert abs(loss2 - loss) <= 2 * longer.mask.size * 2.0**-52 * abs(loss)
+
+
+def test_train_with_one_byte_targets_equals_float_targets(monkeypatch):
+    cohort = planted_cohort(n=30)
+    config = TrainConfig(seed=2, max_epochs=3, batch_size=4,
+                         extra_features=ALL_EXTRAS, dropout_rate=0.2,
+                         input_noise_std=0.05)
+    model, report, calls = train_recording_batches(monkeypatch, cohort,
+                                                   config)
+    assert all(b.target_rows.dtype == np.uint8 for c in calls for b in c)
+    original = training.split_batches
+
+    def float_targets(*args, **kwargs):
+        return [replace(b, target_rows=b.target_rows.astype(np.float64))
+                for b in original(*args, **kwargs)]
+
+    monkeypatch.setattr(training, "split_batches", float_targets)
+    model2, report2 = train(cohort, config)
+    assert model2.theta.tobytes() == model.theta.tobytes()
+    assert report2.train_loss == report.train_loss
+    assert report2.val_loss == report.val_loss
+    assert report2.recall == report.recall
