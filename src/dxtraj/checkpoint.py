@@ -20,7 +20,7 @@ import numpy as np
 
 from .cells import CELL_KINDS
 from .ehr_data import ExtraFeatures
-from .network import ModelParams, init_model
+from .network import ModelParams, init_model, param_count
 
 MAGIC = b"DXTRAJ-CKPT"
 VERSION = 1
@@ -103,19 +103,23 @@ def load_checkpoint(path) -> ModelParams:
             if not valid(header[name], header):
                 raise ValueError(f"{path}: header field {name}: expected "
                                  f"{expected}")
-        # the structure only: no weights are drawn, the payload fills theta
-        model = init_model(
-            header["cell_kind"], header["n_codes"], header["hidden"],
-            layers=header["layers"],
+        structure = dict(
+            cell_kind=header["cell_kind"], n_codes=header["n_codes"],
+            hidden=header["hidden"], layers=header["layers"],
             extras=ExtraFeatures.from_dict(header["extras"]),
-            embed_dim=header["embed_dim"] or None,
-        )
+            embed_dim=header["embed_dim"] or None)
+        # the payload size is checked before the model is built, so that a
+        # header cannot ask for more memory than the file holds
+        n_bytes = os.fstat(fh.fileno()).st_size - fh.tell()
+        expected = 8 * param_count(**structure)
+        if n_bytes != expected:
+            raise ValueError(f"{path}: payload holds {n_bytes} bytes, "
+                             f"expected {expected}")
+        # the structure only: no weights are drawn, the payload fills theta
+        model = init_model(**structure)
         if header["arrays"] != _array_index(model):
             raise ValueError(f"{path}: array index does not match the model")
-        n_bytes = fh.readinto(model.theta) + len(fh.read())
-    if n_bytes != model.theta.nbytes:
-        raise ValueError(f"{path}: payload holds {n_bytes} bytes, "
-                         f"expected {model.theta.nbytes}")
+        fh.readinto(model.theta)
     if not np.little_endian:
         model.theta.byteswap(inplace=True)
     model.duration_max = header["duration_max"]
@@ -128,7 +132,10 @@ def atomic_write_bytes(path, blob: bytes) -> None:
     """Write to a temp file in the same directory, then rename."""
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-ckpt-")
+    try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-ckpt-")
+    except OSError as exc:  # name the path asked for, not the temp file
+        raise type(exc)(exc.errno, exc.strerror, path) from None
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(blob)

@@ -2,7 +2,11 @@
 
 Subcommands: prepare, synth, train, evaluate, predict, gradcheck, compare.
 Exit codes: 0 success, 2 input error, 3 divergence, 4 vocabulary error,
-5 gradcheck failure. All file outputs are written atomically.
+5 gradcheck failure. The commands raise and main() alone maps the errors to
+exit codes: every command exits 2 with "error: <message>" on stderr for an
+unreadable or unwritable path and for malformed input, 4 for a code outside
+the model's vocabulary and 3 when training diverges. Any other exception is
+a fault of the program and keeps its traceback.
 """
 
 from __future__ import annotations
@@ -24,6 +28,8 @@ from .cells import CELL_KINDS
 from .checkpoint import atomic_write_text, load_checkpoint, save_checkpoint
 from .ehr_data import CodeVocabulary, VocabularyError
 from .gradcheck import full_network_gradcheck
+from .network import predict_topk
+from .training import TrainConfig, TrainingDivergedError, train
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -40,12 +46,8 @@ def log(msg):
 
 
 def cmd_prepare(args) -> int:
-    try:
-        ccs = ehr_data.load_ccs_map(args.ccs)
-        raw = ehr_data.load_patients(args.input)
-    except (OSError, ValueError) as exc:
-        log(f"error: {exc}")
-        return EXIT_INPUT
+    ccs = ehr_data.load_ccs_map(args.ccs)
+    raw = ehr_data.load_patients(args.input)
     report = ehr_data.FilterReport()
     mapped = [ehr_data.map_icd_to_ccs(p, ccs, report) for p in raw]
     cohort, filt = ehr_data.filter_cohort(mapped)
@@ -86,12 +88,12 @@ def cmd_synth(args) -> int:
 
 
 def _load_config(args):
-    from .training import TrainConfig
-
     values = {}
     if args.config:
         with open(args.config) as fh:
-            values.update(json.load(fh))
+            values = json.load(fh)
+        if type(values) is not dict:
+            raise ValueError(f"{args.config}: expected a JSON object")
     for flag in ("seed", "max_epochs", "hidden_size", "cell_kind",
                  "batch_size", "patience_epochs"):
         v = getattr(args, flag, None)
@@ -101,22 +103,8 @@ def _load_config(args):
 
 
 def cmd_train(args) -> int:
-    from .training import TrainingDivergedError, train
-
-    try:
-        cohort = ehr_data.load_patients(args.cohort)
-        config = _load_config(args)
-    except (OSError, ValueError, TypeError) as exc:
-        log(f"error: {exc}")
-        return EXIT_INPUT
-    try:
-        model, report = train(cohort, config)
-    except TrainingDivergedError as exc:
-        log(f"training diverged: {exc}")
-        return EXIT_DIVERGED
-    except ValueError as exc:
-        log(f"error: {exc}")
-        return EXIT_INPUT
+    cohort = ehr_data.load_patients(args.cohort)
+    model, report = train(cohort, _load_config(args))
     save_checkpoint(model, args.model)
     if args.report:
         atomic_write_text(args.report,
@@ -127,55 +115,26 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    try:
-        model = load_checkpoint(args.model)
-        patients = ehr_data.load_patients(args.cohort)
-    except (OSError, ValueError) as exc:
-        log(f"error: {exc}")
-        return EXIT_INPUT
+    model = load_checkpoint(args.model)
+    patients = ehr_data.load_patients(args.cohort)
     vocab = CodeVocabulary(model.vocab_labels)
-    try:
-        results = evaluation.evaluate_model(model, patients, vocab,
-                                            ks=tuple(args.k))
-    except VocabularyError as exc:
-        log(f"error: {exc}")
-        return EXIT_VOCAB
-    except ValueError as exc:
-        log(f"error: {exc}")
-        return EXIT_INPUT
+    results = evaluation.evaluate_model(model, patients, vocab,
+                                        ks=tuple(args.k))
     out = {str(k): r.mean for k, r in results.items()}
     print(json.dumps(out, indent=2))
     return EXIT_OK
 
 
 def cmd_predict(args) -> int:
-    from .network import predict_topk
-
-    try:
-        model = load_checkpoint(args.model)
-        patients = ehr_data.load_patients(args.history)
-    except (OSError, ValueError) as exc:
-        log(f"error: {exc}")
-        return EXIT_INPUT
+    model = load_checkpoint(args.model)
+    patients = ehr_data.load_patients(args.history)
     if not patients:
-        log("error: empty history file")
-        return EXIT_INPUT
+        raise ValueError(f"{args.history}: empty history file")
     vocab = CodeVocabulary(model.vocab_labels)
     descriptions = {}
     if args.ccs:
-        try:
-            descriptions = ehr_data.load_ccs_map(args.ccs).labels
-        except (OSError, ValueError) as exc:
-            log(f"error: {exc}")
-            return EXIT_INPUT
-    try:
-        ranked = predict_topk(model, patients[0], vocab, args.k)
-    except VocabularyError as exc:
-        log(f"error: {exc}")
-        return EXIT_VOCAB
-    except ValueError as exc:
-        log(f"error: {exc}")
-        return EXIT_INPUT
+        descriptions = ehr_data.load_ccs_map(args.ccs).labels
+    ranked = predict_topk(model, patients[0], vocab, args.k)
     out = [
         {
             "code": vocab.labels[i],
@@ -189,6 +148,10 @@ def cmd_predict(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    for flag in ("codes", "hidden", "patients", "steps"):
+        value = getattr(args, flag)
+        if value < 1:
+            raise ValueError(f"--{flag} must be at least 1, got {value}")
     n_failing = 0
     worst = (0.0, "")
     for kind in CELL_KINDS:
@@ -212,19 +175,13 @@ def cmd_gradcheck(args) -> int:
 
 def cmd_compare(args) -> int:
     if args.seeds < 1:
-        log("error: --seeds must be at least 1")
-        return EXIT_INPUT
-    try:
-        cohort = ehr_data.load_patients(args.cohort)
-        with open(args.grid) as fh:
-            grid_spec = json.load(fh)
-    except (OSError, ValueError) as exc:
-        log(f"error: {exc}")
-        return EXIT_INPUT
+        raise ValueError(f"--seeds must be at least 1, got {args.seeds}")
+    cohort = ehr_data.load_patients(args.cohort)
+    with open(args.grid) as fh:
+        grid_spec = json.load(fh)
     if type(grid_spec) is not list or any(type(s) is not dict
                                           for s in grid_spec):
-        log(f"error: {args.grid}: expected a JSON list of objects")
-        return EXIT_INPUT
+        raise ValueError(f"{args.grid}: expected a JSON list of objects")
     seeds = [args.seed + i for i in range(args.seeds)]
     rows = evaluation.run_comparison(cohort, grid_spec, seeds)
     atomic_write_text(args.output + ".csv", evaluation.grid_to_csv(rows))
@@ -232,7 +189,10 @@ def cmd_compare(args) -> int:
                       json.dumps(evaluation.grid_to_json(rows), indent=2) + "\n")
     ok = sum(1 for r in rows if not r.failed)
     log(f"{ok}/{len(rows)} grid cells succeeded")
-    return EXIT_OK if ok >= 1 else EXIT_INPUT
+    if not ok:
+        raise ValueError(f"every grid cell failed (errors in "
+                         f"{args.output}.json)")
+    return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -312,7 +272,17 @@ def main(argv=None) -> int:
     global QUIET
     args = build_parser().parse_args(argv)
     QUIET = args.quiet
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except VocabularyError as exc:  # a ValueError, so it comes first
+        message, code = f"error: {exc}", EXIT_VOCAB
+    except TrainingDivergedError as exc:
+        message, code = f"training diverged: {exc}", EXIT_DIVERGED
+    except (OSError, ValueError) as exc:
+        message, code = f"error: {exc}", EXIT_INPUT
+    # printed under --quiet too: it is the reason for the exit code
+    print(message, file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -88,6 +88,10 @@ class ExtraFeatures:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExtraFeatures":
+        flags = cls().to_dict()
+        if any(k not in flags or type(v) is not bool for k, v in d.items()):
+            raise ValueError(f"extra features must be booleans of "
+                             f"{', '.join(flags)}, got {d!r}")
         return cls(**d)
 
 

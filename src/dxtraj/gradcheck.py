@@ -72,8 +72,7 @@ def full_network_gradcheck(cell_kind: str, n_codes: int = 5, hidden: int = 4,
     def objective(theta):
         model.theta[...] = theta
         tr = network.forward(batch, model, dropout_mask=dropout)
-        return cross_entropy_loss(batch.target_rows, tr["yhat_rows"],
-                                  batch.mask)
+        return cross_entropy_loss(batch.target_rows, tr["yhat_rows"])
 
     numeric = model.views(finite_diff_grad(objective, theta0, eps=eps))
     model.theta[...] = theta0

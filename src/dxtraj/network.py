@@ -172,6 +172,19 @@ def init_model(cell_kind: str, n_codes: int, hidden: int, layers: int = 1,
     )
 
 
+def param_count(cell_kind: str, n_codes: int, hidden: int, layers: int = 1,
+                extras: ExtraFeatures | None = None,
+                embed_dim: int | None = None) -> int:
+    """Size of the theta of init_model(...) with these arguments, computed
+    without building the model."""
+    extras = extras or ExtraFeatures()
+    in0 = (embed_dim if embed_dim else n_codes) + extras.width
+    flows = 2 * sum(cells.param_count(cell_kind, in0 if l == 0 else hidden,
+                                      hidden) for l in range(layers))
+    head = 2 * hidden * hidden + hidden + 1 + hidden * n_codes + n_codes + 1
+    return (n_codes * embed_dim if embed_dim else 0) + flows + head
+
+
 # ---------------------------------------------------------------------------
 # the worker thread
 
@@ -438,7 +451,7 @@ def _bptt_direction(d_top, layout, inputs, traces, layer_params, cell_kind,
 
 def backward(trace: dict, batch: BatchTensor, model: ModelParams,
              grad: np.ndarray | None = None) -> dict:
-    """Gradients of the masked-mean negated cross-entropy loss (see
+    """Gradients of the row-mean negated cross-entropy loss (see
     training.cross_entropy_loss) with respect to every parameter.
 
     The gradients are added to grad, a vector laid out like model.theta
@@ -449,15 +462,14 @@ def backward(trace: dict, batch: BatchTensor, model: ModelParams,
     if grad is None:
         grad = np.zeros_like(model.theta)
     grads = model.views(grad)
-    n_valid = batch.mask.sum()
-    if n_valid == 0:
+    yhat, out_pre, j_pre = trace["yhat_rows"], trace["out_pre"], trace["j_pre"]
+    n = len(yhat)
+    if n == 0:
         return grads
 
-    yhat, out_pre, j_pre = trace["yhat_rows"], trace["out_pre"], trace["j_pre"]
     targets = batch.target_rows
     dropout = trace["dropout"]
     alpha_j, alpha_o = float(model.alpha_j), float(model.alpha_o)
-    n = len(yhat)
     # d_out_pre rows, then d_j_pre rows; *_terms hold the summands of the
     # slope gradients, summed whole afterwards
     d_out_pre, o_terms = np.empty_like(yhat), np.empty_like(yhat)
@@ -467,7 +479,7 @@ def backward(trace: dict, batch: BatchTensor, model: ModelParams,
         y, t = yhat[r], targets[r]
         yc = np.clip(y, LOSS_EPS, 1.0 - LOSS_EPS)
         inside = (y > LOSS_EPS) & (y < 1.0 - LOSS_EPS)
-        d_yhat = -(t / yc - (1.0 - t) / (1.0 - yc)) / n_valid
+        d_yhat = -(t / yc - (1.0 - t) / (1.0 - yc)) / n
         d_yhat = np.where(inside, d_yhat, 0.0)
         # softmax rows: d_z = y * (g - <g, y>)
         dot = np.sum(d_yhat * y, axis=-1, keepdims=True)

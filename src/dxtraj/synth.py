@@ -33,8 +33,13 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("n_patients", "vocab_size", "n_states"):
+            value = getattr(self, name)
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
         if not (0.0 <= self.noise_rate < 1.0):
-            raise ValueError("noise_rate must be in [0, 1)")
+            raise ValueError(f"noise_rate must be in [0, 1), "
+                             f"got {self.noise_rate}")
 
 
 def _default_structure(spec: SynthSpec, rng: SeededRng):

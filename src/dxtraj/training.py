@@ -10,14 +10,14 @@ them: the calling thread takes the first half of the blocks and the worker
 thread (network.run_pair) the second. Every element's arithmetic is that of
 the per-array formulas, so the trained weights do not depend on the blocking
 or on the threads. The loss likewise computes its per-row sums by halves of
-the rows on the two threads, and its masked sum as one reduction over the
+the rows on the two threads, and their mean as one reduction over the
 whole array: a reduction split between threads would add in another order.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -31,6 +31,12 @@ from .numerics import SeededRng
 
 class TrainingDivergedError(RuntimeError):
     pass
+
+
+# JSON types that TrainConfig.from_dict accepts for each annotation; bool is
+# not an int here
+_JSON_TYPES = {"int": (int,), "float": (int, float), "str": (str,),
+               "None": (type(None),), "ExtraFeatures": (dict,)}
 
 
 @dataclass
@@ -78,8 +84,21 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
+        """A config from JSON values (a --config file, a grid row). An
+        unknown field or a value of the wrong type raises ValueError."""
         d = dict(d)
-        if "extra_features" in d and isinstance(d["extra_features"], dict):
+        types = {f.name: f.type for f in fields(cls)}
+        unknown = sorted(str(name) for name in d if name not in types)
+        if unknown:
+            raise ValueError(f"unknown TrainConfig field(s): "
+                             f"{', '.join(unknown)}")
+        for name, value in d.items():
+            allowed = sum((_JSON_TYPES[t] for t in types[name].split(" | ")),
+                          ())
+            if type(value) not in allowed:
+                raise ValueError(f"{name} must be {types[name]}, "
+                                 f"got {value!r}")
+        if "extra_features" in d:
             d["extra_features"] = ExtraFeatures.from_dict(d["extra_features"])
         return cls(**d)
 
@@ -104,22 +123,17 @@ class TrainReport:
         }
 
 
-def cross_entropy_loss(targets, yhat, mask) -> float:
+def cross_entropy_loss(targets, yhat) -> float:
     """Negated multi-label cross entropy, summed over codes and averaged over
-    unmasked steps. Probabilities are clamped to [eps, 1-eps].
+    rows. Probabilities are clamped to [eps, 1-eps].
 
-    targets and yhat are the rows of the unmasked cells of the (T, P) mask,
-    packed like BatchTensor.x_rows. Their sums run by halves of the rows on
-    the two threads (network.run_by_halves); the masked sum is one reduction
-    over the (T, P) grid."""
+    targets and yhat are the rows of the valid cells, packed like
+    BatchTensor.x_rows. Their sums run by halves of the rows on the two
+    threads (network.run_by_halves); the mean is one reduction over the
+    per-row sums, so padded cells never enter it."""
     if yhat.shape != targets.shape:
         raise ValueError(f"shape mismatch: {yhat.shape} vs {targets.shape}")
-    valid = mask != 0
-    n_rows = np.count_nonzero(valid)
-    if len(yhat) != n_rows:
-        raise ValueError(f"{len(yhat)} rows for {n_rows} unmasked cells")
-    n_valid = mask.sum()
-    if n_valid == 0:
+    if len(yhat) == 0:
         return 0.0
     sums = np.empty(len(yhat))
 
@@ -129,9 +143,7 @@ def cross_entropy_loss(targets, yhat, mask) -> float:
                          axis=-1)
 
     network.run_by_halves(len(sums), rows)
-    per_step = np.zeros(mask.shape)
-    per_step[valid] = sums
-    return float(-np.sum(per_step * mask) / n_valid)
+    return float(-np.sum(sums) / len(sums))
 
 
 def clip_gradients(grads: dict, clip_norm: float) -> dict:
@@ -285,8 +297,7 @@ def _epoch_pass(batches, model, config, rng, update_state=None):
             dropout_mask = (rng.uniform(batch.mask.shape + (model.hidden,))
                             < keep) / keep
         trace = network.forward(batch, model, dropout_mask=dropout_mask)
-        loss = cross_entropy_loss(batch.target_rows, trace["yhat_rows"],
-                                  batch.mask)
+        loss = cross_entropy_loss(batch.target_rows, trace["yhat_rows"])
         if not np.isfinite(loss):
             raise TrainingDivergedError("non-finite training loss")
         w = batch.mask.sum()

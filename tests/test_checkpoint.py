@@ -1,5 +1,6 @@
 import json
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -67,6 +68,29 @@ def test_rejects_mismatched_index_and_payload(tmp_path):
     path.write_bytes(blob.replace(b'"Wout"', b'"Wfoo"', 1))
     with pytest.raises(ValueError, match="array index"):
         load_checkpoint(path)
+
+
+def test_oversized_header_is_rejected_before_allocating(tmp_path):
+    # a small file whose header asks for hidden 1500 (about 200 MB of theta)
+    # fails on its payload size before any model is built
+    model = network.init_model("mgru", 3, 2)
+    model.vocab_labels = ["a", "b", "c"]
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(model, path)
+    magic, header, payload = path.read_bytes().split(b"\n", 2)
+    header = json.loads(header)
+    header["hidden"] = 1500
+    path.write_bytes(b"\n".join([magic, json.dumps(header).encode(),
+                                 payload]))
+    assert path.stat().st_size < 2048
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="payload holds"):
+            load_checkpoint(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 def with_header(path, header: bytes):
@@ -186,6 +210,12 @@ def test_atomic_write_leaves_no_temp_files(tmp_path):
     save_checkpoint(model, tmp_path / "m.ckpt")
     leftovers = [p for p in tmp_path.iterdir() if p.name.startswith(".tmp")]
     assert leftovers == []
+
+
+def test_save_into_a_missing_directory_names_the_path(tmp_path):
+    path = tmp_path / "missing" / "m.ckpt"
+    with pytest.raises(FileNotFoundError, match="m.ckpt'$"):
+        save_checkpoint(make_model(), path)
 
 
 def test_rejects_trailing_payload_bytes(tmp_path):

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -351,6 +354,83 @@ def test_gradcheck_failure_exit_5(capsys):
     # an impossible tolerance forces the failure path
     code, _ = run(capsys, "gradcheck", "--tolerance", "0")
     assert code == 5
+
+
+# ---------------------------------------------------------------------------
+# one error policy: main() maps malformed input and bad paths to exit 2
+
+BAD_INPUT = {
+    "synth-noise-rate": ["synth", "--noise-rate", "1.5",
+                         "--output", "{tmp}/c.jsonl"],
+    "synth-states": ["synth", "--states", "0", "--output", "{tmp}/c.jsonl"],
+    "synth-vocab-size": ["synth", "--vocab-size", "0",
+                         "--output", "{tmp}/c.jsonl"],
+    "synth-patients-0": ["synth", "--patients", "0",
+                         "--output", "{tmp}/c.jsonl"],
+    "synth-patients-negative": ["synth", "--patients", "-3",
+                                "--output", "{tmp}/c.jsonl"],
+    "synth-output-dir": ["synth", "--patients", "3", "--vocab-size", "10",
+                         "--output", "{tmp}/missing/c.jsonl"],
+    "train-model-dir": ["train", "--cohort", "{cohort}", "--max-epochs", "1",
+                        "--model", "{tmp}/missing/m.ckpt"],
+    "train-config-unknown-field": ["train", "--cohort", "{cohort}",
+                                   "--config", "{file:{\"epochs\": 1}}",
+                                   "--model", "{tmp}/m.ckpt"],
+    "train-config-mistyped": ["train", "--cohort", "{cohort}",
+                              "--config", "{file:{\"max_epochs\": \"1\"}}",
+                              "--model", "{tmp}/m.ckpt"],
+    "train-config-not-an-object": ["train", "--cohort", "{cohort}",
+                                   "--config", "{file:[1]}",
+                                   "--model", "{tmp}/m.ckpt"],
+    "predict-empty-history": ["predict", "--model", "{model}",
+                              "--history", "{file:}"],
+    "compare-output-dir": ["compare", "--cohort", "{cohort}",
+                           "--grid", "{grid}", "--seeds", "1",
+                           "--output", "{tmp}/missing/g"],
+    "gradcheck-codes": ["gradcheck", "--codes", "0"],
+    "gradcheck-hidden": ["gradcheck", "--hidden", "0"],
+    "gradcheck-patients": ["gradcheck", "--patients", "0"],
+    "gradcheck-steps": ["gradcheck", "--steps", "0"],
+}
+
+
+def fill(tmp_path, capsys, arg):
+    """An argument of BAD_INPUT with its placeholder made real."""
+    if arg.startswith("{file:"):  # a file holding the text after the colon
+        path = tmp_path / "given.json"
+        path.write_text(arg[len("{file:"):-1])
+        return str(path)
+    if arg == "{cohort}":
+        return str(synth_cohort(tmp_path, capsys)[0])
+    if arg == "{model}":
+        return str(trained_model(tmp_path, capsys)[1])
+    if arg == "{grid}":
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps([{"random_baseline": True}]))
+        return str(path)
+    return arg.format(tmp=tmp_path)
+
+
+@pytest.mark.parametrize("argv", BAD_INPUT.values(), ids=BAD_INPUT.keys())
+def test_bad_input_exits_2_with_a_message(tmp_path, capsys, argv):
+    argv = [fill(tmp_path, capsys, arg) for arg in argv]
+    # --quiet silences progress, not the reason for the exit code
+    code = main(["--quiet", *argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+def test_bad_input_exits_2_without_a_traceback_in_a_process():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    done = subprocess.run(
+        [sys.executable, "-m", "dxtraj.cli", "gradcheck", "--codes", "0"],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, timeout=120)
+    assert done.returncode == 2
+    assert done.stderr == "error: --codes must be at least 1, got 0\n"
 
 
 # ---------------------------------------------------------------------------

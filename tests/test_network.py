@@ -89,10 +89,8 @@ def test_masking_invariance_padding_patient():
 
     tr_a = network.forward(batch, model)
     tr_b = network.forward(padded, model)
-    loss_a = cross_entropy_loss(batch.target_rows, tr_a["yhat_rows"],
-                                batch.mask)
-    loss_b = cross_entropy_loss(padded.target_rows, tr_b["yhat_rows"],
-                                padded.mask)
+    loss_a = cross_entropy_loss(batch.target_rows, tr_a["yhat_rows"])
+    loss_b = cross_entropy_loss(padded.target_rows, tr_b["yhat_rows"])
     assert abs(loss_a - loss_b) <= 1e-12
 
     g_a = network.backward(tr_a, batch, model)
@@ -207,8 +205,7 @@ def _loss_grads_yhat(batch, model):
     from dxtraj.training import cross_entropy_loss
 
     trace = network.forward(batch, model)
-    loss = cross_entropy_loss(batch.target_rows, trace["yhat_rows"],
-                              batch.mask)
+    loss = cross_entropy_loss(batch.target_rows, trace["yhat_rows"])
     return (loss, network.backward(trace, batch, model),
             batch.pad(trace["yhat_rows"]))
 
@@ -435,6 +432,17 @@ def test_flat_views_are_the_model():
     flat["Vbwd"][...] += 0.5
     npt.assert_array_equal(model.Vbwd, flat["Vbwd"])
     assert np.abs(network.forward(batch, model)["yhat_rows"] - before).max() > 0
+
+
+@pytest.mark.parametrize("kind", CELL_KINDS)
+@pytest.mark.parametrize("layers, embed_dim, extras", [
+    (1, None, ExtraFeatures()), (2, 3, ExtraFeatures(True, True, True)),
+    (3, None, ExtraFeatures(duration=True)),
+])
+def test_param_count_is_the_size_of_theta(kind, layers, embed_dim, extras):
+    structure = dict(layers=layers, extras=extras, embed_dim=embed_dim)
+    assert network.param_count(kind, 7, 5, **structure) == \
+        network.init_model(kind, 7, 5, **structure).theta.size
 
 
 # ---------------------------------------------------------------------------

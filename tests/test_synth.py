@@ -86,6 +86,14 @@ def test_spec_validation():
                                   codes_per_state={0: [7]}))
 
 
+@pytest.mark.parametrize("field, value", [
+    ("n_patients", 0), ("n_patients", -3), ("vocab_size", 0), ("n_states", 0),
+])
+def test_spec_rejects_sizes_below_one(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be >= 1, got {value}$"):
+        SynthSpec(**{field: value})
+
+
 def test_oracle_noise_free_is_perfect():
     spec = SynthSpec(n_patients=50, vocab_size=80, n_states=5,
                      noise_rate=0.0, seed=2)

@@ -13,7 +13,7 @@ from dxtraj.ehr_data import (BatchTensor, ExtraFeatures, PatientRecord,
 from dxtraj.evaluation import evaluate_model
 from dxtraj.gradcheck import random_batch
 from dxtraj.network import LOSS_EPS
-from dxtraj.numerics import SeededRng, finite_diff_grad
+from dxtraj.numerics import SeededRng, finite_diff_grad, max_relative_error
 from dxtraj.synth import SynthSpec, generate_cohort
 from dxtraj.training import (
     AdadeltaState,
@@ -38,30 +38,29 @@ def planted_cohort(n=10, vocab=40, seed=7):
 def test_cross_entropy_uniform_example():
     y = np.array([[1.0, 0, 0, 0]])
     yhat = np.full((1, 4), 0.25)
-    mask = np.ones((1, 1))
-    assert cross_entropy_loss(y, yhat, mask) == pytest.approx(2.24934, abs=1e-4)
+    assert cross_entropy_loss(y, yhat) == pytest.approx(2.24934, abs=1e-4)
 
 
 def test_cross_entropy_perfect_prediction_near_zero():
     y = np.array([[1.0, 0.0, 1.0]])
     yhat = np.where(y == 1.0, 1.0 - 1e-9, 1e-9)
-    loss = cross_entropy_loss(y, yhat, np.ones((1, 1)))
+    loss = cross_entropy_loss(y, yhat)
     assert 0.0 <= loss < 1e-6
 
 
 def test_cross_entropy_zero_mask():
-    assert cross_entropy_loss(np.ones((0, 3)), np.full((0, 3), 0.5),
-                              np.zeros((2, 1))) == 0.0
+    assert cross_entropy_loss(np.ones((0, 3)), np.full((0, 3), 0.5)) == 0.0
 
 
 def test_cross_entropy_shape_mismatch():
     with pytest.raises(ValueError):
-        cross_entropy_loss(np.ones((1, 3)), np.ones((1, 4)), np.ones((1, 1)))
-    with pytest.raises(ValueError, match="2 rows for 1 unmasked"):
-        cross_entropy_loss(np.ones((2, 3)), np.ones((2, 3)), np.ones((1, 1)))
+        cross_entropy_loss(np.ones((1, 3)), np.ones((1, 4)))
+    with pytest.raises(ValueError, match="shape mismatch"):
+        cross_entropy_loss(np.ones((2, 3)), np.ones((1, 3)))
 
 
 def test_cross_entropy_masked_steps_contribute_nothing():
+    # a padded cell has no row, so its value cannot reach the loss
     rng = SeededRng(0)
     y = (rng.uniform((3, 2, 4)) < 0.5) * 1.0
     yhat = rng.uniform((3, 2, 4)) * 0.98 + 0.01
@@ -70,13 +69,23 @@ def test_cross_entropy_masked_steps_contribute_nothing():
     garbled = yhat.copy()
     garbled[2, 1] = 0.123
     valid = mask != 0
-    assert cross_entropy_loss(y[valid], yhat[valid], mask) == \
-        old_cross_entropy_loss(y, garbled, mask)
+    loss = cross_entropy_loss(y[valid], yhat[valid])
+    assert loss == row_cross_entropy(y[valid], garbled[valid])
+    assert loss == pytest.approx(padded_cross_entropy(y, garbled, mask),
+                                 rel=1e-14, abs=0)
 
 
-def old_cross_entropy_loss(targets, yhat, mask):
-    # the formula over every padded cell, as it was before the loss was
-    # evaluated on the valid rows only
+def row_cross_entropy(targets, yhat):
+    # the loss's formula in one pass over every row
+    yc = np.clip(yhat, LOSS_EPS, 1.0 - LOSS_EPS)
+    per_row = np.sum(
+        targets * np.log(yc) + (1.0 - targets) * np.log(1.0 - yc), axis=-1)
+    return float(-np.sum(per_row) / len(per_row))
+
+
+def padded_cross_entropy(targets, yhat, mask):
+    # the masked mean over every padded cell, as the loss was computed before
+    # it reduced over the packed rows; the two agree up to rounding
     yc = np.clip(yhat, LOSS_EPS, 1.0 - LOSS_EPS)
     per_step = np.sum(
         targets * np.log(yc) + (1.0 - targets) * np.log(1.0 - yc), axis=-1)
@@ -89,8 +98,11 @@ def test_cross_entropy_on_valid_rows_equals_padded_formula(seed):
     model = network.init_model("mgru", 7, 5, rng=rng)
     batch = random_batch(7, 5, 6, rng, lengths=(6, 0, 3, 1, 5))
     yhat = network.forward(batch, model)["yhat_rows"]
-    assert cross_entropy_loss(batch.target_rows, yhat, batch.mask) == \
-        old_cross_entropy_loss(batch.targets, batch.pad(yhat), batch.mask)
+    loss = cross_entropy_loss(batch.target_rows, yhat)
+    assert loss == row_cross_entropy(batch.target_rows, yhat)
+    assert loss == pytest.approx(
+        padded_cross_entropy(batch.targets, batch.pad(yhat), batch.mask),
+        rel=1e-14, abs=0)
 
 
 @pytest.mark.parametrize("n", [1, 63, 64, 631])
@@ -102,8 +114,33 @@ def test_cross_entropy_by_halves_equals_padded_formula(n):
     model = network.init_model("mgru", 90, 64, rng=rng)
     yhat = network.forward(batch, model)["yhat_rows"]
     assert batch.mask.sum() == n
-    assert cross_entropy_loss(batch.target_rows, yhat, batch.mask) == \
-        old_cross_entropy_loss(batch.targets, batch.pad(yhat), batch.mask)
+    loss = cross_entropy_loss(batch.target_rows, yhat)
+    assert loss == row_cross_entropy(batch.target_rows, yhat)
+    assert loss == pytest.approx(
+        padded_cross_entropy(batch.targets, batch.pad(yhat), batch.mask),
+        rel=1e-14, abs=0)
+
+
+def test_appending_padding_steps_leaves_the_loss_bit_identical():
+    # the loss reduces over the packed rows only, so the grid's shape cannot
+    # move its last bits; a reduction over the (T, P) grid moved them in 9
+    # of these 40 cases
+    for seed in range(40):
+        rng = SeededRng(seed)
+        kind = CELL_KINDS[seed % len(CELL_KINDS)]
+        model = network.init_model(kind, 6, 5, layers=1 + seed % 2, rng=rng)
+        model.theta[...] += rng.normal(0.3, model.theta.shape)
+        batch = random_batch(6, 4, 3, rng, lengths=(3, 1, 2, 3))
+        extra = 1 + seed % 5
+        padded = BatchTensor.from_padded(
+            np.concatenate([batch.x, np.zeros((extra, 4, 6))]),
+            np.concatenate([batch.mask, np.zeros((extra, 4))]),
+            np.concatenate([batch.targets, np.zeros((extra, 4, 6))]),
+            batch.patient_ids)
+        losses = [cross_entropy_loss(b.target_rows,
+                                     network.forward(b, model)["yhat_rows"])
+                  for b in (batch, padded)]
+        assert losses[0] == losses[1], (seed, kind)
 
 
 # ---------------------------------------------------------------------------
@@ -253,15 +290,13 @@ def test_descent_sanity_one_step_reduces_batch_loss():
         v[...] = v + rng.normal(0.2, v.shape)
     batch = random_batch(4, 2, 3, rng)
     trace = network.forward(batch, model)
-    loss0 = cross_entropy_loss(batch.target_rows, trace["yhat_rows"],
-                               batch.mask)
+    loss0 = cross_entropy_loss(batch.target_rows, trace["yhat_rows"])
     grads = network.backward(trace, batch, model)
     arrays = model.flat()
     for k in arrays:
         arrays[k][...] = arrays[k] - 1e-3 * grads[k]
     loss1 = cross_entropy_loss(
-        batch.target_rows, network.forward(batch, model)["yhat_rows"],
-        batch.mask)
+        batch.target_rows, network.forward(batch, model)["yhat_rows"])
     assert loss1 < loss0
 
 
@@ -295,6 +330,36 @@ def test_add_l2_grads_is_the_gradient_of_the_weight_penalty(block,
     npt.assert_allclose(state.grad, numeric, rtol=1e-6, atol=1e-8)
     for name, g in model.views(state.grad).items():
         assert g.any() != (name in NO_L2), name
+
+
+def test_l2_gradient_along_the_update_path():
+    # finite differences of loss + l2_coeff * sum ||W||^2 against the gradient
+    # an update applies: network.backward, then _add_l2_grads; 2 layers and
+    # an embedding put the term on E, U* and V*, and on no bias or slope
+    model = network.init_model("mgru", 4, 3, layers=2, embed_dim=2,
+                               rng=SeededRng(0))
+    model.theta[...] += SeededRng(1).normal(0.3, model.theta.shape)
+    batch = random_batch(4, 3, 3, SeededRng(2))
+    coeff = 0.05
+    assert NO_L2 < set(model.layout)
+    assert {"E", "fwd1.Uf", "bwd0.Uh", "Vfwd", "Vbwd"} <= \
+        set(model.layout) - NO_L2
+
+    def objective(theta):
+        model.theta[...] = theta
+        yhat = network.forward(batch, model)["yhat_rows"]
+        return cross_entropy_loss(batch.target_rows, yhat) + coeff * sum(
+            float(np.sum(v * v)) for name, v in model.flat().items()
+            if name not in NO_L2)
+
+    theta0 = model.theta.copy()
+    numeric = model.views(finite_diff_grad(objective, theta0))
+    model.theta[...] = theta0
+    state = AdadeltaState(model)
+    network.backward(network.forward(batch, model), batch, model, state.grad)
+    training._add_l2_grads(model, state, coeff)
+    for name, g in model.views(state.grad).items():
+        assert max_relative_error(g, numeric[name]) < 1e-4, name
 
 
 def embed_input(x, E, extras=ExtraFeatures()):
@@ -368,6 +433,32 @@ def test_config_roundtrip():
     cfg = TrainConfig(seed=9, extra_features=ExtraFeatures(duration=True))
     again = TrainConfig.from_dict(cfg.to_dict())
     assert again == cfg
+
+
+@pytest.mark.parametrize("values, message", [
+    ({"epochs": 5}, "unknown TrainConfig field"),
+    ({"max_epochs": "5"}, "max_epochs must be int"),
+    ({"max_epochs": 5.0}, "max_epochs must be int"),
+    ({"seed": True}, "seed must be int"),
+    ({"hidden_size": [4]}, "hidden_size must be int"),
+    ({"clip_norm": None}, "clip_norm must be float"),
+    ({"cell_kind": 3}, "cell_kind must be str"),
+    ({"extra_features": 5}, "extra_features must be ExtraFeatures"),
+    ({"extra_features": {"duration": 1}}, "extra features must be booleans"),
+    ({"extra_features": {"weight": True}}, "extra features must be booleans"),
+])
+def test_config_from_dict_rejects_unknown_and_mistyped_fields(values,
+                                                              message):
+    # a --config file reaches from_dict: a bad field is input, not a fault
+    with pytest.raises(ValueError, match=message):
+        TrainConfig.from_dict(values)
+
+
+def test_config_from_dict_takes_json_numbers():
+    cfg = TrainConfig.from_dict({"clip_norm": 2, "hidden_size": None,
+                                 "extra_features": {"duration": True}})
+    assert cfg == TrainConfig(clip_norm=2.0,
+                              extra_features=ExtraFeatures(duration=True))
 
 
 # ---------------------------------------------------------------------------
@@ -542,8 +633,7 @@ def test_train_recall_leaves_out_k_beyond_the_vocabulary():
 
 def loss_and_grad(model, batch):
     trace = network.forward(batch, model)
-    loss = cross_entropy_loss(batch.target_rows, trace["yhat_rows"],
-                              batch.mask)
+    loss = cross_entropy_loss(batch.target_rows, trace["yhat_rows"])
     grad = np.zeros_like(model.theta)
     network.backward(trace, batch, model, grad)
     return loss, grad
