@@ -14,12 +14,12 @@ from __future__ import annotations
 import json
 import math
 import os
-import tempfile
 
 import numpy as np
 
 from .cells import CELL_KINDS
 from .ehr_data import ExtraFeatures
+from .files import atomic_write_bytes
 from .network import ModelParams, init_model, param_count
 
 MAGIC = b"DXTRAJ-CKPT"
@@ -126,25 +126,3 @@ def load_checkpoint(path) -> ModelParams:
     model.interval_max = header["interval_max"]
     model.vocab_labels = header["vocab_labels"]
     return model
-
-
-def atomic_write_bytes(path, blob: bytes) -> None:
-    """Write to a temp file in the same directory, then rename."""
-    path = os.fspath(path)
-    directory = os.path.dirname(path) or "."
-    try:
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-ckpt-")
-    except OSError as exc:  # name the path asked for, not the temp file
-        raise type(exc)(exc.errno, exc.strerror, path) from None
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(blob)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def atomic_write_text(path, text: str) -> None:
-    atomic_write_bytes(path, text.encode())

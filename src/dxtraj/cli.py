@@ -6,7 +6,9 @@ Exit codes: 0 success, 2 input error, 3 divergence, 4 vocabulary error,
 exit codes: every command exits 2 with "error: <message>" on stderr for an
 unreadable or unwritable path and for malformed input, 4 for a code outside
 the model's vocabulary and 3 when training diverges. Any other exception is
-a fault of the program and keeps its traceback.
+a fault of the program and keeps its traceback. A command checks every file
+it will write (dxtraj.files.check_writable) before it loads or trains
+anything, and writes each one atomically.
 """
 
 from __future__ import annotations
@@ -25,8 +27,9 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 from . import ehr_data, evaluation, synth
 from .cells import CELL_KINDS
-from .checkpoint import atomic_write_text, load_checkpoint, save_checkpoint
+from .checkpoint import load_checkpoint, save_checkpoint
 from .ehr_data import CodeVocabulary, VocabularyError
+from .files import atomic_write_text, check_writable
 from .gradcheck import full_network_gradcheck
 from .network import predict_topk
 from .training import TrainConfig, TrainingDivergedError, train
@@ -45,7 +48,16 @@ def log(msg):
         print(msg, file=sys.stderr)
 
 
+def check_outputs(*paths) -> None:
+    """Fail before the work on an output that cannot be written; None
+    stands for an output not asked for."""
+    for path in paths:
+        if path is not None:
+            check_writable(path)
+
+
 def cmd_prepare(args) -> int:
+    check_outputs(args.output, args.report)
     ccs = ehr_data.load_ccs_map(args.ccs)
     raw = ehr_data.load_patients(args.input)
     report = ehr_data.FilterReport()
@@ -61,6 +73,7 @@ def cmd_prepare(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    check_outputs(args.output, args.ccs_out)
     spec = synth.SynthSpec(
         n_patients=args.patients, vocab_size=args.vocab_size,
         n_states=args.states, noise_rate=args.noise_rate, seed=args.seed)
@@ -103,6 +116,7 @@ def _load_config(args):
 
 
 def cmd_train(args) -> int:
+    check_outputs(args.model, args.report)
     cohort = ehr_data.load_patients(args.cohort)
     model, report = train(cohort, _load_config(args))
     save_checkpoint(model, args.model)
@@ -176,6 +190,7 @@ def cmd_gradcheck(args) -> int:
 def cmd_compare(args) -> int:
     if args.seeds < 1:
         raise ValueError(f"--seeds must be at least 1, got {args.seeds}")
+    check_outputs(args.output + ".csv", args.output + ".json")
     cohort = ehr_data.load_patients(args.cohort)
     with open(args.grid) as fh:
         grid_spec = json.load(fh)

@@ -1,6 +1,6 @@
 """Patient/admission data model, ICD-9 -> CCS mapping, cohort filtering, and
-the admission encoder, which writes batches as packed multi-hot rows with a
-mask.
+the admission encoder, which writes batches as packed one-byte multi-hot rows
+with a mask.
 
 File formats:
   * patients: JSON lines, one object per patient:
@@ -17,6 +17,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .files import atomic_write_text
 
 ADMISSION_TYPES = ("newborn", "elective", "emergency", "urgent")
 
@@ -101,28 +103,49 @@ class BatchTensor:
     marks the valid ones. Only the valid cells are stored, as rows packed
     time-major, in the order of x[mask != 0]: the rows of step t are the
     patients flatnonzero(mask[t]), in order. The target of the cell at step
-    i is the multi-hot of the patient's admission i + 1. build_batch writes
-    the targets as uint8: their values are exactly 0 and 1, and uint8 times
-    float64 promotes exactly, so the loss, its gradient and recall read them
-    as they are."""
-    x_rows: np.ndarray       # (n_valid, |D| + extras), float64
+    i is the multi-hot of the patient's admission i + 1.
+
+    An input row is split in two arrays: the multi-hot code slots and the
+    float64 extras that follow them (width 0 without extras). build_batch
+    writes the code slots and the targets as uint8, one byte per slot:
+    their values are exactly 0 and 1, and uint8 times float64 promotes
+    exactly, so the loss, its gradient and recall read the targets as they
+    are. The network reads its inputs as input_rows(), the one place that
+    lays out the float64 rows [codes | extras]."""
+    code_rows: np.ndarray    # (n_valid, |D|), uint8 from build_batch
+    extra_rows: np.ndarray   # (n_valid, extras), float64
     target_rows: np.ndarray  # (n_valid, |D|), uint8 from build_batch
     mask: np.ndarray         # (T, P) of {0, 1}
     patient_ids: list
 
     def __post_init__(self):
         n_valid = np.count_nonzero(self.mask)
-        if not len(self.x_rows) == len(self.target_rows) == n_valid:
+        if not (len(self.code_rows) == len(self.extra_rows)
+                == len(self.target_rows) == n_valid):
             raise ValueError(
-                f"{len(self.x_rows)} input and {len(self.target_rows)} target "
-                f"rows for {n_valid} valid cells")
+                f"{len(self.code_rows)} code, {len(self.extra_rows)} extra "
+                f"and {len(self.target_rows)} target rows for {n_valid} "
+                f"valid cells")
 
     @classmethod
     def from_padded(cls, x, mask, targets, patient_ids):
         """The batch of padded (T, P, ·) inputs and targets; what they hold
-        at the cells that mask leaves out is dropped."""
+        at the cells that mask leaves out is dropped. The first |D| slots
+        of x, |D| being the width of targets, are the code slots, kept in
+        x's dtype; the rest are the extras."""
         valid = mask != 0
-        return cls(x[valid], targets[valid], mask, patient_ids)
+        d = targets.shape[-1]
+        return cls(x[..., :d][valid], x[..., d:][valid], targets[valid],
+                   mask, patient_ids)
+
+    def input_rows(self) -> np.ndarray:
+        """The layer-0 input rows (n_valid, |D| + extras) as float64: the
+        code slots, then the extras. Built on each call."""
+        n, d = self.code_rows.shape
+        rows = np.empty((n, d + self.extra_rows.shape[1]))
+        rows[:, :d] = self.code_rows
+        rows[:, d:] = self.extra_rows
+        return rows
 
     def pad(self, rows: np.ndarray) -> np.ndarray:
         """Packed rows (n_valid, ...) laid out on the (T, P) grid, zeros at
@@ -133,8 +156,9 @@ class BatchTensor:
 
     @property
     def x(self) -> np.ndarray:
-        """The inputs padded to (T, P, |D| + extras), built on each call."""
-        return self.pad(self.x_rows)
+        """The float64 inputs padded to (T, P, |D| + extras), built on each
+        call."""
+        return self.pad(self.input_rows())
 
     @property
     def targets(self) -> np.ndarray:
@@ -216,21 +240,24 @@ def _patient_record(obj) -> PatientRecord:
 
 
 def save_patients(patients, path) -> None:
-    with open(path, "w") as fh:
-        for p in patients:
-            obj = {
-                "patient_id": p.patient_id,
-                "admissions": [
-                    {
-                        "timestamp": a.timestamp,
-                        "icd9": sorted(a.codes),
-                        "type": a.adm_type,
-                        "duration_hours": a.duration,
-                    }
-                    for a in p.admissions
-                ],
-            }
-            fh.write(json.dumps(obj) + "\n")
+    """Write JSON-lines patient records. The file is written atomically:
+    a record that fails to encode leaves what was at path as it was."""
+    lines = []
+    for p in patients:
+        obj = {
+            "patient_id": p.patient_id,
+            "admissions": [
+                {
+                    "timestamp": a.timestamp,
+                    "icd9": sorted(a.codes),
+                    "type": a.adm_type,
+                    "duration_hours": a.duration,
+                }
+                for a in p.admissions
+            ],
+        }
+        lines.append(json.dumps(obj) + "\n")
+    atomic_write_text(path, "".join(lines))
 
 
 def load_ccs_map(path) -> CcsMap:
@@ -340,8 +367,8 @@ def build_batch(patients, vocab: CodeVocabulary,
     admission i + 1 as target, a zero row when there is none. So every
     patient needs two admissions, or one with every_admission. Each
     admission's codes are mapped through the vocabulary once, and the
-    multi-hot slots of the input rows (float64) and of the target rows
-    (uint8) are set by one assignment each.
+    multi-hot slots of the code rows and of the target rows (both uint8)
+    are set by one assignment each.
 
     The extras follow the code slots: the one-hot admission type, the
     duration over duration_max and the interval since the previous
@@ -380,28 +407,29 @@ def build_batch(patients, vocab: CodeVocabulary,
         raise VocabularyError(f"code {exc.args[0]!r} not in vocabulary") from None
     counts = [len(a.codes) for p in patients for a in p.admissions]
     code_in, code_target = np.repeat(adm_rows, counts, axis=1)
-    x_rows = np.zeros((n_valid + 1, d + extras.width))
+    code_rows = np.zeros((n_valid + 1, d), dtype=np.uint8)
     target_rows = np.zeros((n_valid + 1, d), dtype=np.uint8)
-    x_rows[code_in, cols] = 1.0
+    code_rows[code_in, cols] = 1
     target_rows[code_target, cols] = 1
 
+    extra_rows = np.zeros((n_valid + 1, extras.width))
     if extras.width:
         rows = adm_rows[0]
         adms = [a for p in patients for a in p.admissions]
         if extras.adm_type:
-            x_rows[rows, d:d + 4] = [
+            extra_rows[rows, :4] = [
                 [a.adm_type == t for t in ADMISSION_TYPES] for a in adms]
         if extras.duration and duration_max > 0:
-            x_rows[rows, d + 4 * extras.adm_type] = [
+            extra_rows[rows, 4 * extras.adm_type] = [
                 (a.duration or 0.0) / duration_max for a in adms]
         if extras.interval and interval_max > 0:
             # the interval since the admission before, 0 for the first
-            x_rows[rows, -1] = [
+            extra_rows[rows, -1] = [
                 (b.timestamp - a.timestamp) / interval_max for p in patients
                 for a, b in zip(p.admissions[:1] + p.admissions, p.admissions)]
 
-    return BatchTensor(x_rows=x_rows[:-1], target_rows=target_rows[:-1],
-                       mask=valid * 1.0,
+    return BatchTensor(code_rows=code_rows[:-1], extra_rows=extra_rows[:-1],
+                       target_rows=target_rows[:-1], mask=valid * 1.0,
                        patient_ids=[p.patient_id for p in patients])
 
 

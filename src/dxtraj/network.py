@@ -278,8 +278,8 @@ def _pack(valid):
 
 
 def _embed(model, x_rows):
-    """Layer-0 input rows: the code slots replaced by their embedding when
-    the model has one, extras kept."""
+    """Layer-0 input rows from BatchTensor.input_rows(): the code slots
+    replaced by their embedding when the model has one, extras kept."""
     if model.E is None:
         return x_rows
     d = model.n_codes
@@ -356,15 +356,18 @@ def _head(jf, jb, model, dropout=None):
 def forward(batch: BatchTensor, model: ModelParams, dropout_mask=None) -> dict:
     """Full forward pass over the valid cells of a batch; the returned trace
     holds every intermediate needed by backward(). trace["yhat_rows"] holds
-    the predictions of the valid cells, packed like batch.x_rows.
+    the predictions of the valid cells, packed like the batch's rows.
     dropout_mask, when given, is (T, P, hidden) and multiplies the
     joint-layer output (inverted-dropout convention, already scaled)."""
-    x_rows, mask = batch.x_rows, batch.mask
-    d = model.n_codes
-    if x_rows.shape[1] != d + model.extras.width:
+    mask = batch.mask
+    d, width = model.n_codes, model.extras.width
+    if (batch.code_rows.shape[1], batch.extra_rows.shape[1]) != (d, width):
         raise ValueError(
-            f"batch feature width {x_rows.shape[1]} does not match model "
-            f"({d} codes + {model.extras.width} extras)")
+            f"batch feature width {batch.code_rows.shape[1]} codes + "
+            f"{batch.extra_rows.shape[1]} extras does not match model "
+            f"({d} codes + {width} extras)")
+    # the float64 input rows, built once per call; backward() reads them
+    input_rows = batch.input_rows()
 
     valid = mask != 0
     n_valid = int(valid.sum())
@@ -375,7 +378,7 @@ def forward(batch: BatchTensor, model: ModelParams, dropout_mask=None) -> dict:
     rev = pos[::-1][valid[::-1]]
     layout_f, layout_b = _pack(valid), _pack(valid[::-1])
 
-    inp = _embed(model, x_rows)
+    inp = _embed(model, input_rows)
     inp_rev = inp[rev]
     kind, hidden = model.cell_kind, model.hidden
 
@@ -400,7 +403,7 @@ def forward(batch: BatchTensor, model: ModelParams, dropout_mask=None) -> dict:
     j_pre, hj, out_pre, yhat_rows = _head(jf, jb, model, dropout)
 
     return {
-        "valid": valid, "rev": rev, "x_rows": x_rows,
+        "valid": valid, "rev": rev, "input_rows": input_rows,
         "layout_f": layout_f, "layout_b": layout_b,
         "inputs_f": in_f, "inputs_b": in_b, "traces_f": tr_f, "traces_b": tr_b,
         "hf": hf, "hb": hb, "j_pre": j_pre, "hj": hj, "out_pre": out_pre,
@@ -532,7 +535,7 @@ def backward(trace: dict, batch: BatchTensor, model: ModelParams,
     if embedded:
         d_inp[trace["rev"]] += d_inp_rev
         e = model.embed_dim
-        grads["E"] += trace["x_rows"][:, :model.n_codes].T @ d_inp[:, :e]
+        grads["E"] += trace["input_rows"][:, :model.n_codes].T @ d_inp[:, :e]
 
     return grads
 
@@ -568,7 +571,7 @@ def predict_topk(model: ModelParams, history: PatientRecord,
     if not (1 <= k <= len(vocab)):
         raise ValueError(f"k={k} out of range [1, {len(vocab)}]")
     batch = build_history_tensor(history, model, vocab)
-    inp = _embed(model, batch.x_rows)
+    inp = _embed(model, batch.input_rows())
     # one patient, active at every step
     steps = [(t, t + 1, None) for t in range(len(inp))]
     hf = _scan_direction(inp, (1, steps), model.fwd, model.cell_kind,

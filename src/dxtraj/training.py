@@ -128,7 +128,7 @@ def cross_entropy_loss(targets, yhat) -> float:
     rows. Probabilities are clamped to [eps, 1-eps].
 
     targets and yhat are the rows of the valid cells, packed like
-    BatchTensor.x_rows. Their sums run by halves of the rows on the two
+    BatchTensor's rows. Their sums run by halves of the rows on the two
     threads (network.run_by_halves); the mean is one reduction over the
     per-row sums, so padded cells never enter it."""
     if yhat.shape != targets.shape:
@@ -287,11 +287,11 @@ def _epoch_pass(batches, model, config, rng, update_state=None):
         # weights, do not depend on how the cells are stored
         dropout_mask = None
         if update_state is not None and config.input_noise_std > 0:
-            d = model.n_codes
-            noise = rng.normal(config.input_noise_std, batch.mask.shape + (d,))
-            noisy = batch.x_rows.copy()
-            noisy[:, :d] += noise[batch.mask != 0]
-            batch = replace(batch, x_rows=noisy)
+            noise = rng.normal(config.input_noise_std,
+                               batch.mask.shape + (model.n_codes,))
+            noisy = batch.code_rows.astype(np.float64)
+            noisy += noise[batch.mask != 0]
+            batch = replace(batch, code_rows=noisy)
         if update_state is not None and config.dropout_rate > 0:
             keep = 1.0 - config.dropout_rate
             dropout_mask = (rng.uniform(batch.mask.shape + (model.hidden,))

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from dxtraj import training
 from dxtraj.cells import CELL_KINDS
 from dxtraj.cli import main
 from dxtraj.checkpoint import load_checkpoint
@@ -431,6 +432,69 @@ def test_bad_input_exits_2_without_a_traceback_in_a_process():
         capture_output=True, text=True, timeout=120)
     assert done.returncode == 2
     assert done.stderr == "error: --codes must be at least 1, got 0\n"
+
+
+# outputs are checked before the work that produces them
+
+UNWRITABLE = {
+    "train-model": ["train", "--cohort", "{cohort}", "--max-epochs", "1",
+                    "--model", "/nonexistent/m.ckpt"],
+    "train-report": ["train", "--cohort", "{cohort}", "--max-epochs", "1",
+                     "--model", "{tmp}/m.ckpt",
+                     "--report", "/nonexistent/r.json"],
+    "compare-output": ["compare", "--cohort", "{cohort}", "--grid",
+                       "{file:[{\"cell_kind\": \"mgru\", \"max_epochs\": 1}]}",
+                       "--seeds", "1", "--output", "/nonexistent/g"],
+    "compare-output-is-a-directory": [
+        "compare", "--cohort", "{cohort}", "--grid",
+        "{file:[{\"cell_kind\": \"mgru\", \"max_epochs\": 1}]}",
+        "--seeds", "1", "--output", "{tmp}/dir"],
+}
+
+
+@pytest.mark.parametrize("argv", UNWRITABLE.values(), ids=UNWRITABLE.keys())
+def test_unwritable_output_exits_2_before_any_epoch(tmp_path, capsys,
+                                                    monkeypatch, argv):
+    (tmp_path / "dir.json").mkdir()
+    argv = [fill(tmp_path, capsys, arg) for arg in argv]
+    passes = []
+    original = training._epoch_pass
+
+    def counting(*args, **kwargs):
+        passes.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(training, "_epoch_pass", counting)
+    code = main(["--quiet", *argv])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert passes == []
+    assert not (tmp_path / "m.ckpt").exists()
+
+
+@pytest.mark.parametrize("flag", ["--output", "--report"])
+def test_prepare_writes_nothing_when_an_output_is_unwritable(tmp_path, capsys,
+                                                             flag):
+    ccs = tmp_path / "map.csv"
+    ccs.write_text(TABLE1_MAP)
+    inp = tmp_path / "patients.jsonl"
+    write_patient_file(inp, [two_admission_patient()])
+    outputs = {"--output": str(tmp_path / "cohort.jsonl"),
+               "--report": str(tmp_path / "report.json")}
+    outputs[flag] = str(tmp_path / "missing" / "out")
+    code, _ = run(capsys, "prepare", "--input", str(inp), "--ccs", str(ccs),
+                  *(x for item in outputs.items() for x in item))
+    assert code == 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == \
+        ["map.csv", "patients.jsonl"]
+
+
+def test_synth_writes_nothing_when_the_map_is_unwritable(tmp_path, capsys):
+    code, _ = run(capsys, "synth", "--patients", "3", "--vocab-size", "10",
+                  "--output", str(tmp_path / "c.jsonl"),
+                  "--ccs-out", str(tmp_path / "missing" / "ccs.csv"))
+    assert code == 2
+    assert list(tmp_path.iterdir()) == []
 
 
 # ---------------------------------------------------------------------------

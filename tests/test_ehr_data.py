@@ -341,7 +341,7 @@ def test_packed_batch_equals_old_padded_builder(patients, extras, dmax, imax):
     x, mask, targets, dur_max, ivl_max = old_padded_batch(
         patients, vocab, extras, dmax, imax)
     npt.assert_array_equal(batch.mask, mask)
-    npt.assert_array_equal(batch.x_rows, x[mask != 0])
+    npt.assert_array_equal(batch.input_rows(), x[mask != 0])
     npt.assert_array_equal(batch.target_rows, targets[mask != 0])
     npt.assert_array_equal(batch.x, x)
     npt.assert_array_equal(batch.targets, targets)
@@ -376,7 +376,8 @@ def test_target_rows_are_a_one_byte_multi_hot(patients, extras,
                         *feature_constants(patients, extras),
                         every_admission=every_admission)
     assert batch.target_rows.dtype == np.uint8
-    assert batch.x_rows.dtype == np.float64
+    assert batch.code_rows.dtype == np.uint8
+    assert batch.extra_rows.dtype == np.float64
     expected = float_target_rows(patients, vocab, every_admission)
     assert batch.target_rows.shape == expected.shape
     assert (batch.target_rows == expected).all()
@@ -391,25 +392,29 @@ def test_split_batches_hold_only_valid_rows():
     for b, chunk in zip(batches, [pats[0:4], pats[4:8], pats[8:]]):
         n_valid = sum(len(p.admissions) - 1 for p in chunk)
         assert b.mask.sum() == n_valid
-        assert b.x_rows.shape == (n_valid, 3 + 6)
+        assert b.code_rows.shape == (n_valid, 3)
+        assert b.extra_rows.shape == (n_valid, 6)
         assert b.target_rows.shape == (n_valid, 3)
         # nothing the batch holds is laid out on the padded grid
         arrays = [v for v in vars(b).values() if isinstance(v, np.ndarray)]
         assert sum(a.size for a in arrays) == \
             b.mask.size + n_valid * (3 + 6 + 3)
-        # float64 masks and inputs, one-byte targets
+        # one-byte code slots and targets, float64 extras and mask
+        assert b.code_rows.dtype == b.target_rows.dtype == np.uint8
+        assert b.extra_rows.dtype == np.float64
         assert sum(a.nbytes for a in arrays) == \
-            8 * (b.mask.size + n_valid * (3 + 6)) + n_valid * 3
+            8 * (b.mask.size + n_valid * 6) + n_valid * (3 + 3)
 
 
 def test_batch_rows_must_match_the_mask():
     with pytest.raises(ValueError, match="valid cells"):
-        BatchTensor(x_rows=np.zeros((2, 3)), target_rows=np.zeros((2, 3)),
-                    mask=np.ones((1, 3)), patient_ids=["a", "b", "c"])
+        BatchTensor(code_rows=np.zeros((2, 3)), extra_rows=np.zeros((2, 0)),
+                    target_rows=np.zeros((2, 3)), mask=np.ones((1, 3)),
+                    patient_ids=["a", "b", "c"])
     padded = np.arange(12.0).reshape(2, 2, 3)
     mask = np.array([[1.0, 1.0], [0.0, 1.0]])
     batch = BatchTensor.from_padded(padded, mask, padded, ["a", "b"])
-    npt.assert_array_equal(batch.x_rows, padded[[0, 0, 1], [0, 1, 1]])
+    npt.assert_array_equal(batch.input_rows(), padded[[0, 0, 1], [0, 1, 1]])
     npt.assert_array_equal(batch.x, padded * mask[:, :, None])
 
 
@@ -489,3 +494,39 @@ def test_load_patients_accepts_integer_ids_and_null_fields(tmp_path):
     assert p.patient_id == "7"
     assert [(a.timestamp, a.codes, a.adm_type, a.duration)
             for a in p.admissions] == [(1, {"a"}, None, 4), (3, set(), None, None)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(cohorts, extra_sets)
+def test_from_padded_round_trips(patients, extras):
+    vocab = CodeVocabulary(LABELS)
+    batch = build_batch(patients, vocab, extras,
+                        *feature_constants(patients, extras))
+    again = BatchTensor.from_padded(batch.x, batch.mask, batch.targets,
+                                    batch.patient_ids)
+    assert again.input_rows().tobytes() == batch.input_rows().tobytes()
+    npt.assert_array_equal(again.code_rows, batch.code_rows)
+    assert again.extra_rows.tobytes() == batch.extra_rows.tobytes()
+    assert again.target_rows.dtype == np.uint8
+    assert again.target_rows.tobytes() == batch.target_rows.tobytes()
+    npt.assert_array_equal(again.x, batch.x)
+    # the padded code slots come back as the uint8 rows build_batch wrote
+    codes = BatchTensor.from_padded(batch.pad(batch.code_rows), batch.mask,
+                                    batch.targets, batch.patient_ids)
+    assert codes.code_rows.dtype == np.uint8
+    assert codes.code_rows.tobytes() == batch.code_rows.tobytes()
+    assert codes.extra_rows.shape == (len(batch.code_rows), 0)
+
+
+def test_save_patients_that_fails_leaves_the_file_as_it_was(tmp_path):
+    path = tmp_path / "cohort.jsonl"
+    good = PatientRecord("p1", [Admission(100, {"a"}), Admission(200, {"b"})])
+    other = PatientRecord("p3", [Admission(100, {"c"}), Admission(300, {"a"})])
+    ehr_data.save_patients([good, other], path)
+    before = path.read_bytes()
+    # mixed code types cannot be sorted: the second record raises
+    bad = PatientRecord("p2", [Admission(100, {"a", 1})])
+    with pytest.raises(TypeError):
+        ehr_data.save_patients([good, bad], path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["cohort.jsonl"]

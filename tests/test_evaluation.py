@@ -186,7 +186,10 @@ def test_evaluate_model_normalises_as_serving(monkeypatch):
     monkeypatch.setattr(evaluation, "build_batch", recording_build_batch)
     evaluation.evaluate_model(model, [patient], vocab, ks=(1,))
     history = network.build_history_tensor(patient, model, vocab)
-    np.testing.assert_array_equal(encoded[0].x_rows, history.x_rows[:-1])
+    np.testing.assert_array_equal(encoded[0].code_rows,
+                                  history.code_rows[:-1])
+    np.testing.assert_array_equal(encoded[0].extra_rows,
+                                  history.extra_rows[:-1])
     np.testing.assert_array_equal(encoded[0].target_rows,
                                   history.target_rows[:-1])
 

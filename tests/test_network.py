@@ -537,12 +537,13 @@ def test_history_rows_equal_the_encoder_rows(extras, constants):
     model = small_model(n_codes=3, hidden=3, extras=extras)
     model.duration_max, model.interval_max = constants
     history = network.build_history_tensor(patient, model, vocab)
-    npt.assert_array_equal(history.x_rows,
+    npt.assert_array_equal(history.input_rows(),
                            old_history_rows(patient, model, vocab))
     npt.assert_array_equal(history.mask, np.ones((3, 1)))
     # the steps with a target are encoded as evaluation encodes them
     batch = build_batch([patient], vocab, extras, *constants)
-    npt.assert_array_equal(history.x_rows[:-1], batch.x_rows)
+    npt.assert_array_equal(history.code_rows[:-1], batch.code_rows)
+    npt.assert_array_equal(history.extra_rows[:-1], batch.extra_rows)
     npt.assert_array_equal(history.target_rows[:-1], batch.target_rows)
     assert not history.target_rows[-1].any()
 

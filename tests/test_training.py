@@ -553,8 +553,8 @@ def train_recording_batches(monkeypatch, cohort, config):
 
 
 def batch_bytes(batch):
-    return (batch.x_rows.tobytes(), batch.target_rows.tobytes(),
-            batch.mask.tobytes())
+    return (batch.code_rows.tobytes(), batch.extra_rows.tobytes(),
+            batch.target_rows.tobytes(), batch.mask.tobytes())
 
 
 def test_train_encodes_each_split_once(monkeypatch):
@@ -683,10 +683,8 @@ def test_trailing_padding_steps_leave_gradients_bit_identical(
     vocab = build_vocabulary(cohort)
     batch = build_batch(cohort, vocab, extras,
                         *feature_constants(cohort, extras))
-    longer = BatchTensor(
-        batch.x_rows, batch.target_rows,
-        np.concatenate([batch.mask, np.zeros((pad_steps, n))]),
-        batch.patient_ids)
+    longer = replace(
+        batch, mask=np.concatenate([batch.mask, np.zeros((pad_steps, n))]))
     model = network.init_model(kind, len(vocab), 5, layers=layers,
                                extras=extras, rng=SeededRng(seed))
     loss, grad = loss_and_grad(model, batch)
@@ -717,3 +715,42 @@ def test_train_with_one_byte_targets_equals_float_targets(monkeypatch):
     assert report2.train_loss == report.train_loss
     assert report2.val_loss == report.val_loss
     assert report2.recall == report.recall
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(CELL_KINDS), layers=st.integers(1, 2),
+       seed=st.integers(0, 10**6), n=st.integers(1, 5),
+       extras=st.builds(ExtraFeatures, st.booleans(), st.booleans(),
+                        st.booleans()),
+       embed=st.booleans(), noise=st.booleans())
+def test_one_byte_code_rows_give_the_bits_of_float_code_rows(
+        kind, layers, seed, n, extras, embed, noise):
+    """The network reads uint8 code slots as input_rows() casts them, so a
+    forward, backward and training pass (dropout on, input noise on or off)
+    give the bits of the same batch with float64 code slots."""
+    cohort = generate_cohort(SynthSpec(
+        n_patients=n, vocab_size=12, mean_codes_per_admission=3,
+        n_states=3, noise_rate=0.2, seed=seed))
+    vocab = build_vocabulary(cohort)
+    batch = build_batch(cohort, vocab, extras,
+                        *feature_constants(cohort, extras))
+    n_valid = int(batch.mask.sum())
+    assert batch.code_rows.dtype == np.uint8
+    assert batch.code_rows.nbytes == n_valid * len(vocab)
+    floats = replace(batch, code_rows=batch.code_rows.astype(np.float64))
+    config = TrainConfig(seed=seed, dropout_rate=0.2,
+                         input_noise_std=0.1 if noise else 0.0)
+
+    def run(b):
+        model = network.init_model(kind, len(vocab), 5, layers=layers,
+                                   extras=extras,
+                                   embed_dim=3 if embed else None,
+                                   rng=SeededRng(seed))
+        loss, grad = loss_and_grad(model, b)
+        state = AdadeltaState(model)
+        pass_loss = training._epoch_pass([b], model, config,
+                                         SeededRng(seed + 1), state)
+        return loss, grad.tobytes(), pass_loss, model.theta.tobytes()
+
+    assert run(batch) == run(floats)
+
