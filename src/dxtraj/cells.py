@@ -136,15 +136,6 @@ def _check_shapes(xw, h_prev, n_gates):
             f"{h_prev.shape[0]}")
 
 
-def _weight_grad(x, d):
-    """x.T @ d, the gradient of a weight matrix over a step's rows. With one
-    row numpy's matmul takes its own loop, not BLAS, and np.dot is three
-    times faster (47 against 157 us at hidden 271, 1 BLAS thread on a 2-vCPU
-    VM); from two rows matmul is the faster call (23 against 35 us). Both
-    give the same bits."""
-    return np.dot(x.T, d) if len(x) == 1 else x.T @ d
-
-
 def _mgru_step(xw, state, p):
     h_prev = state["h"]
     _check_shapes(xw, h_prev, 2)
@@ -166,8 +157,7 @@ def _mgru_backward(tr, d_state, p):
     d_f = d_h * (hc - h_prev) + d_fh * h_prev
     d_af = d_f * f * (1.0 - f)
     d_h_prev = d_h * (1.0 - f) + d_fh * f + d_af @ p["Uf"].T
-    grads = {"Uf": _weight_grad(h_prev, d_af),
-             "Uh": _weight_grad(f * h_prev, d_ah)}
+    grads = {"Uf": h_prev.T @ d_af, "Uh": (f * h_prev).T @ d_ah}
     return np.concatenate([d_af, d_ah], axis=1), {"h": d_h_prev}, grads
 
 
@@ -195,9 +185,8 @@ def _gru_backward(tr, d_state, p):
     d_r = d_rh * h_prev
     d_ar = d_r * r * (1.0 - r)
     d_h_prev = d_h * (1.0 - z) + d_rh * r + d_az @ p["Uz"].T + d_ar @ p["Ur"].T
-    grads = {"Uz": _weight_grad(h_prev, d_az),
-             "Ur": _weight_grad(h_prev, d_ar),
-             "Uh": _weight_grad(r * h_prev, d_ah)}
+    grads = {"Uz": h_prev.T @ d_az, "Ur": h_prev.T @ d_ar,
+             "Uh": (r * h_prev).T @ d_ah}
     return np.concatenate([d_az, d_ar, d_ah], axis=1), {"h": d_h_prev}, grads
 
 
@@ -218,8 +207,8 @@ def _lstm_gates_backward(tr, d_i, d_f, d_o, d_g, p):
     d_ao = d_o * o * (1.0 - o)
     d_ag = d_g * (1.0 - g * g)
     d_rec = d_ai @ p["Ui"].T + d_af @ p["Uf"].T + d_ao @ p["Uo"].T + d_ag @ p["Ug"].T
-    grads = {"Ui": _weight_grad(rec, d_ai), "Uf": _weight_grad(rec, d_af),
-             "Uo": _weight_grad(rec, d_ao), "Ug": _weight_grad(rec, d_ag)}
+    grads = {"Ui": rec.T @ d_ai, "Uf": rec.T @ d_af,
+             "Uo": rec.T @ d_ao, "Ug": rec.T @ d_ag}
     return np.concatenate([d_ai, d_af, d_ao, d_ag], axis=1), d_rec, grads
 
 
@@ -274,7 +263,7 @@ def _lstm_google_backward(tr, d_state, p):
     d_g = d_c * i
     d_c_prev = d_c * f
     d_pre, d_rec, grads = _lstm_gates_backward(tr, d_i, d_f, d_o, d_g, p)
-    grads["Wproj"] = _weight_grad(m, d_r)
+    grads["Wproj"] = m.T @ d_r
     return d_pre, {"h": d_rec, "c": d_c_prev}, grads
 
 
@@ -289,8 +278,7 @@ def _jordan_step(xw, state, p):
 
 def _jordan_backward(tr, d_state, p):
     d_a = d_state["h"] * (1.0 - tr["h"] * tr["h"])
-    return (d_a, {"h": d_a @ p["U"].T},
-            {"U": _weight_grad(tr["s_prev"], d_a)})
+    return d_a, {"h": d_a @ p["U"].T}, {"U": tr["s_prev"].T @ d_a}
 
 
 def _feedforward_step(xw, state, p):

@@ -48,16 +48,8 @@ def log(msg):
         print(msg, file=sys.stderr)
 
 
-def check_outputs(*paths) -> None:
-    """Fail before the work on an output that cannot be written; None
-    stands for an output not asked for."""
-    for path in paths:
-        if path is not None:
-            check_writable(path)
-
-
 def cmd_prepare(args) -> int:
-    check_outputs(args.output, args.report)
+    check_writable(args.output, args.report)
     ccs = ehr_data.load_ccs_map(args.ccs)
     raw = ehr_data.load_patients(args.input)
     report = ehr_data.FilterReport()
@@ -73,7 +65,7 @@ def cmd_prepare(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    check_outputs(args.output, args.ccs_out)
+    check_writable(args.output, args.ccs_out)
     spec = synth.SynthSpec(
         n_patients=args.patients, vocab_size=args.vocab_size,
         n_states=args.states, noise_rate=args.noise_rate, seed=args.seed)
@@ -116,7 +108,7 @@ def _load_config(args):
 
 
 def cmd_train(args) -> int:
-    check_outputs(args.model, args.report)
+    check_writable(args.model, args.report)
     cohort = ehr_data.load_patients(args.cohort)
     model, report = train(cohort, _load_config(args))
     save_checkpoint(model, args.model)
@@ -190,7 +182,7 @@ def cmd_gradcheck(args) -> int:
 def cmd_compare(args) -> int:
     if args.seeds < 1:
         raise ValueError(f"--seeds must be at least 1, got {args.seeds}")
-    check_outputs(args.output + ".csv", args.output + ".json")
+    check_writable(args.output + ".csv", args.output + ".json")
     cohort = ehr_data.load_patients(args.cohort)
     with open(args.grid) as fh:
         grid_spec = json.load(fh)

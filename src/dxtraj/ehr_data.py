@@ -110,8 +110,8 @@ class BatchTensor:
     writes the code slots and the targets as uint8, one byte per slot:
     their values are exactly 0 and 1, and uint8 times float64 promotes
     exactly, so the loss, its gradient and recall read the targets as they
-    are. The network reads its inputs as input_rows(), the one place that
-    lays out the float64 rows [codes | extras]."""
+    are. input_rows() is the one place that lays out the float64 rows
+    [codes | extras]; an embedding reads code_rows and extra_rows apart."""
     code_rows: np.ndarray    # (n_valid, |D|), uint8 from build_batch
     extra_rows: np.ndarray   # (n_valid, extras), float64
     target_rows: np.ndarray  # (n_valid, |D|), uint8 from build_batch
@@ -138,12 +138,15 @@ class BatchTensor:
         return cls(x[..., :d][valid], x[..., d:][valid], targets[valid],
                    mask, patient_ids)
 
-    def input_rows(self) -> np.ndarray:
+    def input_rows(self, code_noise=None) -> np.ndarray:
         """The layer-0 input rows (n_valid, |D| + extras) as float64: the
-        code slots, then the extras. Built on each call."""
+        code slots, plus code_noise (n_valid, |D|) when given, then the
+        extras. Built on each call."""
         n, d = self.code_rows.shape
         rows = np.empty((n, d + self.extra_rows.shape[1]))
         rows[:, :d] = self.code_rows
+        if code_noise is not None:
+            rows[:, :d] += code_noise
         rows[:, d:] = self.extra_rows
         return rows
 

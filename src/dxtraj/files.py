@@ -9,22 +9,26 @@ import os
 import tempfile
 
 
-def check_writable(path) -> None:
-    """Raise OSError naming path unless its directory exists, is a
-    directory and is writable, and path itself is not a directory."""
-    path = os.fspath(path)
-    directory = os.path.dirname(path) or "."
-    if not os.path.exists(directory):
-        code = errno.ENOENT
-    elif not os.path.isdir(directory):
-        code = errno.ENOTDIR
-    elif not os.access(directory, os.W_OK | os.X_OK):
-        code = errno.EACCES
-    elif os.path.isdir(path):
-        code = errno.EISDIR
-    else:
-        return
-    raise OSError(code, os.strerror(code), path)
+def check_writable(*paths) -> None:
+    """Raise OSError naming the first path whose directory does not exist,
+    is not a directory or is not writable, or that is itself a directory.
+    None stands for an output not asked for and is skipped."""
+    for path in paths:
+        if path is None:
+            continue
+        path = os.fspath(path)
+        directory = os.path.dirname(path) or "."
+        if not os.path.exists(directory):
+            code = errno.ENOENT
+        elif not os.path.isdir(directory):
+            code = errno.ENOTDIR
+        elif not os.access(directory, os.W_OK | os.X_OK):
+            code = errno.EACCES
+        elif os.path.isdir(path):
+            code = errno.EISDIR
+        else:
+            continue
+        raise OSError(code, os.strerror(code), path)
 
 
 def atomic_write_bytes(path, blob: bytes) -> None:

@@ -277,13 +277,17 @@ def _pack(valid):
     return n_pat, steps
 
 
-def _embed(model, x_rows):
-    """Layer-0 input rows from BatchTensor.input_rows(): the code slots
-    replaced by their embedding when the model has one, extras kept."""
+def _embed(model, batch, code_noise=None):
+    """The float64 layer-0 input rows of a batch and the code operand of
+    the embedding, its E gradient reads it: (batch.input_rows(code_noise),
+    None) without an embedding; with one, the code slots (plus code_noise)
+    replaced by their product with E, extras kept."""
     if model.E is None:
-        return x_rows
-    d = model.n_codes
-    return np.concatenate([x_rows[:, :d] @ model.E, x_rows[:, d:]], axis=1)
+        return batch.input_rows(code_noise), None
+    codes = (batch.code_rows if code_noise is None
+             else code_noise + batch.code_rows)
+    return (np.concatenate([codes @ model.E, batch.extra_rows], axis=1),
+            codes)
 
 
 def _scan_direction(inp, layout, layer_params, cell_kind, hidden):
@@ -353,12 +357,15 @@ def _head(jf, jb, model, dropout=None):
     return jf, hj, out_pre, yhat
 
 
-def forward(batch: BatchTensor, model: ModelParams, dropout_mask=None) -> dict:
+def forward(batch: BatchTensor, model: ModelParams, dropout_mask=None,
+            code_noise=None) -> dict:
     """Full forward pass over the valid cells of a batch; the returned trace
     holds every intermediate needed by backward(). trace["yhat_rows"] holds
     the predictions of the valid cells, packed like the batch's rows.
     dropout_mask, when given, is (T, P, hidden) and multiplies the
-    joint-layer output (inverted-dropout convention, already scaled)."""
+    joint-layer output (inverted-dropout convention, already scaled).
+    code_noise, when given, is (n_valid, |D|) and is added to the code
+    slots (input noise)."""
     mask = batch.mask
     d, width = model.n_codes, model.extras.width
     if (batch.code_rows.shape[1], batch.extra_rows.shape[1]) != (d, width):
@@ -366,8 +373,6 @@ def forward(batch: BatchTensor, model: ModelParams, dropout_mask=None) -> dict:
             f"batch feature width {batch.code_rows.shape[1]} codes + "
             f"{batch.extra_rows.shape[1]} extras does not match model "
             f"({d} codes + {width} extras)")
-    # the float64 input rows, built once per call; backward() reads them
-    input_rows = batch.input_rows()
 
     valid = mask != 0
     n_valid = int(valid.sum())
@@ -378,7 +383,7 @@ def forward(batch: BatchTensor, model: ModelParams, dropout_mask=None) -> dict:
     rev = pos[::-1][valid[::-1]]
     layout_f, layout_b = _pack(valid), _pack(valid[::-1])
 
-    inp = _embed(model, input_rows)
+    inp, codes = _embed(model, batch, code_noise)
     inp_rev = inp[rev]
     kind, hidden = model.cell_kind, model.hidden
 
@@ -403,7 +408,7 @@ def forward(batch: BatchTensor, model: ModelParams, dropout_mask=None) -> dict:
     j_pre, hj, out_pre, yhat_rows = _head(jf, jb, model, dropout)
 
     return {
-        "valid": valid, "rev": rev, "input_rows": input_rows,
+        "valid": valid, "rev": rev, "codes": codes,
         "layout_f": layout_f, "layout_b": layout_b,
         "inputs_f": in_f, "inputs_b": in_b, "traces_f": tr_f, "traces_b": tr_b,
         "hf": hf, "hb": hb, "j_pre": j_pre, "hj": hj, "out_pre": out_pre,
@@ -535,7 +540,10 @@ def backward(trace: dict, batch: BatchTensor, model: ModelParams,
     if embedded:
         d_inp[trace["rev"]] += d_inp_rev
         e = model.embed_dim
-        grads["E"] += trace["input_rows"][:, :model.n_codes].T @ d_inp[:, :e]
+        # cast keeping the transposed layout, so BLAS takes the product
+        # as it takes it for float64 code slots
+        codes_t = trace["codes"].T.astype(np.float64, copy=False)
+        grads["E"] += codes_t @ d_inp[:, :e]
 
     return grads
 
@@ -571,7 +579,7 @@ def predict_topk(model: ModelParams, history: PatientRecord,
     if not (1 <= k <= len(vocab)):
         raise ValueError(f"k={k} out of range [1, {len(vocab)}]")
     batch = build_history_tensor(history, model, vocab)
-    inp = _embed(model, batch.input_rows())
+    inp, _ = _embed(model, batch)
     # one patient, active at every step
     steps = [(t, t + 1, None) for t in range(len(inp))]
     hf = _scan_direction(inp, (1, steps), model.fwd, model.cell_kind,

@@ -17,7 +17,7 @@ whole array: a reduction split between threads would add in another order.
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -285,18 +285,17 @@ def _epoch_pass(batches, model, config, rng, update_state=None):
         # the noise and dropout draws cover the whole (T, P, ·) grid, padded
         # cells included, so the seeded stream, and with it the trained
         # weights, do not depend on how the cells are stored
-        dropout_mask = None
+        dropout_mask = code_noise = None
         if update_state is not None and config.input_noise_std > 0:
             noise = rng.normal(config.input_noise_std,
                                batch.mask.shape + (model.n_codes,))
-            noisy = batch.code_rows.astype(np.float64)
-            noisy += noise[batch.mask != 0]
-            batch = replace(batch, code_rows=noisy)
+            code_noise = noise[batch.mask != 0]
         if update_state is not None and config.dropout_rate > 0:
             keep = 1.0 - config.dropout_rate
             dropout_mask = (rng.uniform(batch.mask.shape + (model.hidden,))
                             < keep) / keep
-        trace = network.forward(batch, model, dropout_mask=dropout_mask)
+        trace = network.forward(batch, model, dropout_mask=dropout_mask,
+                                code_noise=code_noise)
         loss = cross_entropy_loss(batch.target_rows, trace["yhat_rows"])
         if not np.isfinite(loss):
             raise TrainingDivergedError("non-finite training loss")

@@ -238,32 +238,3 @@ def test_step_trace_keeps_no_recomputable_product(kind, keys):
     xw = cells.project_inputs(kind, rng.normal(1.0, (2, 3)), p)
     _, trace = cells.step(kind, xw, {"h": rng.normal(1.0, (2, 4))}, p)
     assert set(trace) == keys
-
-
-@pytest.mark.parametrize("rows", [1, 2, 3])
-@pytest.mark.parametrize("hid", [4, 271])
-def test_weight_grad_equals_the_matmul_formula(rows, hid):
-    rng = SeededRng(rows)
-    x, d = rng.normal(1.0, (rows, hid)), rng.normal(1.0, (rows, hid))
-    assert cells._weight_grad(x, d).tobytes() == (x.T @ d).tobytes()
-
-
-@pytest.mark.parametrize("kind", CELL_KINDS)
-@pytest.mark.parametrize("rows", [1, 2, 3])
-def test_step_backward_weight_grads_equal_the_matmul_formula(
-        kind, rows, monkeypatch):
-    """Every per-step U<g> and Wproj gradient has the bits of x.T @ d."""
-    rng = SeededRng(10 + rows)
-    p = cells.init_params(kind, 5, 6, rng)
-    for v in p.values():
-        v += rng.normal(0.4, v.shape)
-    xw = cells.project_inputs(kind, rng.normal(1.0, (rows, 5)), p)
-    state = {k: rng.normal(1.0, v.shape)
-             for k, v in cells.init_state(kind, rows, 6).items()}
-    _, trace = cells.step(kind, xw, state, p)
-    d_state = {k: rng.normal(1.0, v.shape) for k, v in state.items()}
-    _, _, grads = cells.step_backward(kind, trace, d_state, p)
-    monkeypatch.setattr(cells, "_weight_grad", lambda x, d: x.T @ d)
-    _, _, plain = cells.step_backward(kind, trace, d_state, p)
-    assert grads.keys() == plain.keys()
-    assert all(grads[k].tobytes() == plain[k].tobytes() for k in grads)

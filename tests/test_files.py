@@ -29,3 +29,11 @@ def test_check_writable_names_the_path_it_rejects(tmp_path, path, code):
     assert info.value.errno == code
     assert info.value.filename == str(tmp_path / path)
 
+
+
+def test_check_writable_skips_none_and_names_the_first_bad_path(tmp_path):
+    check_writable(None, tmp_path / "a.txt", None)
+    bad, worse = tmp_path / "missing" / "b.txt", tmp_path / "gone" / "c.txt"
+    with pytest.raises(OSError) as info:
+        check_writable(tmp_path / "a.txt", None, bad, worse)
+    assert info.value.filename == str(bad)

@@ -725,9 +725,10 @@ def test_train_with_one_byte_targets_equals_float_targets(monkeypatch):
        embed=st.booleans(), noise=st.booleans())
 def test_one_byte_code_rows_give_the_bits_of_float_code_rows(
         kind, layers, seed, n, extras, embed, noise):
-    """The network reads uint8 code slots as input_rows() casts them, so a
-    forward, backward and training pass (dropout on, input noise on or off)
-    give the bits of the same batch with float64 code slots."""
+    """The network reads uint8 code slots as float64 (through input_rows()
+    or the embedding product), so a forward, backward and training pass
+    (dropout on, input noise on or off) give the bits of the same batch
+    with float64 code slots."""
     cohort = generate_cohort(SynthSpec(
         n_patients=n, vocab_size=12, mean_codes_per_admission=3,
         n_states=3, noise_rate=0.2, seed=seed))
