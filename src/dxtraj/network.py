@@ -278,10 +278,11 @@ def _pack(valid):
 
 
 def _embed(model, batch, code_noise=None):
-    """The float64 layer-0 input rows of a batch and the code operand of
-    the embedding, its E gradient reads it: (batch.input_rows(code_noise),
-    None) without an embedding; with one, the code slots (plus code_noise)
-    replaced by their product with E, extras kept."""
+    """(inp, codes): the float64 layer-0 input rows of a batch, and the
+    code rows that E multiplies, which the E gradient reads. Without an
+    embedding inp is batch.input_rows(code_noise) and codes is None; with
+    one, the code slots plus code_noise are replaced by their product with
+    E and the extras kept."""
     if model.E is None:
         return batch.input_rows(code_noise), None
     codes = (batch.code_rows if code_noise is None
