@@ -35,7 +35,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .numerics import SeededRng, init_gaussian, init_identity, sigmoid, tanh_act
+from .numerics import SeededRng, init_gaussian, sigmoid
 
 CELL_KINDS = ("mgru", "gru", "lstm", "lstm_google", "jordan", "feedforward")
 
@@ -52,10 +52,10 @@ def init_params(kind: str, in_size: int, hid: int, rng: SeededRng) -> dict:
     for g in cell.gates:
         p["W" + g] = init_gaussian(in_size, hid, rng)
         if cell.recurrent:
-            p["U" + g] = init_identity(hid)
+            p["U" + g] = np.eye(hid)
         p["b" + g] = np.zeros(hid)
     if cell.proj:
-        p["Wproj"] = init_identity(hid)
+        p["Wproj"] = np.eye(hid)
     return p
 
 
@@ -141,7 +141,7 @@ def _mgru_step(xw, state, p):
     _check_shapes(xw, h_prev, 2)
     hid = h_prev.shape[1]
     f = sigmoid(xw[:, :hid] + h_prev @ p["Uf"])
-    hc = tanh_act(xw[:, hid:] + (f * h_prev) @ p["Uh"])
+    hc = np.tanh(xw[:, hid:] + (f * h_prev) @ p["Uh"])
     h = (1.0 - f) * h_prev + f * hc
     # f * h_prev is recomputed by the backward step, with the same bits
     trace = {"h_prev": h_prev, "f": f, "hc": hc}
@@ -167,7 +167,7 @@ def _gru_step(xw, state, p):
     hid = h_prev.shape[1]
     z = sigmoid(xw[:, :hid] + h_prev @ p["Uz"])
     r = sigmoid(xw[:, hid:2 * hid] + h_prev @ p["Ur"])
-    hc = tanh_act(xw[:, 2 * hid:] + (r * h_prev) @ p["Uh"])
+    hc = np.tanh(xw[:, 2 * hid:] + (r * h_prev) @ p["Uh"])
     h = (1.0 - z) * h_prev + z * hc
     # r * h_prev is recomputed by the backward step, with the same bits
     trace = {"h_prev": h_prev, "z": z, "r": r, "hc": hc}
@@ -190,81 +190,46 @@ def _gru_backward(tr, d_state, p):
     return np.concatenate([d_az, d_ar, d_ah], axis=1), {"h": d_h_prev}, grads
 
 
-def _lstm_gates(xw, rec, p):
-    hid = rec.shape[1]
-    i = sigmoid(xw[:, :hid] + rec @ p["Ui"])
-    f = sigmoid(xw[:, hid:2 * hid] + rec @ p["Uf"])
-    o = sigmoid(xw[:, 2 * hid:3 * hid] + rec @ p["Uo"])
-    g = tanh_act(xw[:, 3 * hid:] + rec @ p["Ug"])
-    return i, f, o, g
-
-
-def _lstm_gates_backward(tr, d_i, d_f, d_o, d_g, p):
-    rec = tr["rec"]
-    i, f, o, g = tr["i"], tr["f"], tr["o"], tr["g"]
-    d_ai = d_i * i * (1.0 - i)
-    d_af = d_f * f * (1.0 - f)
-    d_ao = d_o * o * (1.0 - o)
-    d_ag = d_g * (1.0 - g * g)
-    d_rec = d_ai @ p["Ui"].T + d_af @ p["Uf"].T + d_ao @ p["Uo"].T + d_ag @ p["Ug"].T
-    grads = {"Ui": rec.T @ d_ai, "Uf": rec.T @ d_af,
-             "Uo": rec.T @ d_ao, "Ug": rec.T @ d_ag}
-    return np.concatenate([d_ai, d_af, d_ao, d_ag], axis=1), d_rec, grads
-
-
 def _lstm_step(xw, state, p):
+    """LSTM step. With a recurrent projection Wproj (lstm_google, Sak et al.
+    2014) the exposed state is h = m @ Wproj, m = o * tanh(c) being the
+    plain LSTM's output, and it is h that drives the gates."""
     h_prev, c_prev = state["h"], state["c"]
     _check_shapes(xw, h_prev, 4)
-    i, f, o, g = _lstm_gates(xw, h_prev, p)
+    hid = h_prev.shape[1]
+    i = sigmoid(xw[:, :hid] + h_prev @ p["Ui"])
+    f = sigmoid(xw[:, hid:2 * hid] + h_prev @ p["Uf"])
+    o = sigmoid(xw[:, 2 * hid:3 * hid] + h_prev @ p["Uo"])
+    g = np.tanh(xw[:, 3 * hid:] + h_prev @ p["Ug"])
     c = f * c_prev + i * g
-    tc = tanh_act(c)
+    tc = np.tanh(c)
     h = o * tc
-    trace = {"rec": h_prev, "c_prev": c_prev,
+    trace = {"h_prev": h_prev, "c_prev": c_prev,
              "i": i, "f": f, "o": o, "g": g, "tc": tc}
+    if "Wproj" in p:
+        trace["m"] = h
+        h = h @ p["Wproj"]
     return {"h": h, "c": c}, trace
 
 
 def _lstm_backward(tr, d_state, p):
-    i, f, o, g, tc = tr["i"], tr["f"], tr["o"], tr["g"], tr["tc"]
+    h_prev, i, f, o, g, tc = (tr["h_prev"], tr["i"], tr["f"], tr["o"],
+                              tr["g"], tr["tc"])
     d_h = d_state["h"]
-    d_o = d_h * tc
-    d_c = d_state["c"] + d_h * o * (1.0 - tc * tc)
-    d_f = d_c * tr["c_prev"]
-    d_i = d_c * g
-    d_g = d_c * i
-    d_c_prev = d_c * f
-    d_pre, d_rec, grads = _lstm_gates_backward(tr, d_i, d_f, d_o, d_g, p)
-    return d_pre, {"h": d_rec, "c": d_c_prev}, grads
-
-
-def _lstm_google_step(xw, state, p):
-    """LSTM variant with a recurrent projection: the exposed state is the
-    projected output r = (o * tanh(c)) @ Wproj, which also drives the gates."""
-    r_prev, c_prev = state["h"], state["c"]
-    _check_shapes(xw, r_prev, 4)
-    i, f, o, g = _lstm_gates(xw, r_prev, p)
-    c = f * c_prev + i * g
-    tc = tanh_act(c)
-    m = o * tc
-    r = m @ p["Wproj"]
-    trace = {"rec": r_prev, "c_prev": c_prev,
-             "i": i, "f": f, "o": o, "g": g, "tc": tc, "m": m}
-    return {"h": r, "c": c}, trace
-
-
-def _lstm_google_backward(tr, d_state, p):
-    i, f, o, g, tc, m = tr["i"], tr["f"], tr["o"], tr["g"], tr["tc"], tr["m"]
-    d_r = d_state["h"]
-    d_m = d_r @ p["Wproj"].T
-    d_o = d_m * tc
+    d_m = d_h @ p["Wproj"].T if "m" in tr else d_h
     d_c = d_state["c"] + d_m * o * (1.0 - tc * tc)
-    d_f = d_c * tr["c_prev"]
-    d_i = d_c * g
-    d_g = d_c * i
-    d_c_prev = d_c * f
-    d_pre, d_rec, grads = _lstm_gates_backward(tr, d_i, d_f, d_o, d_g, p)
-    grads["Wproj"] = m.T @ d_r
-    return d_pre, {"h": d_rec, "c": d_c_prev}, grads
+    d_ai = d_c * g * i * (1.0 - i)
+    d_af = d_c * tr["c_prev"] * f * (1.0 - f)
+    d_ao = d_m * tc * o * (1.0 - o)
+    d_ag = d_c * i * (1.0 - g * g)
+    d_h_prev = (d_ai @ p["Ui"].T + d_af @ p["Uf"].T + d_ao @ p["Uo"].T
+                + d_ag @ p["Ug"].T)
+    grads = {"Ui": h_prev.T @ d_ai, "Uf": h_prev.T @ d_af,
+             "Uo": h_prev.T @ d_ao, "Ug": h_prev.T @ d_ag}
+    if "m" in tr:
+        grads["Wproj"] = tr["m"].T @ d_h
+    return (np.concatenate([d_ai, d_af, d_ao, d_ag], axis=1),
+            {"h": d_h_prev, "c": d_c * f}, grads)
 
 
 def _jordan_step(xw, state, p):
@@ -272,7 +237,7 @@ def _jordan_step(xw, state, p):
     previous output activation."""
     s_prev = state["h"]
     _check_shapes(xw, s_prev, 1)
-    h = tanh_act(xw + s_prev @ p["U"])
+    h = np.tanh(xw + s_prev @ p["U"])
     return {"h": h}, {"s_prev": s_prev, "h": h}
 
 
@@ -283,7 +248,7 @@ def _jordan_backward(tr, d_state, p):
 
 def _feedforward_step(xw, state, p):
     _check_shapes(xw, state["h"], 1)
-    h = tanh_act(xw)
+    h = np.tanh(xw)
     return {"h": h}, {"h": h}
 
 
@@ -306,8 +271,8 @@ _CELLS = {
     "gru": _Cell(("z", "r", "h"), _gru_step, _gru_backward),
     "lstm": _Cell(("i", "f", "o", "g"), _lstm_step, _lstm_backward,
                   state=("h", "c")),
-    "lstm_google": _Cell(("i", "f", "o", "g"), _lstm_google_step,
-                         _lstm_google_backward, state=("h", "c"), proj=True),
+    "lstm_google": _Cell(("i", "f", "o", "g"), _lstm_step, _lstm_backward,
+                         state=("h", "c"), proj=True),
     "jordan": _Cell(("",), _jordan_step, _jordan_backward),
     "feedforward": _Cell(("",), _feedforward_step, _feedforward_backward,
                          recurrent=False),

@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import math
 import os
+from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -28,7 +29,7 @@ HEADER_FIELDS = ("version", "cell_kind", "n_codes", "hidden", "layers",
                  "extras", "embed_dim", "duration_max", "interval_max",
                  "vocab_labels", "arrays")
 
-_FLAGS = sorted(ExtraFeatures().to_dict())
+_FLAGS = sorted(f.name for f in fields(ExtraFeatures))
 
 
 def _count(low):
@@ -74,7 +75,7 @@ def save_checkpoint(model: ModelParams, path) -> None:
         "n_codes": model.n_codes,
         "hidden": model.hidden,
         "layers": model.layers,
-        "extras": model.extras.to_dict(),
+        "extras": asdict(model.extras),
         "embed_dim": model.embed_dim,
         "duration_max": model.duration_max,
         "interval_max": model.interval_max,

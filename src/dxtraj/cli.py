@@ -17,6 +17,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 
 # One BLAS thread unless the caller chose otherwise: training runs its own
 # second thread (network.run_pair), BLAS threads beside it slow it down, and
@@ -58,7 +59,7 @@ def cmd_prepare(args) -> int:
     filt.unknown_icd_codes = report.unknown_icd_codes
     ehr_data.save_patients(cohort, args.output)
     if args.report:
-        atomic_write_text(args.report, json.dumps(filt.to_dict(), indent=2) + "\n")
+        atomic_write_text(args.report, json.dumps(asdict(filt), indent=2) + "\n")
     log(f"prepared {len(cohort)} patients "
         f"({filt.patients_too_few_admissions} removed)")
     return EXIT_OK
@@ -114,7 +115,7 @@ def cmd_train(args) -> int:
     save_checkpoint(model, args.model)
     if args.report:
         atomic_write_text(args.report,
-                          json.dumps(report.to_dict(), indent=2) + "\n")
+                          json.dumps(asdict(report), indent=2) + "\n")
     log(f"trained {report.iterations} epochs "
         f"(best {report.best_epoch}), recall {report.recall}")
     return EXIT_OK

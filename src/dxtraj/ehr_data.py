@@ -14,7 +14,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -69,9 +69,6 @@ class FilterReport:
     patients_too_few_admissions: int = 0
     unknown_icd_codes: int = 0
 
-    def to_dict(self) -> dict:
-        return dict(self.__dict__)
-
 
 @dataclass
 class ExtraFeatures:
@@ -84,13 +81,9 @@ class ExtraFeatures:
     def width(self) -> int:
         return (4 if self.adm_type else 0) + int(self.duration) + int(self.interval)
 
-    def to_dict(self) -> dict:
-        return {"adm_type": self.adm_type, "duration": self.duration,
-                "interval": self.interval}
-
     @classmethod
     def from_dict(cls, d: dict) -> "ExtraFeatures":
-        flags = cls().to_dict()
+        flags = [f.name for f in fields(cls)]
         if any(k not in flags or type(v) is not bool for k, v in d.items()):
             raise ValueError(f"extra features must be booleans of "
                              f"{', '.join(flags)}, got {d!r}")
@@ -167,14 +160,6 @@ class BatchTensor:
     def targets(self) -> np.ndarray:
         """The targets padded to (T, P, |D|), built on each call."""
         return self.pad(self.target_rows)
-
-    @property
-    def n_steps(self) -> int:
-        return self.mask.shape[0]
-
-    @property
-    def n_patients(self) -> int:
-        return self.mask.shape[1]
 
 
 # ---------------------------------------------------------------------------

@@ -118,10 +118,11 @@ def run_comparison(cohort, grid_spec: list, seeds, ks=(10, 20, 30)) -> list:
     """Train/evaluate every grid configuration on every seed and average.
 
     grid_spec rows are dicts of TrainConfig overrides, plus optional keys
-    "label" and "random_baseline": true for the untrained-scores row. A
+    "label" and "random_baseline": true for the untrained-scores row, which
+    scores the held-out patients of train() under the same config. A
     failing configuration yields a marked row instead of aborting the grid.
     """
-    from .training import TrainConfig, train
+    from .training import TrainConfig, split_patients, train
     from .ehr_data import build_vocabulary
 
     rows = []
@@ -136,15 +137,15 @@ def run_comparison(cohort, grid_spec: list, seeds, ks=(10, 20, 30)) -> list:
             iters = []
             for seed in seeds:
                 t0 = time.perf_counter()
+                config = TrainConfig.from_dict({**spec, "seed": int(seed)})
                 if is_random:
-                    vocab = build_vocabulary(cohort)
-                    rng = SeededRng(int(seed))
-                    _, test = _seed_split(cohort, spec, int(seed))
-                    res = random_baseline(test, vocab, rng, ks=ks)
+                    _, test = split_patients(cohort, config.split_fraction,
+                                             SeededRng(config.seed))
+                    res = random_baseline(test, build_vocabulary(cohort),
+                                          SeededRng(config.seed), ks=ks)
                     means = {k: r.mean for k, r in res.items()}
                     iters.append(1)
                 else:
-                    config = TrainConfig.from_dict({**spec, "seed": int(seed)})
                     model, report = train(cohort, config)
                     means = {k: report.recall[k] for k in ks
                              if k in report.recall}
@@ -162,12 +163,6 @@ def run_comparison(cohort, grid_spec: list, seeds, ks=(10, 20, 30)) -> list:
             row.error = f"{type(exc).__name__}: {exc}"
         rows.append(row)
     return rows
-
-
-def _seed_split(cohort, spec, seed):
-    from .training import split_patients
-    fraction = spec.get("split_fraction", 0.9)
-    return split_patients(cohort, fraction, SeededRng(seed))
 
 
 def grid_to_csv(rows) -> str:

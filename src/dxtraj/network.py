@@ -60,7 +60,7 @@ import numpy as np
 from . import cells
 from .ehr_data import (BatchTensor, CodeVocabulary, ExtraFeatures,
                        PatientRecord, build_batch)
-from .numerics import SeededRng, init_gaussian, init_identity, lrelu, softmax_rows
+from .numerics import SeededRng, init_gaussian, lrelu, softmax_rows
 
 LOSS_EPS = 1e-8
 
@@ -165,7 +165,7 @@ def init_model(cell_kind: str, n_codes: int, hidden: int, layers: int = 1,
     return ModelParams(
         cell_kind=cell_kind, n_codes=n_codes, hidden=hidden, layers=layers,
         extras=extras, fwd=fwd, bwd=bwd,
-        Vfwd=init_identity(hidden), Vbwd=init_identity(hidden),
+        Vfwd=np.eye(hidden), Vbwd=np.eye(hidden),
         b_joint=np.zeros(hidden), alpha_j=np.array(0.01),
         Wout=init_gaussian(hidden, n_codes, rng), b_out=np.zeros(n_codes),
         alpha_o=np.array(0.01), E=E,

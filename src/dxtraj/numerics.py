@@ -56,10 +56,6 @@ def sigmoid(x):
     return out
 
 
-def tanh_act(x):
-    return np.tanh(np.asarray(x, dtype=np.float64))
-
-
 def lrelu(x, slope: float, out=None):
     """Leaky ReLU: x for x >= 0, slope * x otherwise; written into out, which
     must not overlap x, when given."""
@@ -88,10 +84,6 @@ def init_gaussian(rows: int, cols: int, rng: SeededRng | None) -> np.ndarray:
         return np.zeros((rows, cols))
     std = np.sqrt(2.0 / (rows + cols))
     return rng.normal(std, (rows, cols))
-
-
-def init_identity(n: int) -> np.ndarray:
-    return np.eye(n, dtype=np.float64)
 
 
 def finite_diff_grad(f, theta: np.ndarray, eps: float = 1e-5) -> np.ndarray:

@@ -17,7 +17,7 @@ whole array: a reduction split between threads would add in another order.
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -59,28 +59,23 @@ class TrainConfig:
     batch_size: int | None = None  # None -> whole split as one batch
 
     def __post_init__(self):
-        if not (0.0 < self.split_fraction < 1.0):
-            raise ValueError("split_fraction must be in (0, 1)")
-        if self.patience_epochs < 1:
-            raise ValueError("patience_epochs must be >= 1")
-        if self.clip_norm <= 0:
-            raise ValueError("clip_norm must be positive")
-        for name in ("max_epochs", "layers", "hidden_size", "embedding_dim",
-                     "batch_size"):
+        for name in ("patience_epochs", "max_epochs", "layers", "hidden_size",
+                     "embedding_dim", "batch_size"):
             value = getattr(self, name)
             if value is not None and value < 1:
                 raise ValueError(f"{name} must be >= 1, got {value}")
-        if not 0.0 <= self.dropout_rate < 1.0:
-            raise ValueError(f"dropout_rate must be in [0, 1), "
-                             f"got {self.dropout_rate}")
-        if self.input_noise_std < 0:
-            raise ValueError(f"input_noise_std must be >= 0, "
-                             f"got {self.input_noise_std}")
-
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        d["extra_features"] = self.extra_features.to_dict()
-        return d
+        # each check is written so that nan fails it
+        for name, ok, rule in (
+                ("split_fraction", 0 < self.split_fraction < 1, "in (0, 1)"),
+                ("clip_norm", self.clip_norm > 0, "> 0"),
+                ("adadelta_eps", self.adadelta_eps > 0, "> 0"),
+                ("l2_coeff", self.l2_coeff >= 0, ">= 0"),
+                ("input_noise_std", self.input_noise_std >= 0, ">= 0"),
+                ("dropout_rate", 0 <= self.dropout_rate < 1, "in [0, 1)"),
+                ("adadelta_rho", 0 <= self.adadelta_rho < 1, "in [0, 1)")):
+            if not ok:
+                raise ValueError(
+                    f"{name} must be {rule}, got {getattr(self, name)}")
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
@@ -111,16 +106,6 @@ class TrainReport:
     best_epoch: int = 0
     recall: dict = field(default_factory=dict)        # k -> mean recall (test)
     wall_time_s: float = 0.0
-
-    def to_dict(self) -> dict:
-        return {
-            "train_loss": self.train_loss,
-            "val_loss": self.val_loss,
-            "iterations": self.iterations,
-            "best_epoch": self.best_epoch,
-            "recall": self.recall,
-            "wall_time_s": self.wall_time_s,
-        }
 
 
 def cross_entropy_loss(targets, yhat) -> float:

@@ -3,6 +3,7 @@ its fixed tolerance and prints a pass/fail line (visible with pytest -s or in
 captured output)."""
 
 import time
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -169,7 +170,7 @@ def test_10_determinism_byte_identical(tmp_path):
         p = tmp_path / f"{name}.ckpt"
         save_checkpoint(model, p)
         paths.append(p)
-        d = rep.to_dict()
+        d = asdict(rep)
         d.pop("wall_time_s")  # wall time is the one nondeterministic field
         reports.append(d)
     report("same seed, byte-identical checkpoints and reports",

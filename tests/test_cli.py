@@ -269,6 +269,11 @@ def test_predict_unknown_code_exit_4(tmp_path, capsys):
     (["--hidden-size", "0"], "hidden_size"),
     ({"layers": 0}, "layers"),
     ({"dropout_rate": 1.0}, "dropout_rate"),
+    ({"adadelta_rho": 1.0}, "adadelta_rho"),
+    ({"adadelta_rho": 1.5}, "adadelta_rho"),
+    ({"adadelta_eps": 0}, "adadelta_eps"),
+    ({"adadelta_eps": -1}, "adadelta_eps"),
+    ({"l2_coeff": -5}, "l2_coeff"),
 ])
 def test_train_out_of_range_config_exit_2(tmp_path, capsys, argv, field):
     cohort, _ = synth_cohort(tmp_path, capsys)

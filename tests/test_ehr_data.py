@@ -1,4 +1,5 @@
 import json
+from dataclasses import asdict
 
 import numpy as np
 import numpy.testing as npt
@@ -173,7 +174,7 @@ def test_batch_padding_and_mask():
     p2 = make_patient("short", [{"0"}, {"1"}])
     p4 = make_patient("long", [{"0"}, {"1"}, {"0"}, {"1"}])
     batch = build_batch([p2, p4], vocab)
-    assert batch.n_steps == 3
+    assert batch.mask.shape[0] == 3
     npt.assert_array_equal(batch.mask[:, 0], [1, 0, 0])
     npt.assert_array_equal(batch.mask[:, 1], [1, 1, 1])
     # masked-out positions are all-zero
@@ -248,7 +249,7 @@ def test_split_batches():
     vocab = CodeVocabulary(["0"])
     pats = [make_patient(f"p{i}", [{"0"}, {"0"}]) for i in range(5)]
     batches = split_batches(pats, vocab, batch_size=2)
-    assert [b.n_patients for b in batches] == [2, 2, 1]
+    assert [b.mask.shape[1] for b in batches] == [2, 2, 1]
     assert len(split_batches(pats, vocab)) == 1
 
 
@@ -445,7 +446,7 @@ def test_load_patients_bad_json(tmp_path):
 
 def test_filter_report_json():
     r = FilterReport(admissions_empty_codes=2)
-    assert json.loads(json.dumps(r.to_dict()))["admissions_empty_codes"] == 2
+    assert json.loads(json.dumps(asdict(r)))["admissions_empty_codes"] == 2
 
 
 GOOD_RECORD = {"patient_id": "ok", "admissions": [

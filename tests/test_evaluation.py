@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from dxtraj import evaluation, network
+from dxtraj import evaluation, network, training
 from dxtraj.ehr_data import (Admission, CodeVocabulary, ExtraFeatures,
                              PatientRecord, build_batch, build_vocabulary)
 from dxtraj.evaluation import (
@@ -145,7 +145,7 @@ def per_row_recall(model, patients, vocab, k):
                         model.interval_max)
     yhat = batch.pad(network.forward(batch, model)["yhat_rows"])
     return [recall_at_k(yhat[t, h], set(np.flatnonzero(batch.targets[t, h])), k)
-            for t in range(batch.n_steps) for h in range(batch.n_patients)
+            for t, h in np.ndindex(batch.mask.shape)
             if batch.mask[t, h]]
 
 
@@ -267,6 +267,46 @@ def test_run_comparison_single_config_and_failure_isolation():
     csv = grid_to_csv(rows)
     assert csv.splitlines()[0].startswith("label,recall@")
     assert "broken" in csv
+
+
+def test_random_row_scores_the_held_out_patients_of_train(monkeypatch):
+    cohort = generate_cohort(SynthSpec(n_patients=20, vocab_size=25,
+                                       n_states=3, seed=5))
+    scored, held_out = [], []
+
+    def recording_baseline(patients, *args, **kwargs):
+        scored.append([p.patient_id for p in patients])
+        return random_baseline(patients, *args, **kwargs)
+
+    def recording_split(*args):
+        train_split, test = split_patients(*args)
+        held_out.append([p.patient_id for p in test])
+        return train_split, test
+
+    monkeypatch.setattr(evaluation, "random_baseline", recording_baseline)
+    monkeypatch.setattr(training, "split_patients", recording_split)
+    rows = run_comparison(cohort, [
+        {"label": "random", "random_baseline": True, "split_fraction": 0.6},
+        {"label": "m", "split_fraction": 0.6, "max_epochs": 1,
+         "hidden_size": 4},
+    ], seeds=[7])
+    assert not any(r.failed for r in rows)
+    # the last split is train()'s, under the trained row's config
+    assert len(scored) == 1 and len(scored[0]) == 8
+    assert scored[0] == held_out[-1]
+
+
+@pytest.mark.parametrize("spec, message", [
+    ({"split_fracton": 0.6}, "unknown TrainConfig field"),
+    ({"split_fraction": "0.6"}, "split_fraction must be float"),
+    ({"split_fraction": 1.0}, "split_fraction must be in"),
+])
+def test_random_row_rejects_a_bad_config(spec, message):
+    cohort = generate_cohort(SynthSpec(n_patients=10, vocab_size=20,
+                                       n_states=3, seed=2))
+    row, = run_comparison(cohort, [{"random_baseline": True, **spec}],
+                          seeds=[0])
+    assert row.failed and message in row.error
 
 
 def test_run_comparison_deterministic():

@@ -647,6 +647,33 @@ def test_head_on_two_threads_equals_serial_head(kind, dropout, n):
     npt.assert_array_equal(grad, serial_backward(trace, batch, model))
 
 
+@pytest.mark.parametrize("layers", [1, 2])
+def test_lstm_google_with_identity_projection_is_lstm(layers):
+    # lstm_google is lstm plus the recurrent projection h = m @ Wproj: with
+    # Wproj = I and the same W, U and b, both kinds give the same states,
+    # predictions and gradients, bit for bit
+    google = small_model(seed=31, kind="lstm_google", layers=layers,
+                         embed_dim=3)
+    lstm = network.init_model("lstm", 5, 4, layers=layers, embed_dim=3)
+    shared = lstm.flat()
+    for name, v in google.flat().items():
+        if name.endswith(".Wproj"):
+            v[...] = np.eye(4)
+        else:
+            shared[name][...] = v
+    assert len(google.flat()) - len(shared) == 2 * layers
+    batch = random_batch(5, 4, 3, SeededRng(37))
+    tr_g, tr_l = network.forward(batch, google), network.forward(batch, lstm)
+    for key in ("hf", "hb", "yhat_rows"):
+        assert tr_g[key].tobytes() == tr_l[key].tobytes(), key
+    for side in ("inputs_f", "inputs_b"):  # the lower layers' states
+        for a, b in zip(tr_g[side], tr_l[side]):
+            assert a.tobytes() == b.tobytes(), side
+    g_g = network.backward(tr_g, batch, google)
+    for name, g in network.backward(tr_l, batch, lstm).items():
+        assert g.tobytes() == g_g[name].tobytes(), name
+
+
 # ---------------------------------------------------------------------------
 # what backward() holds and writes
 

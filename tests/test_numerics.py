@@ -9,11 +9,9 @@ from dxtraj.numerics import (
     SeededRng,
     finite_diff_grad,
     init_gaussian,
-    init_identity,
     lrelu,
     sigmoid,
     softmax_rows,
-    tanh_act,
 )
 
 finite_arrays = hnp.arrays(
@@ -58,16 +56,6 @@ def test_sigmoid_equals_masked_formula_anywhere(x):
 @given(finite_arrays)
 def test_sigmoid_symmetry(x):
     npt.assert_allclose(sigmoid(x) + sigmoid(-x), 1.0, atol=1e-12)
-
-
-def test_tanh_examples():
-    assert tanh_act(np.array(0.0)) == 0.0
-    npt.assert_allclose(tanh_act(np.array(1.0)), 0.761594, atol=1e-6)
-
-
-@given(finite_arrays)
-def test_tanh_odd(x):
-    npt.assert_allclose(tanh_act(x), -tanh_act(-x), atol=1e-12)
 
 
 def test_lrelu_and_softmax_into_out_equal_their_formulas():
@@ -131,13 +119,6 @@ def test_init_gaussian_scale():
     assert abs(m.mean()) < 0.01
 
 
-def test_init_identity():
-    npt.assert_array_equal(init_identity(3), np.diag([1.0, 1.0, 1.0]))
-    m = SeededRng(1).normal(1.0, (3, 3))
-    npt.assert_array_equal(init_identity(3) @ m, m)
-    assert np.trace(init_identity(5)) == 5.0
-
-
 def test_finite_diff_quadratic():
     g = finite_diff_grad(lambda t: float(t[0] ** 2), np.array([3.0]), 1e-5)
     npt.assert_allclose(g, [6.0], atol=1e-6)
@@ -158,5 +139,5 @@ def test_finite_diff_reports_nonfinite():
 @settings(max_examples=25)
 @given(finite_arrays)
 def test_no_nan_inf_for_bounded_inputs(x):
-    for out in (sigmoid(x), tanh_act(x), lrelu(x, 0.01)):
+    for out in (sigmoid(x), lrelu(x, 0.01)):
         assert np.isfinite(out).all()

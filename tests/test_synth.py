@@ -1,7 +1,10 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from dxtraj import synth
+from dxtraj.cli import main
 from dxtraj.ehr_data import filter_cohort
 from dxtraj.synth import (
     SynthSpec,
@@ -143,3 +146,14 @@ def test_identity_ccs_map():
     ccs = identity_ccs_map(spec)
     assert ccs.mapping["3"] == "3"
     assert len(ccs.mapping) == 10
+
+
+def test_default_synth_cohort_bytes_are_pinned(tmp_path):
+    # a new SynthSpec field must keep the draws of its default, so that
+    # committed cohorts, benchmark workloads and checkpoint hashes stay
+    out = tmp_path / "cohort.jsonl"
+    assert main(["--quiet", "synth", "--patients", "30", "--vocab-size", "40",
+                 "--states", "4", "--noise-rate", "0.2", "--seed", "9",
+                 "--output", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "9c962c5f2e7024a5dc274f7c79debd4a32cddeff544925954fe79fa137186749")

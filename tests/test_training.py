@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import numpy.testing as npt
@@ -418,6 +418,12 @@ def test_config_validation():
     ("batch_size", 0), ("batch_size", -1), ("max_epochs", 0),
     ("hidden_size", 0), ("layers", 0), ("embedding_dim", 0),
     ("dropout_rate", 1.0), ("dropout_rate", -0.1), ("input_noise_std", -0.5),
+    # optimizer settings that cannot train: rho = 1 never forgets the first
+    # squared gradients, eps <= 0 divides by zero or negates a step
+    ("adadelta_rho", 1.0), ("adadelta_rho", 1.5), ("adadelta_rho", -0.1),
+    ("adadelta_eps", 0.0), ("adadelta_eps", -1.0), ("l2_coeff", -5.0),
+    ("clip_norm", float("nan")), ("adadelta_eps", float("nan")),
+    ("l2_coeff", float("nan")), ("adadelta_rho", float("nan")),
 ])
 def test_config_rejects_out_of_range_values(field, value):
     with pytest.raises(ValueError, match=field):
@@ -426,12 +432,13 @@ def test_config_rejects_out_of_range_values(field, value):
 
 def test_config_accepts_the_range_bounds():
     TrainConfig(batch_size=1, max_epochs=1, hidden_size=1, layers=1,
-                embedding_dim=1, dropout_rate=0.0, input_noise_std=0.0)
+                embedding_dim=1, dropout_rate=0.0, input_noise_std=0.0,
+                adadelta_rho=0.0, adadelta_eps=5e-324, l2_coeff=0.0)
 
 
 def test_config_roundtrip():
     cfg = TrainConfig(seed=9, extra_features=ExtraFeatures(duration=True))
-    again = TrainConfig.from_dict(cfg.to_dict())
+    again = TrainConfig.from_dict(asdict(cfg))
     assert again == cfg
 
 
@@ -564,7 +571,7 @@ def test_train_encodes_each_split_once(monkeypatch):
     _, _, calls = train_recording_batches(monkeypatch, cohort, config)
     train_p, test_p = split_patients(cohort, 0.9, SeededRng(2))
     training_batches, (validation_batch,) = calls
-    assert [b.n_patients for b in training_batches] == [4] * 6 + [3]
+    assert [b.mask.shape[1] for b in training_batches] == [4] * 6 + [3]
     # the validation split as one batch, with the training split's constants
     expected = build_batch(test_p, build_vocabulary(cohort), ALL_EXTRAS,
                            *feature_constants(train_p, ALL_EXTRAS))
