@@ -15,13 +15,25 @@ arrays and optional matrices), and these functions take the kind first:
     init_state(n_patients, hid)     -> dict of state arrays ("h" always present)
     project_inputs(x, params)       -> xw, the input terms of every gate,
                                        one column block per gate
-    step(xw, state, params)         -> (new_state, trace)
-    step_backward(trace, d_state, params) -> (d_pre, d_state_prev, d_params)
+    step(xw, state or None, params) -> (new_state, trace)
+    step_backward(trace, d_state, params) -> (d_pre, d_state_prev or None,
+                                              d_params)
     input_backward(x, d_pre, params, need_dx) -> (dx or None, d_params)
 
+state None is the zero state of a flow's first step. Such a step builds its
+gates from xw alone: it forms no h @ U<g> nor any gated product of the
+state, all of them exact zeros, and its trace holds no state array. A gate
+that multiplies only the state (gru's r, lstm's f) is not formed, and its
+block of d_pre is zero. Adding an exact zero leaves a nonzero value as it
+is, so the result equals that of a step from init_state() except, at most,
+in the sign of an exact zero.
+
 step_backward returns d_pre, the gradient with respect to a step's stacked
-input terms (same layout as xw), and the gradients of the parameters a step
-reads: U<g>, and Wproj for lstm_google. input_backward turns the d_pre rows
+input terms (same layout as xw), the gradient with respect to the previous
+state, and the gradients of the parameters a step reads: U<g>, and Wproj
+for lstm_google. On a zero-state trace it returns None for the previous
+state's gradient and no U<g> gradient; feedforward, which carries no state,
+returns None at every step. input_backward turns the d_pre rows
 of a whole sequence into the W<g> and b<g> gradients with one GEMM and, when
 asked, into the gradient with respect to x.
 
@@ -117,29 +129,31 @@ def input_backward(kind: str, x: np.ndarray, d_pre: np.ndarray, params: dict,
 # ---------------------------------------------------------------------------
 # steps
 
-def step(kind: str, xw: np.ndarray, state: dict, params: dict):
-    return _cell(kind).step(xw, state, params)
+def step(kind: str, xw: np.ndarray, state: dict | None, params: dict):
+    cell = _cell(kind)
+    hid = params["b" + cell.gates[0]].shape[0]
+    if xw.shape[1] != len(cell.gates) * hid:
+        raise ValueError(
+            f"input width {xw.shape[1]} does not match {len(cell.gates)} "
+            f"gate(s) of width {hid}")
+    if state is not None and xw.shape[0] != state["h"].shape[0]:
+        raise ValueError(
+            f"batch size mismatch: xw has {xw.shape[0]} rows, h_prev has "
+            f"{state['h'].shape[0]}")
+    return cell.step(xw, state, params)
 
 
 def step_backward(kind: str, trace: dict, d_state: dict, params: dict):
     return _cell(kind).backward(trace, d_state, params)
 
 
-def _check_shapes(xw, h_prev, n_gates):
-    if xw.shape[1] != n_gates * h_prev.shape[1]:
-        raise ValueError(
-            f"input width {xw.shape[1]} does not match {n_gates} gate(s) of "
-            f"width {h_prev.shape[1]}")
-    if xw.shape[0] != h_prev.shape[0]:
-        raise ValueError(
-            f"batch size mismatch: xw has {xw.shape[0]} rows, h_prev has "
-            f"{h_prev.shape[0]}")
-
-
 def _mgru_step(xw, state, p):
+    hid = xw.shape[1] // 2
+    if state is None:
+        f = sigmoid(xw[:, :hid])
+        hc = np.tanh(xw[:, hid:])
+        return {"h": f * hc}, {"f": f, "hc": hc}
     h_prev = state["h"]
-    _check_shapes(xw, h_prev, 2)
-    hid = h_prev.shape[1]
     f = sigmoid(xw[:, :hid] + h_prev @ p["Uf"])
     hc = np.tanh(xw[:, hid:] + (f * h_prev) @ p["Uh"])
     h = (1.0 - f) * h_prev + f * hc
@@ -149,10 +163,14 @@ def _mgru_step(xw, state, p):
 
 
 def _mgru_backward(tr, d_state, p):
-    h_prev, f, hc = tr["h_prev"], tr["f"], tr["hc"]
+    f, hc = tr["f"], tr["hc"]
     d_h = d_state["h"]
     d_hc = d_h * f
     d_ah = d_hc * (1.0 - hc * hc)
+    if "h_prev" not in tr:
+        d_af = d_h * hc * f * (1.0 - f)
+        return np.concatenate([d_af, d_ah], axis=1), None, {}
+    h_prev = tr["h_prev"]
     d_fh = d_ah @ p["Uh"].T
     d_f = d_h * (hc - h_prev) + d_fh * h_prev
     d_af = d_f * f * (1.0 - f)
@@ -162,9 +180,12 @@ def _mgru_backward(tr, d_state, p):
 
 
 def _gru_step(xw, state, p):
+    hid = xw.shape[1] // 3
+    if state is None:  # the reset gate r multiplies the zero state only
+        z = sigmoid(xw[:, :hid])
+        hc = np.tanh(xw[:, 2 * hid:])
+        return {"h": z * hc}, {"z": z, "hc": hc}
     h_prev = state["h"]
-    _check_shapes(xw, h_prev, 3)
-    hid = h_prev.shape[1]
     z = sigmoid(xw[:, :hid] + h_prev @ p["Uz"])
     r = sigmoid(xw[:, hid:2 * hid] + h_prev @ p["Ur"])
     hc = np.tanh(xw[:, 2 * hid:] + (r * h_prev) @ p["Uh"])
@@ -175,10 +196,15 @@ def _gru_step(xw, state, p):
 
 
 def _gru_backward(tr, d_state, p):
-    h_prev, z, r, hc = tr["h_prev"], tr["z"], tr["r"], tr["hc"]
+    z, hc = tr["z"], tr["hc"]
     d_h = d_state["h"]
     d_hc = d_h * z
     d_ah = d_hc * (1.0 - hc * hc)
+    if "h_prev" not in tr:
+        d_az = d_h * hc * z * (1.0 - z)
+        return (np.concatenate([d_az, np.zeros_like(d_az), d_ah], axis=1),
+                None, {})
+    h_prev, r = tr["h_prev"], tr["r"]
     d_rh = d_ah @ p["Uh"].T
     d_z = d_h * (hc - h_prev)
     d_az = d_z * z * (1.0 - z)
@@ -193,19 +219,26 @@ def _gru_backward(tr, d_state, p):
 def _lstm_step(xw, state, p):
     """LSTM step. With a recurrent projection Wproj (lstm_google, Sak et al.
     2014) the exposed state is h = m @ Wproj, m = o * tanh(c) being the
-    plain LSTM's output, and it is h that drives the gates."""
-    h_prev, c_prev = state["h"], state["c"]
-    _check_shapes(xw, h_prev, 4)
-    hid = h_prev.shape[1]
-    i = sigmoid(xw[:, :hid] + h_prev @ p["Ui"])
-    f = sigmoid(xw[:, hid:2 * hid] + h_prev @ p["Uf"])
-    o = sigmoid(xw[:, 2 * hid:3 * hid] + h_prev @ p["Uo"])
-    g = np.tanh(xw[:, 3 * hid:] + h_prev @ p["Ug"])
-    c = f * c_prev + i * g
-    tc = np.tanh(c)
+    plain LSTM's output, and it is h that drives the gates. From the zero
+    state the forget gate multiplies c_prev = 0 only, so it is not formed."""
+    hid = xw.shape[1] // 4
+    if state is None:
+        i = sigmoid(xw[:, :hid])
+        o = sigmoid(xw[:, 2 * hid:3 * hid])
+        g = np.tanh(xw[:, 3 * hid:])
+        c = i * g
+        trace = {"i": i, "o": o, "g": g}
+    else:
+        h_prev, c_prev = state["h"], state["c"]
+        i = sigmoid(xw[:, :hid] + h_prev @ p["Ui"])
+        f = sigmoid(xw[:, hid:2 * hid] + h_prev @ p["Uf"])
+        o = sigmoid(xw[:, 2 * hid:3 * hid] + h_prev @ p["Uo"])
+        g = np.tanh(xw[:, 3 * hid:] + h_prev @ p["Ug"])
+        c = f * c_prev + i * g
+        trace = {"h_prev": h_prev, "c_prev": c_prev,
+                 "i": i, "f": f, "o": o, "g": g}
+    tc = trace["tc"] = np.tanh(c)
     h = o * tc
-    trace = {"h_prev": h_prev, "c_prev": c_prev,
-             "i": i, "f": f, "o": o, "g": g, "tc": tc}
     if "Wproj" in p:
         trace["m"] = h
         h = h @ p["Wproj"]
@@ -213,48 +246,52 @@ def _lstm_step(xw, state, p):
 
 
 def _lstm_backward(tr, d_state, p):
-    h_prev, i, f, o, g, tc = (tr["h_prev"], tr["i"], tr["f"], tr["o"],
-                              tr["g"], tr["tc"])
+    i, o, g, tc = tr["i"], tr["o"], tr["g"], tr["tc"]
     d_h = d_state["h"]
     d_m = d_h @ p["Wproj"].T if "m" in tr else d_h
     d_c = d_state["c"] + d_m * o * (1.0 - tc * tc)
     d_ai = d_c * g * i * (1.0 - i)
-    d_af = d_c * tr["c_prev"] * f * (1.0 - f)
     d_ao = d_m * tc * o * (1.0 - o)
     d_ag = d_c * i * (1.0 - g * g)
-    d_h_prev = (d_ai @ p["Ui"].T + d_af @ p["Uf"].T + d_ao @ p["Uo"].T
-                + d_ag @ p["Ug"].T)
-    grads = {"Ui": h_prev.T @ d_ai, "Uf": h_prev.T @ d_af,
-             "Uo": h_prev.T @ d_ao, "Ug": h_prev.T @ d_ag}
+    if "h_prev" in tr:
+        h_prev, f = tr["h_prev"], tr["f"]
+        d_af = d_c * tr["c_prev"] * f * (1.0 - f)
+        d_prev = {"h": d_ai @ p["Ui"].T + d_af @ p["Uf"].T + d_ao @ p["Uo"].T
+                  + d_ag @ p["Ug"].T, "c": d_c * f}
+        grads = {"Ui": h_prev.T @ d_ai, "Uf": h_prev.T @ d_af,
+                 "Uo": h_prev.T @ d_ao, "Ug": h_prev.T @ d_ag}
+    else:
+        d_af, d_prev, grads = np.zeros_like(d_ai), None, {}
     if "m" in tr:
         grads["Wproj"] = tr["m"].T @ d_h
-    return (np.concatenate([d_ai, d_af, d_ao, d_ag], axis=1),
-            {"h": d_h_prev, "c": d_c * f}, grads)
+    return np.concatenate([d_ai, d_af, d_ao, d_ag], axis=1), d_prev, grads
 
 
 def _jordan_step(xw, state, p):
     """Classical output-feedback recurrence: the state fed back is the cell's
     previous output activation."""
+    if state is None:
+        return _feedforward_step(xw, state, p)
     s_prev = state["h"]
-    _check_shapes(xw, s_prev, 1)
     h = np.tanh(xw + s_prev @ p["U"])
     return {"h": h}, {"s_prev": s_prev, "h": h}
 
 
 def _jordan_backward(tr, d_state, p):
+    if "s_prev" not in tr:
+        return _feedforward_backward(tr, d_state, p)
     d_a = d_state["h"] * (1.0 - tr["h"] * tr["h"])
     return d_a, {"h": d_a @ p["U"].T}, {"U": tr["s_prev"].T @ d_a}
 
 
 def _feedforward_step(xw, state, p):
-    _check_shapes(xw, state["h"], 1)
     h = np.tanh(xw)
     return {"h": h}, {"h": h}
 
 
 def _feedforward_backward(tr, d_state, p):
     d_a = d_state["h"] * (1.0 - tr["h"] * tr["h"])
-    return d_a, {"h": np.zeros_like(d_a)}, {}
+    return d_a, None, {}
 
 
 class _Cell(NamedTuple):

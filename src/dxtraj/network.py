@@ -21,11 +21,14 @@ flatnonzero(mask[t]) in order. A flow keeps its state as a (P, hidden)
 array; each step gathers the rows of its active patients, advances them and
 scatters them back, so an inactive patient carries its state. The backward
 flow packs mask[::-1] the same way, and one index array maps its rows to
-forward order. A layer's input terms x @ W + b are computed for all of its
-rows before the time loop (cells.project_inputs), and its W and b gradients
-after BPTT (cells.input_backward), so stacked layers run one after the
-other. The joint and output layers, the loss and its gradient run on the
-packed rows only.
+forward order. The first step of every layer, in both flows, passes the
+state None to cells.step: every row there holds the zero state, so the step
+forms no recurrent product, and in BPTT its backward step ends the carry. A
+layer's input terms x @ W + b are computed for all of its rows before the
+time loop (cells.project_inputs), and its W and b gradients after BPTT
+(cells.input_backward), so stacked layers run one after the other. The
+joint and output layers, the loss and its gradient run on the packed rows
+only.
 
 Two threads: the calling thread runs the forward flow and one worker thread
 (run_pair) the backward flow, in forward() and in backward(). Each flow ends
@@ -309,15 +312,18 @@ def _scan_direction(inp, layout, layer_params, cell_kind, hidden):
         state = cells.init_state(cell_kind, n_pat, hidden)
         owned = True  # no trace holds the state arrays, so they may be written
         layer_traces = []
-        for lo, hi, rows in steps:
+        for n, (lo, hi, rows) in enumerate(steps):
+            if n == 0:  # every row still holds the zero state
+                prev = None
+            elif rows is None:
+                prev = state
+            else:
+                prev = {k: v[rows] for k, v in state.items()}
+            new, tr = cells.step(cell_kind, xw[lo:hi], prev, params)
             if rows is None:
-                state, tr = cells.step(cell_kind, xw[lo:hi], state, params)
-                new = state
+                state = new
                 owned = False
             else:
-                new, tr = cells.step(cell_kind, xw[lo:hi],
-                                     {k: v[rows] for k, v in state.items()},
-                                     params)
                 if not owned:
                     state = {k: v.copy() for k, v in state.items()}
                     owned = True
@@ -446,6 +452,8 @@ def _bptt_direction(d_top, layout, inputs, traces, layer_params, cell_kind,
             d_pre[lo:hi] = d_step
             for k, g in d_params.items():
                 grads[f"{prefix}{l}.{k}"] += g
+            if d_prev is None:  # a zero state, or feedforward's: no carry
+                continue
             if rows is None:
                 carry = d_prev
             else:
@@ -570,7 +578,8 @@ def predict_topk(model: ModelParams, history: PatientRecord,
     """Top-k (code index, probability) for the admission after the history.
 
     Only the last step is read, and the backward flow's state there has seen
-    the last admission only, so its time loop runs over that one admission.
+    the last admission only, so its time loop runs over that one admission
+    and reads no recurrent matrix.
     The products over rows keep the shapes forward() gives them, because a
     BLAS result for one row can change in the last bit with the number of
     rows: the answer equals forward()'s last row exactly.

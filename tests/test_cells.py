@@ -100,10 +100,12 @@ def _flat_check(objective, arrays, analytic):
     return max_relative_error(flat, numeric)
 
 
-def _step_gradcheck(kind, in_size, hid, n_pat, seed):
+def _step_gradcheck(kind, in_size, hid, n_pat, seed, zero_state=False):
     """Finite-difference check of a single step over its projected inputs xw,
     the biases added to them, its state and the parameters a step reads;
-    the scalar loss is a fixed random projection of every state array."""
+    the scalar loss is a fixed random projection of every state array.
+    With zero_state the step starts from the state None, which has no
+    coordinates, and every U<g> must get a zero gradient."""
     rng = SeededRng(seed)
     params = cells.init_params(kind, in_size, hid, rng)
     for v in params.values():
@@ -114,6 +116,8 @@ def _step_gradcheck(kind, in_size, hid, n_pat, seed):
     for v in state0.values():
         v += rng.normal(0.7, v.shape)
     weights = {k: rng.normal(1.0, (n_pat, hid)) for k in state0}
+    if zero_state:
+        state0 = {}
     biases = sorted(k for k in params if k.startswith("b"))
     step_params = [k for k in params if not k.startswith(("W", "b"))]
     step_params += ["Wproj"] if "Wproj" in params else []
@@ -128,16 +132,19 @@ def _step_gradcheck(kind, in_size, hid, n_pat, seed):
         zero = np.zeros_like(x)
         xw_b = a["xw"] + (cells.project_inputs(kind, zero, p)
                           - cells.project_inputs(kind, zero, params))
-        st = {k: a[f"state.{k}"] for k in state0}
+        st = {k: a[f"state.{k}"] for k in state0} or None
         new_state, _ = cells.step(kind, xw_b, st, p)
         return float(sum(np.sum(weights[k] * new_state[k]) for k in new_state))
 
-    _, trace = cells.step(kind, xw, state0, params)
-    d_state = {k: weights[k] for k in state0}
+    _, trace = cells.step(kind, xw, state0 or None, params)
+    d_state = dict(weights)
     d_pre, d_prev, grads = cells.step_backward(kind, trace, d_state, params)
     _, in_grads = cells.input_backward(kind, x, d_pre, params, need_dx=False)
+    if d_prev is None:  # no gradient flows to the previous state
+        d_prev = {k: np.zeros_like(v) for k, v in state0.items()}
     analytic = {"xw": d_pre, **{f"state.{k}": v for k, v in d_prev.items()},
-                **{k: grads.get(k, in_grads.get(k)) for k in biases + step_params}}
+                **{k: grads.get(k, in_grads.get(k, np.zeros_like(params[k])))
+                   for k in biases + step_params}}
     return _flat_check(objective, arrays, analytic)
 
 
@@ -165,8 +172,10 @@ def _input_terms_gradcheck(kind, in_size, hid, n_rows, seed):
 @pytest.mark.parametrize("dims", [(2, 3, 2), (5, 4, 3), (1, 1, 1)])
 def test_step_gradients_match_finite_differences(kind, dims):
     in_size, hid, n_pat = dims
-    err = _step_gradcheck(kind, in_size, hid, n_pat, seed=hash(dims) % 1000)
-    assert err <= 1e-4, f"{kind} {dims}: rel err {err}"
+    for zero_state in (False, True):
+        err = _step_gradcheck(kind, in_size, hid, n_pat,
+                              seed=hash(dims) % 1000, zero_state=zero_state)
+        assert err <= 1e-4, f"{kind} {dims} {zero_state=}: rel err {err}"
 
 
 @pytest.mark.parametrize("kind", CELL_KINDS)
@@ -215,6 +224,10 @@ def test_shape_mismatch_raises():
         cells.step("mgru", np.zeros((2, 5)), {"h": np.zeros((2, 4))}, p)
     with pytest.raises(ValueError):
         cells.step("mgru", np.zeros((2, 3)), {"h": np.zeros((3, 4))}, p)
+    for kind in CELL_KINDS:  # the zero state has no width to compare with
+        p = cells.init_params(kind, 3, 4, SeededRng(0))
+        with pytest.raises(ValueError, match="input width"):
+            cells.step(kind, np.zeros((2, 5)), None, p)
 
 
 def test_step_deterministic():
@@ -232,9 +245,39 @@ def test_step_deterministic():
     ("gru", {"h_prev", "z", "r", "hc"}),    # no rh = r * h_prev
 ])
 def test_step_trace_keeps_no_recomputable_product(kind, keys):
-    # the backward step recomputes the gated state from the trace
+    # the backward step recomputes the gated state from the trace; from the
+    # zero state there is no state, and gru forms no reset gate
     rng = SeededRng(9)
     p = cells.init_params(kind, 3, 4, rng)
     xw = cells.project_inputs(kind, rng.normal(1.0, (2, 3)), p)
     _, trace = cells.step(kind, xw, {"h": rng.normal(1.0, (2, 4))}, p)
     assert set(trace) == keys
+    _, trace = cells.step(kind, xw, None, p)
+    assert set(trace) == keys - {"h_prev", "r"}
+
+
+@pytest.mark.parametrize("kind", CELL_KINDS)
+def test_zero_state_step_equals_a_step_from_init_state(kind):
+    rng = SeededRng(13)
+    p = cells.init_params(kind, 5, 6, rng)
+    for v in p.values():
+        v += rng.normal(0.4, v.shape)
+    xw = cells.project_inputs(kind, rng.normal(1.0, (3, 5)), p)
+    new0, tr0 = cells.step(kind, xw, None, p)
+    new, tr = cells.step(kind, xw, cells.init_state(kind, 3, 6), p)
+    assert set(new0) == set(new)
+    for k in new:
+        assert new0[k].tobytes() == new[k].tobytes(), k
+    assert not {"h_prev", "c_prev", "s_prev"} & set(tr0)
+
+    d_state = {k: rng.normal(1.0, (3, 6)) for k in new}
+    d_pre0, d_prev0, grads0 = cells.step_backward(kind, tr0, d_state, p)
+    d_pre, d_prev, grads = cells.step_backward(kind, tr, d_state, p)
+    # equal values of finite floats are equal bits, but for the sign of a
+    # zero: gru's r and lstm's f multiply the zero state only, and their
+    # blocks of d_pre are +0 here and signed zeros from init_state
+    npt.assert_array_equal(d_pre0, d_pre)
+    assert d_prev0 is None
+    assert set(grads0) == ({"Wproj"} if "Wproj" in p else set())
+    for k, g in grads0.items():
+        assert g.tobytes() == grads[k].tobytes(), k

@@ -1,3 +1,4 @@
+import copy
 import os
 
 import numpy as np
@@ -560,6 +561,59 @@ def test_predict_topk_equals_forward_last_step(kind, n):
     probs = network.forward(batch, model)["yhat_rows"][-1]
     expected = [(int(i), float(probs[i])) for i in network.rank_codes(probs)[:5]]
     assert network.predict_topk(model, history(n), vocab, k=5) == expected
+
+
+def poisoned(model, stacks):
+    """A deep copy of model with every recurrent matrix U* of the given
+    stacks ("fwd", "bwd") set to nan: a result that reads one is nan."""
+    model = copy.deepcopy(model)
+    for stack in stacks:
+        for params in getattr(model, stack):
+            for k in params:
+                if k.startswith("U"):
+                    params[k][...] = np.nan
+    return model
+
+
+@pytest.mark.parametrize("kind", CELL_KINDS)
+def test_predict_topk_reads_no_recurrent_matrix_of_a_zero_state(kind):
+    # the backward flow serves from its first step, which starts from the
+    # zero state, and so does the forward flow for a one-admission history
+    vocab = CodeVocabulary([str(i) for i in range(40)])
+    model = small_model(seed=47, n_codes=40, hidden=32, kind=kind, layers=2,
+                        embed_dim=24)
+    expected = {n: network.predict_topk(model, history(n), vocab, k=5)
+                for n in (1, 2, 4)}
+    no_bwd_u = poisoned(model, ["bwd"])
+    for n in (1, 2, 4):
+        assert network.predict_topk(no_bwd_u, history(n), vocab, k=5) \
+            == expected[n]
+    no_u = poisoned(model, ["fwd", "bwd"])
+    assert network.predict_topk(no_u, history(1), vocab, k=5) == expected[1]
+    if kind != "feedforward":  # the poison shows once a state is carried
+        probs = [p for _, p in network.predict_topk(no_u, history(2), vocab,
+                                                    k=5)]
+        assert np.isnan(probs).all()
+
+
+@pytest.mark.parametrize("kind", CELL_KINDS)
+def test_one_step_batch_reads_no_recurrent_matrix(kind):
+    # every patient has 2 admissions, so each flow runs one step, from the
+    # zero state: a nan in every U* reaches neither loss nor gradient
+    model = small_model(seed=53, n_codes=6, hidden=5, kind=kind, layers=2,
+                        embed_dim=3)
+    batch = random_batch(6, 4, 1, SeededRng(59))
+    trace = network.forward(batch, model)
+    grads = network.backward(trace, batch, model)
+    no_u = poisoned(model, ["fwd", "bwd"])
+    trace_p = network.forward(batch, no_u)
+    grads_p = network.backward(trace_p, batch, no_u)
+    assert trace["yhat_rows"].tobytes() == trace_p["yhat_rows"].tobytes()
+    for name, g in grads_p.items():
+        assert np.isfinite(g).all(), name
+        npt.assert_array_equal(g, grads[name], err_msg=name)
+        if name.split(".")[-1].startswith("U"):
+            assert not g.any(), name
 
 
 # ---------------------------------------------------------------------------
