@@ -12,13 +12,17 @@ Each kind is one entry of the table _CELLS (its gates, step functions, state
 arrays and optional matrices), and these functions take the kind first:
 
     init_params(in_size, hid, rng)  -> dict of named arrays
-    init_state(n_patients, hid)     -> dict of state arrays ("h" always present)
+    init_state(n_rows, hid)         -> dict of state arrays ("h" always present)
     project_inputs(x, params)       -> xw, the input terms of every gate,
                                        one column block per gate
     step(xw, state or None, params) -> (new_state, trace)
     step_backward(trace, d_state, params) -> (d_pre, d_state_prev or None,
                                               d_params)
     input_backward(x, d_pre, params, need_dx) -> (dx or None, d_params)
+
+No function writes its arguments (xw, the state, a trace, d_state, the
+params): the network passes views of its packed rows, and a step's trace
+keeps the state arrays it was given.
 
 state None is the zero state of a flow's first step. Such a step builds its
 gates from xw alone: it forms no h @ U<g> nor any gated product of the
@@ -78,8 +82,8 @@ def param_count(kind: str, in_size: int, hid: int) -> int:
     return len(cell.gates) * per_gate + cell.proj * hid * hid
 
 
-def init_state(kind: str, n_patients: int, hid: int) -> dict:
-    return {k: np.zeros((n_patients, hid)) for k in _cell(kind).state}
+def init_state(kind: str, n_rows: int, hid: int) -> dict:
+    return {k: np.zeros((n_rows, hid)) for k in _cell(kind).state}
 
 
 # ---------------------------------------------------------------------------

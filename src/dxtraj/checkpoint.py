@@ -92,7 +92,10 @@ def load_checkpoint(path) -> ModelParams:
         magic = fh.readline().rstrip(b"\n")
         if magic != MAGIC:
             raise ValueError(f"{path}: not a checkpoint file")
-        header = json.loads(fh.readline())
+        try:
+            header = json.loads(fh.readline())
+        except ValueError as exc:
+            raise ValueError(f"{path}: header is not JSON ({exc})") from None
         if type(header) is not dict:
             raise ValueError(f"{path}: header is not a JSON object")
         missing = [name for name in HEADER_FIELDS if name not in header]

@@ -187,9 +187,10 @@ def cmd_compare(args) -> int:
     cohort = ehr_data.load_patients(args.cohort)
     with open(args.grid) as fh:
         grid_spec = json.load(fh)
-    if type(grid_spec) is not list or any(type(s) is not dict
-                                          for s in grid_spec):
-        raise ValueError(f"{args.grid}: expected a JSON list of objects")
+    if (type(grid_spec) is not list or not grid_spec
+            or any(type(s) is not dict for s in grid_spec)):
+        raise ValueError(
+            f"{args.grid}: expected a non-empty JSON list of objects")
     seeds = [args.seed + i for i in range(args.seeds)]
     rows = evaluation.run_comparison(cohort, grid_spec, seeds)
     atomic_write_text(args.output + ".csv", evaluation.grid_to_csv(rows))

@@ -120,9 +120,11 @@ def run_comparison(cohort, grid_spec: list, seeds, ks=(10, 20, 30)) -> list:
     grid_spec rows are dicts of TrainConfig overrides, plus optional keys
     "label" and "random_baseline": true for the untrained-scores row, which
     scores the held-out patients of train() under the same config. A
-    failing configuration yields a marked row instead of aborting the grid.
+    configuration that fails on bad input or diverges yields a marked row
+    instead of aborting the grid; any other exception is raised.
     """
-    from .training import TrainConfig, split_patients, train
+    from .training import (TrainConfig, TrainingDivergedError,
+                           split_patients, train)
     from .ehr_data import build_vocabulary
 
     rows = []
@@ -158,7 +160,7 @@ def run_comparison(cohort, grid_spec: list, seeds, ks=(10, 20, 30)) -> list:
             }
             row.iterations = float(np.mean(iters))
             row.time_s = float(np.mean(times))
-        except Exception as exc:  # noqa: BLE001 - isolate per-cell failures
+        except (OSError, ValueError, TrainingDivergedError) as exc:
             row.failed = True
             row.error = f"{type(exc).__name__}: {exc}"
         rows.append(row)

@@ -17,18 +17,19 @@ embedding) is hand-derived and verified against finite differences.
 Packed layout: a batch lays its patients out on (T, P) cells, of which only
 those with mask 1 are stored and computed: the batch holds their rows packed
 time-major (BatchTensor), so the rows of step t are the patients
-flatnonzero(mask[t]) in order. A flow keeps its state as a (P, hidden)
-array; each step gathers the rows of its active patients, advances them and
-scatters them back, so an inactive patient carries its state. The backward
-flow packs mask[::-1] the same way, and one index array maps its rows to
-forward order. The first step of every layer, in both flows, passes the
-state None to cells.step: every row there holds the zero state, so the step
-forms no recurrent product, and in BPTT its backward step ends the carry. A
-layer's input terms x @ W + b are computed for all of its rows before the
-time loop (cells.project_inputs), and its W and b gradients after BPTT
-(cells.input_backward), so stacked layers run one after the other. The
-joint and output layers, the loss and its gradient run on the packed rows
-only.
+flatnonzero(mask[t]) in order. A flow keeps no per-patient state: each layer
+writes its states to packed rows, plus a last row that holds the zero state,
+and a step reads its previous states from the rows that the layout (_pack)
+names: those of its patients' latest earlier cells, or the zero row. BPTT
+adds each step's previous-state gradient to those rows. The backward flow
+packs mask[::-1] the same way, and one index array maps its rows to forward
+order. The first step of every layer, in both flows, passes the state None
+to cells.step: every row there holds the zero state, so the step forms no
+recurrent product, and in BPTT its backward step ends the carry. A layer's
+input terms x @ W + b are computed for all of its rows before the time loop
+(cells.project_inputs), and its W and b gradients after BPTT
+(cells.input_backward), so stacked layers run one after the other. The joint
+and output layers, the loss and its gradient run on the packed rows only.
 
 Two threads: the calling thread runs the forward flow and one worker thread
 (run_pair) the backward flow, in forward() and in backward(). Each flow ends
@@ -265,19 +266,25 @@ def run_by_halves(n, work):
 # forward
 
 def _pack(valid):
-    """Layout of the packed rows of a (T, P) boolean mask: (P, steps), with
-    one (lo, hi, rows) per step that has an active patient. Rows lo:hi belong
-    to that step; rows holds the indices of its patients, or is None when
-    every patient is active."""
-    n_pat = valid.shape[1]
+    """Layout of the packed rows of a (T, P) boolean mask: one (lo, hi, prev)
+    per step that has an active patient. Rows lo:hi belong to that step.
+    prev[i] is the row of the latest earlier cell of the patient of row
+    lo + i, or n_valid, the zero state's row, when there is none; prev is
+    None at the first step, where every row starts from the zero state."""
+    n_valid = int(valid.sum())
+    row = np.full(valid.shape, -1, dtype=np.intp)
+    row[valid] = np.arange(n_valid)
+    # rows grow with t, so a running maximum is each patient's latest row
+    latest = np.maximum.accumulate(row, axis=0)
+    latest[latest < 0] = n_valid
     steps = []
     lo = 0
     for t, n in enumerate(valid.sum(axis=1).tolist()):
         if n:
-            rows = None if n == n_pat else np.flatnonzero(valid[t])
-            steps.append((lo, lo + n, rows))
+            prev = latest[t - 1][valid[t]] if steps else None
+            steps.append((lo, lo + n, prev))
             lo += n
-    return n_pat, steps
+    return steps
 
 
 def _embed(model, batch, code_noise=None):
@@ -296,42 +303,30 @@ def _embed(model, batch, code_noise=None):
 
 def _scan_direction(inp, layout, layer_params, cell_kind, hidden):
     """Run a stack of cells, one layer after the other, over the packed input
-    rows of one direction (layout from _pack). Rows that no step of the
-    layout covers get h = 0.
+    rows of one direction (layout from _pack). Each step reads its previous
+    state from the rows of the layer that earlier steps wrote. Rows that no
+    step of the layout covers get h = 0.
 
     Returns (top-layer h per row, per-layer input rows, per-layer step
     traces).
     """
-    n_pat, steps = layout
     inputs, traces = [], []
     h_rows = inp
     for params in layer_params:
         inputs.append(h_rows)
         xw = cells.project_inputs(cell_kind, h_rows, params)
-        h_rows = np.zeros((len(xw), hidden))  # rows no step covers stay 0
-        state = cells.init_state(cell_kind, n_pat, hidden)
-        owned = True  # no trace holds the state arrays, so they may be written
+        # every state array's rows, and a last row that holds the zero state
+        rows = cells.init_state(cell_kind, len(xw) + 1, hidden)
         layer_traces = []
-        for n, (lo, hi, rows) in enumerate(steps):
-            if n == 0:  # every row still holds the zero state
-                prev = None
-            elif rows is None:
-                prev = state
-            else:
-                prev = {k: v[rows] for k, v in state.items()}
-            new, tr = cells.step(cell_kind, xw[lo:hi], prev, params)
-            if rows is None:
-                state = new
-                owned = False
-            else:
-                if not owned:
-                    state = {k: v.copy() for k, v in state.items()}
-                    owned = True
-                for k, v in new.items():
-                    state[k][rows] = v
-            h_rows[lo:hi] = new["h"]
+        for lo, hi, prev in layout:
+            state = (None if prev is None
+                     else {k: v[prev] for k, v in rows.items()})
+            new, tr = cells.step(cell_kind, xw[lo:hi], state, params)
+            for k, v in new.items():
+                rows[k][lo:hi] = v
             layer_traces.append(tr)
         traces.append(layer_traces)
+        h_rows = rows["h"][:-1]
     return h_rows, inputs, traces
 
 
@@ -432,33 +427,26 @@ def _bptt_direction(d_top, layout, inputs, traces, layer_params, cell_kind,
     d_top is the gradient flowing into the top layer's h at every row.
     Returns the gradient wrt the layer-0 input rows, or None when
     need_d_inp is false."""
-    n_pat, steps = layout
     d_h = d_top
     for l in range(len(layer_params) - 1, -1, -1):
         params = layer_params[l]
-        carry = cells.init_state(cell_kind, n_pat, d_h.shape[1])
+        # the gradient wrt every state row; the zero state's row takes the
+        # gradients of first cells, and nothing reads it
+        d_rows = cells.init_state(cell_kind, len(d_h) + 1, d_h.shape[1])
+        d_rows["h"][:-1] = d_h
         d_pre = None
-        for (lo, hi, rows), tr in zip(reversed(steps), reversed(traces[l])):
-            if rows is None:
-                d_state = dict(carry)
-                d_state["h"] = carry["h"] + d_h[lo:hi]
-            else:
-                d_state = {k: v[rows] for k, v in carry.items()}
-                d_state["h"] += d_h[lo:hi]
+        for (lo, hi, prev), tr in zip(reversed(layout), reversed(traces[l])):
             d_step, d_prev, d_params = cells.step_backward(
-                cell_kind, tr, d_state, params)
+                cell_kind, tr, {k: v[lo:hi] for k, v in d_rows.items()},
+                params)
             if d_pre is None:
                 d_pre = np.empty((len(d_h), d_step.shape[1]))
             d_pre[lo:hi] = d_step
             for k, g in d_params.items():
                 grads[f"{prefix}{l}.{k}"] += g
-            if d_prev is None:  # a zero state, or feedforward's: no carry
-                continue
-            if rows is None:
-                carry = d_prev
-            else:
+            if d_prev is not None:  # None: a zero state, or feedforward's
                 for k, v in d_prev.items():
-                    carry[k][rows] = v
+                    d_rows[k][prev] += v
         d_h, d_params = cells.input_backward(
             cell_kind, inputs[l], d_pre, params, need_dx=l > 0 or need_d_inp)
         for k, g in d_params.items():
@@ -591,11 +579,12 @@ def predict_topk(model: ModelParams, history: PatientRecord,
     batch = build_history_tensor(history, model, vocab)
     inp, _ = _embed(model, batch)
     # one patient, active at every step
-    steps = [(t, t + 1, None) for t in range(len(inp))]
-    hf = _scan_direction(inp, (1, steps), model.fwd, model.cell_kind,
+    steps = [(0, 1, None)] + [(t, t + 1, slice(t - 1, t))
+                              for t in range(1, len(inp))]
+    hf = _scan_direction(inp, steps, model.fwd, model.cell_kind,
                          model.hidden)[0]
     # a contiguous copy, laid out as forward()'s inp[rev]
-    hb_rev = _scan_direction(inp[::-1].copy(), (1, steps[:1]), model.bwd,
+    hb_rev = _scan_direction(inp[::-1].copy(), steps[:1], model.bwd,
                              model.cell_kind, model.hidden)[0]
     hb = np.zeros_like(hf)
     hb[-1] = hb_rev[0]

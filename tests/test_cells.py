@@ -281,3 +281,26 @@ def test_zero_state_step_equals_a_step_from_init_state(kind):
     assert set(grads0) == ({"Wproj"} if "Wproj" in p else set())
     for k, g in grads0.items():
         assert g.tobytes() == grads[k].tobytes(), k
+
+
+@pytest.mark.parametrize("kind", CELL_KINDS)
+@pytest.mark.parametrize("zero_state", [True, False])
+def test_steps_never_write_their_arguments(kind, zero_state):
+    # the network passes views of its packed state rows, so a step and its
+    # backward step must take every argument read-only
+    rng = SeededRng(17)
+    p = cells.init_params(kind, 5, 6, rng)
+    for v in p.values():
+        v += rng.normal(0.4, v.shape)
+    xw = cells.project_inputs(kind, rng.normal(1.0, (3, 5)), p)
+    names = cells.init_state(kind, 3, 6)
+    state = None if zero_state else {k: rng.normal(0.7, (3, 6))
+                                     for k in names}
+    d_state = {k: rng.normal(1.0, (3, 6)) for k in names}
+    args = [xw, *p.values(), *(state or {}).values(), *d_state.values()]
+    for a in args:
+        a.flags.writeable = False
+    _, trace = cells.step(kind, xw, state, p)
+    for a in trace.values():
+        a.flags.writeable = False
+    cells.step_backward(kind, trace, d_state, p)

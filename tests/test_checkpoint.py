@@ -110,6 +110,7 @@ def test_saved_header_holds_the_checked_fields(tmp_path):
     (b"[1]", "header is not a JSON object"),
     (b'"text"', "header is not a JSON object"),
     (b"{}", "header lacks version, cell_kind, n_codes"),
+    (b'{"version', "m.ckpt: header is not JSON"),
 ])
 def test_rejects_a_malformed_header(tmp_path, header, problem):
     path = tmp_path / "m.ckpt"

@@ -534,7 +534,7 @@ def test_compare_grid(tmp_path, capsys):
         assert a["iterations"] == b["iterations"]
 
 
-@pytest.mark.parametrize("grid", [[5], {"a": 1}, [{"label": "m"}, "x"]])
+@pytest.mark.parametrize("grid", [[5], {"a": 1}, [{"label": "m"}, "x"], []])
 def test_compare_grid_not_a_list_of_objects_exit_2(tmp_path, capsys, grid):
     cohort, _ = synth_cohort(tmp_path, capsys)
     path = tmp_path / "grid.json"

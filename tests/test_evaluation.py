@@ -269,6 +269,20 @@ def test_run_comparison_single_config_and_failure_isolation():
     assert "broken" in csv
 
 
+def test_run_comparison_raises_a_program_fault(monkeypatch):
+    # only bad input and divergence make a failed row; a fault in the
+    # program must not pass as one
+    cohort = generate_cohort(SynthSpec(n_patients=12, vocab_size=25,
+                                       n_states=3, seed=5))
+
+    def faulty_train(*args, **kwargs):
+        raise TypeError("a fault")
+
+    monkeypatch.setattr(training, "train", faulty_train)
+    with pytest.raises(TypeError, match="a fault"):
+        run_comparison(cohort, [{"label": "m", "max_epochs": 1}], seeds=[0])
+
+
 def test_random_row_scores_the_held_out_patients_of_train(monkeypatch):
     cohort = generate_cohort(SynthSpec(n_patients=20, vocab_size=25,
                                        n_states=3, seed=5))

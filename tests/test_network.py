@@ -292,6 +292,52 @@ def test_full_gradient_check_ragged_lengths(kind):
     assert max(errors.values()) <= 1e-4, f"{kind}: {errors}"
 
 
+def _pack_by_walk(valid):
+    """_pack's layout by walking the patients of each step in turn: each
+    active cell takes the next row and reads the last row its patient took
+    (n_valid before the first)."""
+    n_valid = int(valid.sum())
+    latest = [n_valid] * valid.shape[1]
+    steps, row = [], 0
+    for t in range(valid.shape[0]):
+        lo, prev = row, []
+        for p in np.flatnonzero(valid[t]):
+            prev.append(latest[p])
+            latest[p] = row
+            row += 1
+        if prev:
+            steps.append((lo, row, prev))
+    return steps
+
+
+PACK_MASKS = {
+    "holes": [[1, 1, 0], [0, 1, 1], [1, 0, 1], [1, 1, 0]],
+    "empty-first-and-last-steps": [[0, 0, 0], [1, 0, 1], [1, 0, 0],
+                                   [0, 0, 0]],
+    "all-padding-patient": [[1, 0, 1], [1, 0, 0], [0, 0, 1]],
+    "late-starts": [[0, 1, 0], [0, 1, 1], [1, 1, 1]],
+    "one-cell": [[0, 0], [0, 1]],
+    "empty": [[0, 0], [0, 0]],
+    **{f"random-{seed}": (SeededRng(seed).uniform((7, 9)) < 0.5).tolist()
+       for seed in range(4)},
+}
+
+
+@pytest.mark.parametrize("mask", PACK_MASKS.values(), ids=PACK_MASKS.keys())
+@pytest.mark.parametrize("reverse", [False, True])
+def test_pack_equals_a_per_patient_walk(mask, reverse):
+    valid = np.array(mask, dtype=bool)
+    if reverse:  # as the backward flow packs it
+        valid = valid[::-1]
+    got, want = network._pack(valid), _pack_by_walk(valid)
+    assert [s[:2] for s in got] == [s[:2] for s in want]
+    if got:
+        assert got[0][2] is None
+        assert want[0][2] == [int(valid.sum())] * (want[0][1] - want[0][0])
+    for (_, _, prev), (_, _, expected) in zip(got[1:], want[1:]):
+        assert prev.dtype == np.intp and prev.tolist() == expected
+
+
 # ---------------------------------------------------------------------------
 # the two flows on two threads, and the parameter arena
 

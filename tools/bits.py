@@ -1,0 +1,90 @@
+"""Checkpoint bits of a dxtraj tree, as one JSON table.
+
+Usage:
+
+    python tools/bits.py [TREE] > bits.json
+
+TREE is the root of a dxtraj checkout (default: the checkout holding this
+script); its src/ and perfbench/ are imported. The table maps each row to
+the sha256 of the checkpoint file that training writes:
+
+  <kind>/<config>   every cell kind under each config of CONFIGS, trained
+                    on a 60-patient synth cohort;
+  perfbench/<name>  each perfbench workload's train() at seed 1.
+
+BLAS runs on one thread. Two trees run on the same host give the same
+table exactly when they train the same bits; the hashes are not meant to
+hold across hosts or BLAS builds.
+"""
+
+from __future__ import annotations
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"  # before numpy is imported
+
+import argparse
+import hashlib
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+ALL_EXTRAS = {"adm_type": True, "duration": True, "interval": True}
+CONFIGS = {
+    "plain": {},
+    "layers2": {"layers": 2},
+    "embedding": {"embedding_dim": 8},
+    "dropout": {"dropout_rate": 0.3},
+    "input_noise": {"input_noise_std": 0.1},
+    "extras": {"extra_features": ALL_EXTRAS},
+    "all": {"layers": 2, "embedding_dim": 8, "dropout_rate": 0.3,
+            "input_noise_std": 0.1, "extra_features": ALL_EXTRAS},
+}
+# shared by every synth row: several ragged batches, a few epochs
+BASE = {"seed": 1, "hidden_size": 16, "max_epochs": 3, "batch_size": 16}
+PERFBENCH_SEED = 1
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("tree", nargs="?",
+                        default=Path(__file__).resolve().parent.parent)
+    root = Path(parser.parse_args(argv).tree).resolve()
+    sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
+    from dxtraj.cells import CELL_KINDS
+    from dxtraj.checkpoint import save_checkpoint
+    from dxtraj.synth import SynthSpec, generate_cohort
+    from dxtraj.training import TrainConfig, train
+    import workload
+
+    table = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.ckpt"
+
+        def digest(model):
+            save_checkpoint(model, path)
+            return hashlib.sha256(path.read_bytes()).hexdigest()
+
+        cohort = generate_cohort(SynthSpec(n_patients=60, vocab_size=40,
+                                           n_states=5, noise_rate=0.2,
+                                           seed=7))
+        for kind in CELL_KINDS:
+            for name, overrides in CONFIGS.items():
+                config = TrainConfig.from_dict(
+                    {**BASE, "cell_kind": kind, **overrides})
+                table[f"{kind}/{name}"] = digest(train(cohort, config)[0])
+        for name, w in workload.WORKLOADS.items():
+            workdir = Path(tmp) / name
+            workdir.mkdir()
+            files = workload.write_inputs(w, PERFBENCH_SEED, workdir)
+            ready = workload.setup(w, files)
+            model = workload.train_once(w, ready.cohort).model
+            table[f"perfbench/{name}"] = digest(model)
+    json.dump(table, sys.stdout, indent=1)
+    print()
+
+
+if __name__ == "__main__":
+    main()
