@@ -141,15 +141,20 @@ def cmd_predict(args) -> int:
     descriptions = {}
     if args.ccs:
         descriptions = ehr_data.load_ccs_map(args.ccs).labels
-    ranked = predict_topk(model, patients[0], vocab, args.k)
-    out = [
-        {
-            "code": vocab.labels[i],
-            "description": descriptions.get(vocab.labels[i], str(vocab.labels[i])),
-            "probability": p,
-        }
-        for i, p in ranked
-    ]
+    out = []
+    for patient in patients:
+        if not patient.admissions:
+            raise ValueError(f"{args.history}: patient "
+                             f"{patient.patient_id!r} has no admissions")
+        out.append({"patient_id": patient.patient_id, "predictions": [
+            {
+                "code": vocab.labels[i],
+                "description": descriptions.get(vocab.labels[i],
+                                                str(vocab.labels[i])),
+                "probability": p,
+            }
+            for i, p in predict_topk(model, patient, vocab, args.k)
+        ]})
     print(json.dumps(out, indent=2))
     return EXIT_OK
 
@@ -248,7 +253,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, nargs="+", default=[10, 20, 30])
     p.set_defaults(fn=cmd_evaluate)
 
-    p = sub.add_parser("predict", help="rank next-admission codes for a history")
+    p = sub.add_parser("predict", help="rank next-admission codes for each "
+                                       "patient of a history file")
     p.add_argument("--model", required=True)
     p.add_argument("--history", required=True)
     p.add_argument("--k", type=int, default=30)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import sys
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -31,7 +32,7 @@ class VocabularyError(ValueError):
     pass
 
 
-@dataclass
+@dataclass(slots=True)
 class Admission:
     timestamp: int
     codes: set  # CCS labels (or raw ICD-9 strings before mapping)
@@ -39,7 +40,7 @@ class Admission:
     duration: float | None = None  # hours
 
 
-@dataclass
+@dataclass(slots=True)
 class PatientRecord:
     patient_id: str
     admissions: list  # of Admission, sorted ascending by timestamp
@@ -166,15 +167,21 @@ class BatchTensor:
 # loading / saving
 
 def load_patients(path) -> list:
-    """Read JSON-lines patient records; admissions are sorted by timestamp."""
-    patients = []
+    """Read JSON-lines patient records; admissions are sorted by timestamp.
+    A patient_id may appear once (7 and "7" are one id)."""
+    patients, first_line = [], {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                patients.append(_patient_record(json.loads(line)))
+                record = _patient_record(json.loads(line))
+                first = first_line.setdefault(record.patient_id, lineno)
+                if first != lineno:
+                    raise ValueError(f"duplicate patient_id {record.patient_id!r}"
+                                     f" (first on line {first})")
+                patients.append(record)
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
             except ValueError as exc:
@@ -220,7 +227,9 @@ def _patient_record(obj) -> PatientRecord:
                                        or not math.isfinite(duration)):
             field, expected = "duration_hours", "a finite number or null"
         else:
-            adms.append(Admission(ts, set(codes), adm_type, duration))
+            # one str per distinct code: each occurrence's is freed with its line
+            adms.append(Admission(ts, set(map(sys.intern, codes)), adm_type,
+                                  duration))
             continue
         raise ValueError(f"admissions[{i}].{field}: expected {expected}")
     adms.sort(key=lambda a: a.timestamp)
@@ -263,7 +272,7 @@ def load_ccs_map(path) -> CcsMap:
             if len(row) < 2:
                 raise CcsMapError(f"{path}:{lineno}: expected at least 2 columns")
             icd = row[0].strip()
-            ccs = row[1].strip()
+            ccs = sys.intern(row[1].strip())
             if not icd or not ccs:
                 raise CcsMapError(f"{path}:{lineno}: empty code field")
             if icd in mapping and mapping[icd] != ccs:
@@ -287,33 +296,30 @@ def map_icd_to_ccs(record: PatientRecord, ccs: CcsMap,
     Unknown codes are dropped and counted; the many-to-one mapping collapses
     duplicates naturally via the set.
     """
-    mapped = []
+    mapping, mapped = ccs.mapping, []
     for adm in record.admissions:
-        codes = set()
-        for icd in adm.codes:
-            if icd in ccs.mapping:
-                codes.add(ccs.mapping[icd])
-            elif report is not None:
-                report.unknown_icd_codes += 1
+        codes = set(map(mapping.get, adm.codes))
+        if None in codes:
+            codes.discard(None)
+            if report is not None:
+                report.unknown_icd_codes += sum(c not in mapping for c in adm.codes)
         mapped.append(Admission(adm.timestamp, codes, adm.adm_type, adm.duration))
     return PatientRecord(record.patient_id, mapped)
 
 
 def filter_cohort(patients) -> tuple:
     """Drop admissions with empty code sets or negative durations, then drop
-    patients left with fewer than two admissions."""
+    patients left with fewer than two admissions. An admission that is
+    both is counted as empty."""
     report = FilterReport()
     kept_patients = []
     for p in patients:
-        kept = []
-        for adm in p.admissions:
-            if not adm.codes:
-                report.admissions_empty_codes += 1
-                continue
-            if adm.duration is not None and adm.duration < 0:
-                report.admissions_negative_duration += 1
-                continue
-            kept.append(adm)
+        kept = [a for a in p.admissions if a.codes and not (a.duration or 0) < 0]
+        if len(kept) < len(p.admissions):
+            empty = sum(not a.codes for a in p.admissions)
+            report.admissions_empty_codes += empty
+            report.admissions_negative_duration += (
+                len(p.admissions) - len(kept) - empty)
         if len(kept) >= 2:
             kept_patients.append(PatientRecord(p.patient_id, kept))
         else:
@@ -322,10 +328,7 @@ def filter_cohort(patients) -> tuple:
 
 
 def build_vocabulary(patients) -> CodeVocabulary:
-    labels = set()
-    for p in patients:
-        for adm in p.admissions:
-            labels.update(adm.codes)
+    labels = set().union(*(a.codes for p in patients for a in p.admissions))
     if not labels:
         raise VocabularyError("empty cohort: no codes to build a vocabulary from")
     return CodeVocabulary(sorted(labels))

@@ -10,6 +10,8 @@ from dxtraj import training
 from dxtraj.cells import CELL_KINDS
 from dxtraj.cli import main
 from dxtraj.checkpoint import load_checkpoint
+from dxtraj.ehr_data import CodeVocabulary, load_patients, save_patients
+from dxtraj.network import predict_topk
 from dxtraj.synth import SynthSpec, generate_cohort, oracle_recall
 from dxtraj.training import TrainConfig
 
@@ -87,6 +89,59 @@ def test_prepare_all_single_admission_patients_removed(tmp_path, capsys):
     assert json.loads(report.read_text())["patients_too_few_admissions"] == 1
 
 
+RAW_COHORT = [
+    # unsorted timestamps, an unknown code, an admission with no known code
+    {"patient_id": "a", "admissions": [
+        {"timestamp": 300, "icd9": ["0600", "9999"], "type": "urgent",
+         "duration_hours": 5.5},
+        {"timestamp": 100, "icd9": ["01001", "0600", "01000"],
+         "type": "emergency", "duration_hours": 24.0},
+        {"timestamp": 200, "icd9": ["V000"], "type": None,
+         "duration_hours": None}]},
+    # an integer id, a negative duration, an admission both empty and
+    # negative (counted as empty) and an integer duration
+    {"patient_id": 7, "admissions": [
+        {"timestamp": 90, "icd9": ["0600", "01000"], "type": "urgent",
+         "duration_hours": 0},
+        {"timestamp": 10, "icd9": ["0600"], "type": "newborn",
+         "duration_hours": -1.0},
+        {"timestamp": 50, "icd9": ["01002"], "type": "elective",
+         "duration_hours": 2},
+        {"timestamp": 70, "icd9": ["XXXX"], "type": None,
+         "duration_hours": -3.0}]},
+    # left with one admission
+    {"patient_id": "solo", "admissions": [
+        {"timestamp": 5, "icd9": ["0600"], "type": None, "duration_hours": 1.0},
+        {"timestamp": 1, "icd9": ["ZZZ"], "type": None, "duration_hours": 1.0}]},
+]
+
+PREPARED_COHORT = (
+    '{"patient_id": "a", "admissions": [{"timestamp": 100, "icd9": ["1", "7"],'
+    ' "type": "emergency", "duration_hours": 24.0}, {"timestamp": 300, "icd9":'
+    ' ["7"], "type": "urgent", "duration_hours": 5.5}]}\n'
+    '{"patient_id": "7", "admissions": [{"timestamp": 50, "icd9": ["1"],'
+    ' "type": "elective", "duration_hours": 2}, {"timestamp": 90, "icd9":'
+    ' ["1", "7"], "type": "urgent", "duration_hours": 0}]}\n')
+
+PREPARE_REPORT = (
+    '{\n  "admissions_empty_codes": 3,\n  "admissions_negative_duration": 1,\n'
+    '  "patients_too_few_admissions": 1,\n  "unknown_icd_codes": 4\n}\n')
+
+
+def test_prepare_output_and_report_bytes(tmp_path, capsys):
+    ccs = tmp_path / "map.csv"
+    ccs.write_text(TABLE1_MAP)
+    inp = tmp_path / "patients.jsonl"
+    write_patient_file(inp, RAW_COHORT)
+    out = tmp_path / "cohort.jsonl"
+    report = tmp_path / "report.json"
+    code, _ = run(capsys, "prepare", "--input", str(inp), "--ccs", str(ccs),
+                  "--output", str(out), "--report", str(report))
+    assert code == 0
+    assert out.read_text() == PREPARED_COHORT
+    assert report.read_text() == PREPARE_REPORT
+
+
 def test_prepare_missing_map_exit_2(tmp_path, capsys):
     inp = tmp_path / "patients.jsonl"
     write_patient_file(inp, [two_admission_patient()])
@@ -156,7 +211,9 @@ def test_pipeline_train_evaluate_predict(tmp_path, capsys):
     code, out = run(capsys, "predict", "--model", str(model), "--history",
                     str(cohort), "--k", str(k), "--ccs", str(ccs))
     assert code == 0
-    ranked = json.loads(out)
+    answers = json.loads(out)
+    assert len(answers) == 12
+    ranked = answers[0]["predictions"]
     assert len(ranked) == k
     probs = [r["probability"] for r in ranked]
     assert probs == sorted(probs, reverse=True)
@@ -257,6 +314,61 @@ def test_predict_unknown_code_exit_4(tmp_path, capsys):
     code, _ = run(capsys, "predict", "--model", str(model), "--history",
                   str(history), "--k", "5")
     assert code == 4
+
+
+def test_predict_answers_every_patient_in_file_order(tmp_path, capsys):
+    cohort, model = trained_model(tmp_path, capsys)
+    patients = load_patients(cohort)[::-1][:5]
+    history = tmp_path / "history.jsonl"
+    save_patients(patients, history)
+    code, out = run(capsys, "predict", "--model", str(model), "--history",
+                    str(history), "--k", "4")
+    assert code == 0
+    answers = json.loads(out)
+    assert [a["patient_id"] for a in answers] == \
+        [p.patient_id for p in patients]
+    ckpt = load_checkpoint(model)
+    vocab = CodeVocabulary(ckpt.vocab_labels)
+    for answer, patient in zip(answers, patients):
+        assert [(r["code"], r["probability"]) for r in answer["predictions"]] \
+            == [(vocab.labels[i], p)
+                for i, p in predict_topk(ckpt, patient, vocab, 4)]
+        assert all(r["description"] == r["code"]
+                   for r in answer["predictions"])
+
+
+def test_predict_patient_without_admissions_exit_2(tmp_path, capsys):
+    cohort, model = trained_model(tmp_path, capsys)
+    history = tmp_path / "history.jsonl"
+    history.write_text(cohort.read_text().splitlines()[0] + "\n"
+                       + json.dumps({"patient_id": "nobody",
+                                     "admissions": []}) + "\n")
+    code = main(["--quiet", "predict", "--model", str(model), "--history",
+                 str(history), "--k", "4"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == \
+        f"error: {history}: patient 'nobody' has no admissions\n"
+
+
+@pytest.mark.parametrize("command", ["prepare", "train", "predict"])
+def test_repeated_patient_id_exit_2(tmp_path, capsys, command):
+    inp = tmp_path / "patients.jsonl"
+    write_patient_file(inp, [two_admission_patient("p1"),
+                             two_admission_patient("p2"),
+                             two_admission_patient("p1")])
+    ccs = tmp_path / "map.csv"
+    ccs.write_text(TABLE1_MAP)
+    args = {"prepare": ["--input", str(inp), "--ccs", str(ccs), "--output",
+                        str(tmp_path / "out.jsonl")],
+            "train": ["--cohort", str(inp), "--model", str(tmp_path / "m.ckpt")],
+            "predict": ["--model", str(trained_model(tmp_path, capsys)[1]),
+                        "--history", str(inp)]}
+    code = main(["--quiet", command, *args[command]])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: {inp}:3: duplicate patient_id 'p1' (first on line 1)\n")
 
 
 # ---------------------------------------------------------------------------

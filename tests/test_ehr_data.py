@@ -497,6 +497,53 @@ def test_load_patients_accepts_integer_ids_and_null_fields(tmp_path):
             for a in p.admissions] == [(1, {"a"}, None, 4), (3, set(), None, None)]
 
 
+def test_load_patients_rejects_a_repeated_patient_id(tmp_path):
+    # "7" and 7 are one id: the loader makes every id a string
+    path = tmp_path / "pat.jsonl"
+    path.write_text("\n".join(json.dumps({**GOOD_RECORD, "patient_id": pid})
+                              for pid in ("7", "ok", 7)) + "\n")
+    with pytest.raises(ValueError, match=r"pat\.jsonl:3: duplicate "
+                                         r"patient_id '7' \(first on line 1\)"):
+        ehr_data.load_patients(path)
+
+
+def test_equal_codes_in_a_loaded_file_are_one_object(tmp_path):
+    path = tmp_path / "pat.jsonl"
+    path.write_text(
+        json.dumps({"patient_id": "a", "admissions": [
+            {"timestamp": 1, "icd9": ["0600", "01000"]},
+            {"timestamp": 2, "icd9": ["0600"]}]}) + "\n"
+        + json.dumps({"patient_id": "b", "admissions": [
+            {"timestamp": 1, "icd9": ["01000", "0600"]}]}) + "\n")
+    codes = [c for p in ehr_data.load_patients(path) for a in p.admissions
+             for c in a.codes]
+    assert len(codes) == 5
+    for code in codes:
+        assert all(c is code for c in codes if c == code)
+
+
+def test_mapped_labels_are_the_ccs_maps_objects(tmp_path):
+    f = tmp_path / "map.csv"
+    f.write_text("icd9,ccs_label\n01000,tb-1\n01001,tb-1\n0600,polio-7\n")
+    ccs = load_ccs_map(f)
+    assert ccs.mapping["01000"] is ccs.mapping["01001"]
+    labels = {id(v) for v in ccs.mapping.values()}
+    assert len(labels) == 2
+    p = make_patient("a", [{"01000", "0600"}, {"01001", "XXXX"}])
+    mapped = map_icd_to_ccs(p, ccs)
+    assert [a.codes for a in mapped.admissions] == [{"tb-1", "polio-7"},
+                                                    {"tb-1"}]
+    assert all(id(c) in labels for a in mapped.admissions for c in a.codes)
+
+
+def test_records_keep_no_instance_dict():
+    adm = Admission(1, {"a"})
+    for obj in (adm, PatientRecord("p", [adm])):
+        assert not hasattr(obj, "__dict__")
+        with pytest.raises(AttributeError):
+            obj.note = "x"
+
+
 @settings(max_examples=60, deadline=None)
 @given(cohorts, extra_sets)
 def test_from_padded_round_trips(patients, extras):
