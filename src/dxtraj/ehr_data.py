@@ -258,14 +258,13 @@ def save_patients(patients, path) -> None:
 
 
 def load_ccs_map(path) -> CcsMap:
-    """Parse the two/three-column CSV mapping; conflicting rows are fatal."""
+    """Parse the two/three-column CSV mapping after its header line;
+    conflicting rows, and a file with no mapping row, are fatal."""
     mapping = {}
     labels = {}
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            return CcsMap(mapping={}, labels={})
+        next(reader, None)  # the header
         for lineno, row in enumerate(reader, start=2):
             if not row or all(not c.strip() for c in row):
                 continue
@@ -283,6 +282,8 @@ def load_ccs_map(path) -> CcsMap:
             mapping[icd] = ccs
             if len(row) >= 3 and row[2].strip():
                 labels[ccs] = row[2].strip()
+    if not mapping:
+        raise CcsMapError(f"{path}: no mapping rows")
     return CcsMap(mapping=mapping, labels=labels)
 
 

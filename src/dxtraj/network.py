@@ -46,10 +46,19 @@ matrix product can change in the last bit with the number of rows in the
 call, so every product keeps its full shape and every reduction runs over
 the whole array, and the trained weights do not depend on the threads.
 
-Memory: backward() holds the head's gradient buffers (d_out_pre and the
-summands of the slope gradients) only until d_j_pre is formed and the slope
-gradients are summed, so the two BPTT flows run without them. It reads the
-trace and never writes it.
+Memory: the trace of forward() holds what backward() cannot rebuild
+cheaply: each layer's step traces, the h rows of the layers below the top
+(the inputs of the layers above), hf, hb, j_pre, out_pre and yhat_rows, the
+dropout rows, and, by reference, the caller's code_noise (with an
+embedding, also the code rows that E multiplies). backward() rebuilds, by
+the same elementwise ops and so with the same bits, hj = LReLU(j_pre) times
+dropout for the Wout gradient, and each flow's float64 layer-0 input rows
+(_embed, in the flow's row order) just before its layer-0 input_backward,
+once that layer's d_rows are released. It holds the head's gradient buffers
+(d_out_pre and the summands of the slope gradients) only until d_j_pre is
+formed and the slope gradients are summed, and d_j_pre only until both
+flows have taken their top-layer gradients, each of which BPTT then holds
+once, in d_rows. It reads the trace and never writes it.
 """
 
 from __future__ import annotations
@@ -307,13 +316,14 @@ def _scan_direction(inp, layout, layer_params, cell_kind, hidden):
     state from the rows of the layer that earlier steps wrote. Rows that no
     step of the layout covers get h = 0.
 
-    Returns (top-layer h per row, per-layer input rows, per-layer step
-    traces).
+    Returns (top-layer h per row, the h rows of each layer below the top,
+    which are the inputs of the layers above them, per-layer step traces).
     """
-    inputs, traces = [], []
+    lower, traces = [], []
     h_rows = inp
     for params in layer_params:
-        inputs.append(h_rows)
+        if traces:
+            lower.append(h_rows)
         xw = cells.project_inputs(cell_kind, h_rows, params)
         # every state array's rows, and a last row that holds the zero state
         rows = cells.init_state(cell_kind, len(xw) + 1, hidden)
@@ -327,12 +337,12 @@ def _scan_direction(inp, layout, layer_params, cell_kind, hidden):
             layer_traces.append(tr)
         traces.append(layer_traces)
         h_rows = rows["h"][:-1]
-    return h_rows, inputs, traces
+    return h_rows, lower, traces
 
 
 def _head(jf, jb, model, dropout=None):
     """Joint and output layers over rows, from each flow's joint term,
-    jf = hf @ Vfwd and jb = hb @ Vbwd; returns (j_pre, hj, out_pre, yhat).
+    jf = hf @ Vfwd and jb = hb @ Vbwd; returns (j_pre, out_pre, yhat).
 
     The row-wise work runs by halves (run_by_halves); hj @ Wout is one
     product on this thread. The returned j_pre is jf, summed in place."""
@@ -356,18 +366,19 @@ def _head(jf, jb, model, dropout=None):
     run_by_halves(len(jf), joint)
     out_pre = hj @ model.Wout
     run_by_halves(len(jf), output)
-    return jf, hj, out_pre, yhat
+    return jf, out_pre, yhat
 
 
 def forward(batch: BatchTensor, model: ModelParams, dropout_mask=None,
             code_noise=None) -> dict:
     """Full forward pass over the valid cells of a batch; the returned trace
-    holds every intermediate needed by backward(). trace["yhat_rows"] holds
-    the predictions of the valid cells, packed like the batch's rows.
+    holds what backward() reads. trace["yhat_rows"] holds the predictions of
+    the valid cells, packed like the batch's rows.
     dropout_mask, when given, is (T, P, hidden) and multiplies the
     joint-layer output (inverted-dropout convention, already scaled).
     code_noise, when given, is (n_valid, |D|) and is added to the code
-    slots (input noise)."""
+    slots (input noise); the trace keeps it, not the layer-0 rows built
+    from it."""
     mask = batch.mask
     d, width = model.n_codes, model.extras.width
     if (batch.code_rows.shape[1], batch.extra_rows.shape[1]) != (d, width):
@@ -390,30 +401,32 @@ def forward(batch: BatchTensor, model: ModelParams, dropout_mask=None,
     kind, hidden = model.cell_kind, model.hidden
 
     def forward_flow():
-        hf, in_f, tr_f = _scan_direction(inp, layout_f, model.fwd, kind,
-                                         hidden)
-        return hf, hf @ model.Vfwd, in_f, tr_f
+        hf, lower_f, tr_f = _scan_direction(inp, layout_f, model.fwd, kind,
+                                            hidden)
+        return hf, hf @ model.Vfwd, lower_f, tr_f
 
     def backward_flow():
         # hb[i] summarizes admissions t..T-1 of the patient of row i
-        hb_rev, in_b, tr_b = _scan_direction(inp_rev, layout_b, model.bwd,
-                                             kind, hidden)
+        hb_rev, lower_b, tr_b = _scan_direction(inp_rev, layout_b, model.bwd,
+                                                kind, hidden)
         hb = np.empty_like(hb_rev)
         hb[rev] = hb_rev
-        return hb, hb @ model.Vbwd, in_b, tr_b
+        return hb, hb @ model.Vbwd, lower_b, tr_b
 
     # the backward flow runs on the worker thread, each flow up to its own
     # term of the joint layer
-    (hf, jf, in_f, tr_f), (hb, jb, in_b, tr_b) = run_pair(forward_flow,
-                                                          backward_flow)
+    (hf, jf, lower_f, tr_f), (hb, jb, lower_b, tr_b) = run_pair(
+        forward_flow, backward_flow)
+    inp = inp_rev = None  # not in the trace: backward() builds them again
     dropout = None if dropout_mask is None else dropout_mask[valid]
-    j_pre, hj, out_pre, yhat_rows = _head(jf, jb, model, dropout)
+    j_pre, out_pre, yhat_rows = _head(jf, jb, model, dropout)
 
     return {
-        "valid": valid, "rev": rev, "codes": codes,
+        "valid": valid, "rev": rev, "codes": codes, "code_noise": code_noise,
         "layout_f": layout_f, "layout_b": layout_b,
-        "inputs_f": in_f, "inputs_b": in_b, "traces_f": tr_f, "traces_b": tr_b,
-        "hf": hf, "hb": hb, "j_pre": j_pre, "hj": hj, "out_pre": out_pre,
+        "lower_f": lower_f, "lower_b": lower_b,
+        "traces_f": tr_f, "traces_b": tr_b,
+        "hf": hf, "hb": hb, "j_pre": j_pre, "out_pre": out_pre,
         "dropout": dropout, "yhat_rows": yhat_rows,
     }
 
@@ -421,34 +434,41 @@ def forward(batch: BatchTensor, model: ModelParams, dropout_mask=None,
 # ---------------------------------------------------------------------------
 # backward
 
-def _bptt_direction(d_top, layout, inputs, traces, layer_params, cell_kind,
-                    grads, prefix, need_d_inp):
+def _bptt_direction(take_d_top, layout, lower, traces, layer_params,
+                    cell_kind, grads, prefix, need_d_inp, layer0_rows):
     """Backprop one directional stack over its packed rows, top layer first.
-    d_top is the gradient flowing into the top layer's h at every row.
-    Returns the gradient wrt the layer-0 input rows, or None when
-    need_d_inp is false."""
-    d_h = d_top
+    take_d_top() hands over the gradient flowing into the top layer's h at
+    every row; it is held only in d_rows from then on. lower holds the input
+    rows of layers 1 and up (the h rows of the layer below, from
+    _scan_direction); layer0_rows() builds those of layer 0 once the
+    layer's d_rows are released. Returns the gradient wrt the layer-0 input
+    rows, or None when need_d_inp is false."""
+    d_h = take_d_top()
+    n, hidden = d_h.shape
     for l in range(len(layer_params) - 1, -1, -1):
         params = layer_params[l]
         # the gradient wrt every state row; the zero state's row takes the
         # gradients of first cells, and nothing reads it
-        d_rows = cells.init_state(cell_kind, len(d_h) + 1, d_h.shape[1])
+        d_rows = cells.init_state(cell_kind, n + 1, hidden)
         d_rows["h"][:-1] = d_h
-        d_pre = None
+        # names are rebound, not deleted: the next layer binds them again
+        d_h = d_pre = None
         for (lo, hi, prev), tr in zip(reversed(layout), reversed(traces[l])):
             d_step, d_prev, d_params = cells.step_backward(
                 cell_kind, tr, {k: v[lo:hi] for k, v in d_rows.items()},
                 params)
             if d_pre is None:
-                d_pre = np.empty((len(d_h), d_step.shape[1]))
+                d_pre = np.empty((n, d_step.shape[1]))
             d_pre[lo:hi] = d_step
             for k, g in d_params.items():
                 grads[f"{prefix}{l}.{k}"] += g
             if d_prev is not None:  # None: a zero state, or feedforward's
                 for k, v in d_prev.items():
                     d_rows[k][prev] += v
+        d_rows = None  # released before layer0_rows() builds its rows
         d_h, d_params = cells.input_backward(
-            cell_kind, inputs[l], d_pre, params, need_dx=l > 0 or need_d_inp)
+            cell_kind, lower[l - 1] if l else layer0_rows(), d_pre, params,
+            need_dx=l > 0 or need_d_inp)
         for k, g in d_params.items():
             grads[f"{prefix}{l}.{k}"] += g
     return d_h
@@ -476,7 +496,9 @@ def backward(trace: dict, batch: BatchTensor, model: ModelParams,
     dropout = trace["dropout"]
     alpha_j, alpha_o = float(model.alpha_j), float(model.alpha_o)
     # d_out_pre rows, then d_j_pre rows; *_terms hold the summands of the
-    # slope gradients, summed whole afterwards
+    # slope gradients, summed whole afterwards. j_terms holds hj first, as
+    # _head formed it (elementwise, so the same bits by rows), for the Wout
+    # gradient
     d_out_pre, o_terms = np.empty_like(yhat), np.empty_like(yhat)
     j_terms = np.empty_like(j_pre)
 
@@ -493,9 +515,12 @@ def backward(trace: dict, batch: BatchTensor, model: ModelParams,
         np.multiply(d_out_act, np.where(o < 0, o, 0.0), out=o_terms[r])
         np.multiply(d_out_act, np.where(o >= 0, 1.0, alpha_o),
                     out=d_out_pre[r])
+        hj = lrelu(j_pre[r], alpha_j, out=j_terms[r])
+        if dropout is not None:
+            hj *= dropout[r]
 
     def output_grads():
-        grads["Wout"] += trace["hj"].T @ d_out_pre
+        grads["Wout"] += j_terms.T @ d_out_pre
         grads["b_out"] += d_out_pre.sum(axis=0)
         grads["alpha_o"] += np.sum(o_terms)
 
@@ -511,31 +536,44 @@ def backward(trace: dict, batch: BatchTensor, model: ModelParams,
     del d_out_pre, o_terms
     run_by_halves(n, joint_rows)
     grads["alpha_j"] += np.sum(j_terms)
-    del j_terms  # of the head's buffers, BPTT needs only d_j_pre
+    del j_terms  # of the head's buffers, only d_j_pre is still needed
 
-    # each flow's joint-layer gradients join its backpropagation: the
-    # backward flow's on the worker thread
+    # each flow's joint-layer gradients and the gradient into its top layer,
+    # the backward flow's on the worker thread; then d_j_pre goes, and each
+    # BPTT takes its top gradient out of tops
     rev = trace["rev"]
-    kind = model.cell_kind
-    embedded = model.E is not None
+    tops = {}
 
-    def forward_flow():
+    def forward_top():
         grads["Vfwd"] += trace["hf"].T @ d_j_pre
         grads["b_joint"] += d_j_pre.sum(axis=0)
-        return _bptt_direction(d_j_pre @ model.Vfwd.T, trace["layout_f"],
-                               trace["inputs_f"], trace["traces_f"],
-                               model.fwd, kind, grads, "fwd", embedded)
+        tops["f"] = d_j_pre @ model.Vfwd.T
+
+    def backward_top():
+        grads["Vbwd"] += trace["hb"].T @ d_j_pre
+        tops["b"] = (d_j_pre @ model.Vbwd.T)[rev]
+
+    run_pair(forward_top, backward_top)
+    d_j_pre = None
+    kind = model.cell_kind
+    embedded = model.E is not None
+    noise = trace["code_noise"]
+
+    def forward_flow():
+        return _bptt_direction(
+            lambda: tops.pop("f"), trace["layout_f"], trace["lower_f"],
+            trace["traces_f"], model.fwd, kind, grads, "fwd", embedded,
+            lambda: _embed(model, batch, noise)[0])
 
     def backward_flow():
-        grads["Vbwd"] += trace["hb"].T @ d_j_pre
-        return _bptt_direction((d_j_pre @ model.Vbwd.T)[rev],
-                               trace["layout_b"], trace["inputs_b"],
-                               trace["traces_b"], model.bwd, kind, grads,
-                               "bwd", embedded)
+        return _bptt_direction(
+            lambda: tops.pop("b"), trace["layout_b"], trace["lower_b"],
+            trace["traces_b"], model.bwd, kind, grads, "bwd", embedded,
+            lambda: _embed(model, batch, noise)[0][rev])
 
     d_inp, d_inp_rev = run_pair(forward_flow, backward_flow)
     if embedded:
-        d_inp[trace["rev"]] += d_inp_rev
+        d_inp[rev] += d_inp_rev
         e = model.embed_dim
         # cast keeping the transposed layout, so BLAS takes the product
         # as it takes it for float64 code slots
@@ -588,6 +626,6 @@ def predict_topk(model: ModelParams, history: PatientRecord,
                              model.cell_kind, model.hidden)[0]
     hb = np.zeros_like(hf)
     hb[-1] = hb_rev[0]
-    probs = _head(hf @ model.Vfwd, hb @ model.Vbwd, model)[3][-1]
+    probs = _head(hf @ model.Vfwd, hb @ model.Vbwd, model)[2][-1]
     order = rank_codes(probs)[:k]
     return [(int(i), float(probs[i])) for i in order]

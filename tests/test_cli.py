@@ -151,6 +151,36 @@ def test_prepare_missing_map_exit_2(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("text", ["", "icd9,ccs_label,description\n",
+                                  "\n\n"],
+                         ids=["empty", "header-only", "blank-lines"])
+def test_prepare_map_without_rows_exit_2(tmp_path, capsys, text):
+    ccs = tmp_path / "map.csv"
+    ccs.write_text(text)
+    inp = tmp_path / "patients.jsonl"
+    write_patient_file(inp, [two_admission_patient()])
+    out, report = tmp_path / "out.jsonl", tmp_path / "report.json"
+    code = main(["--quiet", "prepare", "--input", str(inp), "--ccs",
+                 str(ccs), "--output", str(out), "--report", str(report)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {ccs}: no mapping rows\n"
+    assert not out.exists() and not report.exists()
+
+
+def test_predict_map_without_rows_exit_2(tmp_path, capsys):
+    cohort, model = trained_model(tmp_path, capsys)
+    ccs = tmp_path / "header.csv"
+    ccs.write_text("icd9,ccs_label,description\n")
+    code = main(["--quiet", "predict", "--model", str(model), "--history",
+                 str(cohort), "--k", "4", "--ccs", str(ccs)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {ccs}: no mapping rows\n"
+
+
 @pytest.mark.parametrize("command", ["prepare", "train"])
 @pytest.mark.parametrize("field, value", [("timestamp", None),
                                           ("duration_hours", float("nan"))])

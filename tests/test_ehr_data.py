@@ -49,9 +49,23 @@ def test_load_ccs_map(tmp_path):
 
 
 def test_load_ccs_map_empty(tmp_path):
+    # a map with no rows would count every code unknown
     f = tmp_path / "empty.csv"
     f.write_text("")
-    assert load_ccs_map(f).mapping == {}
+    with pytest.raises(CcsMapError) as err:
+        load_ccs_map(f)
+    assert str(err.value) == f"{f}: no mapping rows"
+
+
+@pytest.mark.parametrize("text", ["icd9,ccs_label,description\n",
+                                  "\n\n  \n"],
+                         ids=["header-only", "blank-lines"])
+def test_load_ccs_map_without_rows(tmp_path, text):
+    f = tmp_path / "map.csv"
+    f.write_text(text)
+    with pytest.raises(CcsMapError) as err:
+        load_ccs_map(f)
+    assert str(err.value) == f"{f}: no mapping rows"
 
 
 def test_load_ccs_map_conflict(tmp_path):

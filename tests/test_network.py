@@ -346,9 +346,10 @@ def test_concurrent_flows_equal_serial_scans_and_repeat(kind):
     model = small_model(seed=61, kind=kind, layers=2, embed_dim=3)
     batch = _ragged_batch(67)
     trace = network.forward(batch, model)
-    hf = network._scan_direction(trace["inputs_f"][0], trace["layout_f"],
-                                 model.fwd, kind, model.hidden)[0]
-    hb_rev = network._scan_direction(trace["inputs_b"][0], trace["layout_b"],
+    inp = network._embed(model, batch)[0]
+    hf = network._scan_direction(inp, trace["layout_f"], model.fwd, kind,
+                                 model.hidden)[0]
+    hb_rev = network._scan_direction(inp[trace["rev"]], trace["layout_b"],
                                      model.bwd, kind, model.hidden)[0]
     npt.assert_array_equal(trace["hf"], hf)
     npt.assert_array_equal(trace["hb"][trace["rev"]], hb_rev)
@@ -678,9 +679,11 @@ def serial_head(hf, hb, model, dropout):
     return j_pre, hj, out_pre, e / np.sum(e, axis=-1, keepdims=True)
 
 
-def serial_backward(trace, batch, model):
+def serial_backward(trace, batch, model, inp=None):
     """The gradient vector with the head's backward on one thread and the
-    flows' backpropagation called one after the other (no embedding)."""
+    flows' backpropagation called one after the other, from inp, the
+    layer-0 input rows in forward order (those of network._embed when
+    None)."""
     grad = np.zeros_like(model.theta)
     grads = model.views(grad)
     n_valid = batch.mask.sum()
@@ -695,12 +698,15 @@ def serial_backward(trace, batch, model):
     out_pre = trace["out_pre"]
     d_out_pre = d_out_act * np.where(out_pre >= 0, 1.0, float(model.alpha_o))
     grads["alpha_o"] += np.sum(d_out_act * np.where(out_pre < 0, out_pre, 0.0))
-    grads["Wout"] += trace["hj"].T @ d_out_pre
+    j_pre = trace["j_pre"]
+    hj = np.where(j_pre >= 0, j_pre, float(model.alpha_j) * j_pre)
+    if trace["dropout"] is not None:
+        hj = hj * trace["dropout"]
+    grads["Wout"] += hj.T @ d_out_pre
     grads["b_out"] += d_out_pre.sum(axis=0)
     d_hj = d_out_pre @ model.Wout.T
     if trace["dropout"] is not None:
         d_hj = d_hj * trace["dropout"]
-    j_pre = trace["j_pre"]
     d_j_pre = d_hj * np.where(j_pre >= 0, 1.0, float(model.alpha_j))
     grads["alpha_j"] += np.sum(d_hj * np.where(j_pre < 0, j_pre, 0.0))
     grads["Vfwd"] += trace["hf"].T @ d_j_pre
@@ -708,13 +714,21 @@ def serial_backward(trace, batch, model):
     grads["b_joint"] += d_j_pre.sum(axis=0)
     d_hf = d_j_pre @ model.Vfwd.T
     d_hb = d_j_pre @ model.Vbwd.T
-    for d_top, side, params in ((d_hf, "f", model.fwd),
-                                (d_hb[trace["rev"]], "b", model.bwd)):
-        network._bptt_direction(d_top, trace["layout_" + side],
-                                trace["inputs_" + side],
-                                trace["traces_" + side], params,
-                                model.cell_kind, grads,
-                                "fwd" if side == "f" else "bwd", False)
+    if inp is None:
+        inp = network._embed(model, batch, trace["code_noise"])[0]
+    rev = trace["rev"]
+    embedded = model.E is not None
+    d_inp = {}
+    for d_top, side, params, rows in ((d_hf, "f", model.fwd, inp),
+                                      (d_hb[rev], "b", model.bwd, inp[rev])):
+        d_inp[side] = network._bptt_direction(
+            lambda: d_top, trace["layout_" + side], trace["lower_" + side],
+            trace["traces_" + side], params, model.cell_kind, grads,
+            "fwd" if side == "f" else "bwd", embedded, lambda: rows)
+    if embedded:
+        d_inp["f"][rev] += d_inp["b"]
+        codes_t = trace["codes"].T.astype(np.float64, copy=False)
+        grads["E"] += codes_t @ d_inp["f"][:, :model.embed_dim]
     return grad
 
 
@@ -740,11 +754,40 @@ def test_head_on_two_threads_equals_serial_head(kind, dropout, n):
     assert len(trace["yhat_rows"]) == n
     expected = serial_head(trace["hf"], trace["hb"], model,
                            None if mask is None else mask[trace["valid"]])
-    for name, want in zip(("j_pre", "hj", "out_pre", "yhat_rows"), expected):
+    # the trace keeps no hj: out_pre and the Wout gradient check it
+    for name, want in zip(("j_pre", "out_pre", "yhat_rows"),
+                          expected[:1] + expected[2:]):
         npt.assert_array_equal(trace[name], want, err_msg=name)
     grad = np.zeros_like(model.theta)
     network.backward(trace, batch, model, grad)
     npt.assert_array_equal(grad, serial_backward(trace, batch, model))
+
+
+@pytest.mark.parametrize("kind", CELL_KINDS)
+@pytest.mark.parametrize("embed_dim", [None, 3])
+def test_backward_from_rebuilt_layer0_rows_equals_kept_rows(kind, embed_dim):
+    # backward() builds the layer-0 rows again from the batch and the
+    # trace's code_noise; a reference given the rows that forward() read
+    # gets the same gradient vector, bit for bit
+    model = small_model(seed=131, kind=kind, layers=2, embed_dim=embed_dim,
+                        extras=ALL_EXTRAS)
+    batch = random_batch(5, 4, 3, SeededRng(137), extras=ALL_EXTRAS,
+                         lengths=(3, 0, 2, 1))
+    rng = SeededRng(139)
+    noise = rng.normal(0.1, (int(batch.mask.sum()), 5))
+    dropout = (rng.uniform((3, 4, 4)) < 0.7) / 0.7
+    codes = batch.code_rows + noise
+    if embed_dim:
+        codes = codes @ model.E
+    inp = np.concatenate([codes, batch.extra_rows], axis=1)
+    trace = network.forward(batch, model, dropout_mask=dropout,
+                            code_noise=noise)
+    hf = network._scan_direction(inp, trace["layout_f"], model.fwd, kind,
+                                 model.hidden)[0]
+    npt.assert_array_equal(hf, trace["hf"])  # the rows forward() read
+    grad = np.zeros_like(model.theta)
+    network.backward(trace, batch, model, grad)
+    npt.assert_array_equal(grad, serial_backward(trace, batch, model, inp))
 
 
 @pytest.mark.parametrize("layers", [1, 2])
@@ -766,7 +809,8 @@ def test_lstm_google_with_identity_projection_is_lstm(layers):
     tr_g, tr_l = network.forward(batch, google), network.forward(batch, lstm)
     for key in ("hf", "hb", "yhat_rows"):
         assert tr_g[key].tobytes() == tr_l[key].tobytes(), key
-    for side in ("inputs_f", "inputs_b"):  # the lower layers' states
+    for side in ("lower_f", "lower_b"):  # the lower layers' states
+        assert len(tr_g[side]) == len(tr_l[side]) == layers - 1
         for a, b in zip(tr_g[side], tr_l[side]):
             assert a.tobytes() == b.tobytes(), side
     g_g = network.backward(tr_g, batch, google)
@@ -827,8 +871,74 @@ def test_backward_frees_the_head_buffers_before_bptt(monkeypatch):
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        network.backward(trace, batch, model, grad)
+        # on the worker, where run_pair runs inline: on two threads one flow
+        # may reach the end of its BPTT, where it builds its (rows, |D|)
+        # layer-0 rows, before the other flow starts
+        network.run_pair(lambda: None,
+                         lambda: network.backward(trace, batch, model, grad))
     finally:
         tracemalloc.stop()
     assert len(held) == 2
     assert max(held) < head_buffer, held
+
+
+def _memory_around_bptt(monkeypatch, model, batch, code_noise=None):
+    """(the trace, the bytes it holds, the most bytes held beyond it at the
+    start of a BPTT step), from tracemalloc started before forward().
+    backward() runs on the worker, where run_pair runs inline, so that the
+    two flows' BPTT run one after the other and the peak is repeatable."""
+    import tracemalloc
+
+    from dxtraj import cells
+
+    grad = np.zeros_like(model.theta)
+    held = []
+    original = cells.step_backward
+
+    def recording(*args, **kwargs):
+        held.append(tracemalloc.get_traced_memory()[0] - start)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cells, "step_backward", recording)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        trace = network.forward(batch, model, code_noise=code_noise)
+        trace_bytes = tracemalloc.get_traced_memory()[0] - start
+        network.run_pair(lambda: None,
+                         lambda: network.backward(trace, batch, model, grad))
+    finally:
+        tracemalloc.stop()
+    return trace, trace_bytes, max(held) - trace_bytes
+
+
+def test_neither_trace_nor_bptt_holds_the_layer0_rows(monkeypatch):
+    # the float64 layer-0 rows are (rows, |D|): with |D| much wider than
+    # hidden they, out_pre and yhat_rows dominate. The trace keeps the
+    # last two and the caller's code_noise, and backward() builds the rows
+    # again after the step loops, so they are held nowhere in between
+    n_codes = 400
+    model = small_model(seed=103, n_codes=n_codes, hidden=4)
+    batch = random_batch(n_codes, 20, 3, SeededRng(107), ragged=False)
+    noise = SeededRng(109).normal(0.1, (60, n_codes))
+    wide = 60 * n_codes * 8
+    trace, trace_bytes, beyond = _memory_around_bptt(monkeypatch, model,
+                                                     batch, noise)
+    assert "hj" not in trace
+    assert trace["code_noise"] is noise
+    assert 2 * wide <= trace_bytes < 2.5 * wide, trace_bytes
+    assert beyond < 0.5 * wide, beyond
+
+
+def test_bptt_holds_each_top_gradient_once(monkeypatch):
+    # with hidden much wider than |D|, the (rows, hidden) arrays dominate.
+    # In the first flow's step loop BPTT holds four of them: the other
+    # flow's top gradient, d_rows, and d_pre of mgru's two gates. A second
+    # copy of the top gradient, or d_j_pre, would be a fifth
+    hidden, n_rows = 64, 1200
+    model = small_model(seed=113, n_codes=5, hidden=hidden)
+    batch = random_batch(5, 20, 60, SeededRng(127), ragged=False)
+    one = n_rows * hidden * 8
+    trace, _, beyond = _memory_around_bptt(monkeypatch, model, batch)
+    assert "hj" not in trace
+    assert 3.9 * one < beyond < 4.5 * one, beyond / one

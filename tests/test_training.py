@@ -364,14 +364,14 @@ def test_l2_gradient_along_the_update_path():
 
 def embed_input(x, E, extras=ExtraFeatures()):
     """The layer-0 input of the one (step, patient) cell of x, as
-    network.forward() computes it for a model with embedding E."""
+    network._embed builds it for a model with embedding E."""
     n_codes, dim = E.shape
     model = network.init_model("mgru", n_codes, 3, extras=extras,
                                embed_dim=dim, rng=SeededRng(0))
     model.E[...] = E
     batch = BatchTensor.from_padded(x, np.ones((1, 1)),
                                     np.zeros((1, 1, n_codes)), ["p"])
-    return network.forward(batch, model)["inputs_f"][0][0]
+    return network._embed(model, batch)[0][0]
 
 
 def test_embed_input():
