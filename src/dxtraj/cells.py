@@ -16,30 +16,31 @@ arrays and optional matrices), and these functions take the kind first:
     project_inputs(x, params)       -> xw, the input terms of every gate,
                                        one column block per gate
     step(xw, state or None, params) -> (new_state, trace)
-    step_backward(trace, d_state, params) -> (d_pre, d_state_prev or None,
-                                              d_params)
+    step_backward(trace, state or None, d_state, params)
+                                    -> (d_pre, d_state_prev or None, d_params)
     input_backward(x, d_pre, params, need_dx) -> (dx or None, d_params)
 
-No function writes its arguments (xw, the state, a trace, d_state, the
-params): the network passes views of its packed rows, and a step's trace
-keeps the state arrays it was given.
+A step's trace holds only what the cell computed (gates, candidate, lstm's
+tc and m), never a state array: the network keeps each state once, in its
+packed rows, and step_backward takes the state that step took, gathered
+again. No function writes its arguments (xw, state, trace, d_state, params).
 
-state None is the zero state of a flow's first step. Such a step builds its
-gates from xw alone: it forms no h @ U<g> nor any gated product of the
-state, all of them exact zeros, and its trace holds no state array. A gate
-that multiplies only the state (gru's r, lstm's f) is not formed, and its
-block of d_pre is zero. Adding an exact zero leaves a nonzero value as it
-is, so the result equals that of a step from init_state() except, at most,
-in the sign of an exact zero.
+state None is the zero state of a flow's first step, in step and in
+step_backward alike. Such a step builds its gates from xw alone: it forms
+no h @ U<g> nor any gated product of the state, all of them exact zeros. A
+gate that multiplies only the state (gru's r, lstm's f) is not formed, and
+its block of d_pre is zero. Adding an exact zero leaves a nonzero value as
+it is, so the result equals that of a step from init_state() except, at
+most, in the sign of an exact zero.
 
 step_backward returns d_pre, the gradient with respect to a step's stacked
 input terms (same layout as xw), the gradient with respect to the previous
 state, and the gradients of the parameters a step reads: U<g>, and Wproj
-for lstm_google. On a zero-state trace it returns None for the previous
+for lstm_google. From the state None it returns None for the previous
 state's gradient and no U<g> gradient; feedforward, which carries no state,
-returns None at every step. input_backward turns the d_pre rows
-of a whole sequence into the W<g> and b<g> gradients with one GEMM and, when
-asked, into the gradient with respect to x.
+returns None at every step. input_backward turns the d_pre rows of a whole
+sequence into the W<g> and b<g> gradients with one GEMM and, when asked,
+into the gradient with respect to x.
 
 The backward passes are hand-derived and are checked against central finite
 differences in the test suite.
@@ -147,8 +148,9 @@ def step(kind: str, xw: np.ndarray, state: dict | None, params: dict):
     return cell.step(xw, state, params)
 
 
-def step_backward(kind: str, trace: dict, d_state: dict, params: dict):
-    return _cell(kind).backward(trace, d_state, params)
+def step_backward(kind: str, trace: dict, state: dict | None, d_state: dict,
+                  params: dict):
+    return _cell(kind).backward(trace, state, d_state, params)
 
 
 def _mgru_step(xw, state, p):
@@ -162,19 +164,18 @@ def _mgru_step(xw, state, p):
     hc = np.tanh(xw[:, hid:] + (f * h_prev) @ p["Uh"])
     h = (1.0 - f) * h_prev + f * hc
     # f * h_prev is recomputed by the backward step, with the same bits
-    trace = {"h_prev": h_prev, "f": f, "hc": hc}
-    return {"h": h}, trace
+    return {"h": h}, {"f": f, "hc": hc}
 
 
-def _mgru_backward(tr, d_state, p):
+def _mgru_backward(tr, state, d_state, p):
     f, hc = tr["f"], tr["hc"]
     d_h = d_state["h"]
     d_hc = d_h * f
     d_ah = d_hc * (1.0 - hc * hc)
-    if "h_prev" not in tr:
+    if state is None:
         d_af = d_h * hc * f * (1.0 - f)
         return np.concatenate([d_af, d_ah], axis=1), None, {}
-    h_prev = tr["h_prev"]
+    h_prev = state["h"]
     d_fh = d_ah @ p["Uh"].T
     d_f = d_h * (hc - h_prev) + d_fh * h_prev
     d_af = d_f * f * (1.0 - f)
@@ -195,20 +196,19 @@ def _gru_step(xw, state, p):
     hc = np.tanh(xw[:, 2 * hid:] + (r * h_prev) @ p["Uh"])
     h = (1.0 - z) * h_prev + z * hc
     # r * h_prev is recomputed by the backward step, with the same bits
-    trace = {"h_prev": h_prev, "z": z, "r": r, "hc": hc}
-    return {"h": h}, trace
+    return {"h": h}, {"z": z, "r": r, "hc": hc}
 
 
-def _gru_backward(tr, d_state, p):
+def _gru_backward(tr, state, d_state, p):
     z, hc = tr["z"], tr["hc"]
     d_h = d_state["h"]
     d_hc = d_h * z
     d_ah = d_hc * (1.0 - hc * hc)
-    if "h_prev" not in tr:
+    if state is None:
         d_az = d_h * hc * z * (1.0 - z)
         return (np.concatenate([d_az, np.zeros_like(d_az), d_ah], axis=1),
                 None, {})
-    h_prev, r = tr["h_prev"], tr["r"]
+    h_prev, r = state["h"], tr["r"]
     d_rh = d_ah @ p["Uh"].T
     d_z = d_h * (hc - h_prev)
     d_az = d_z * z * (1.0 - z)
@@ -239,8 +239,7 @@ def _lstm_step(xw, state, p):
         o = sigmoid(xw[:, 2 * hid:3 * hid] + h_prev @ p["Uo"])
         g = np.tanh(xw[:, 3 * hid:] + h_prev @ p["Ug"])
         c = f * c_prev + i * g
-        trace = {"h_prev": h_prev, "c_prev": c_prev,
-                 "i": i, "f": f, "o": o, "g": g}
+        trace = {"i": i, "f": f, "o": o, "g": g}
     tc = trace["tc"] = np.tanh(c)
     h = o * tc
     if "Wproj" in p:
@@ -249,7 +248,7 @@ def _lstm_step(xw, state, p):
     return {"h": h, "c": c}, trace
 
 
-def _lstm_backward(tr, d_state, p):
+def _lstm_backward(tr, state, d_state, p):
     i, o, g, tc = tr["i"], tr["o"], tr["g"], tr["tc"]
     d_h = d_state["h"]
     d_m = d_h @ p["Wproj"].T if "m" in tr else d_h
@@ -257,9 +256,9 @@ def _lstm_backward(tr, d_state, p):
     d_ai = d_c * g * i * (1.0 - i)
     d_ao = d_m * tc * o * (1.0 - o)
     d_ag = d_c * i * (1.0 - g * g)
-    if "h_prev" in tr:
-        h_prev, f = tr["h_prev"], tr["f"]
-        d_af = d_c * tr["c_prev"] * f * (1.0 - f)
+    if state is not None:
+        h_prev, f = state["h"], tr["f"]
+        d_af = d_c * state["c"] * f * (1.0 - f)
         d_prev = {"h": d_ai @ p["Ui"].T + d_af @ p["Uf"].T + d_ao @ p["Uo"].T
                   + d_ag @ p["Ug"].T, "c": d_c * f}
         grads = {"Ui": h_prev.T @ d_ai, "Uf": h_prev.T @ d_af,
@@ -271,31 +270,20 @@ def _lstm_backward(tr, d_state, p):
     return np.concatenate([d_ai, d_af, d_ao, d_ag], axis=1), d_prev, grads
 
 
-def _jordan_step(xw, state, p):
-    """Classical output-feedback recurrence: the state fed back is the cell's
-    previous output activation."""
-    if state is None:
-        return _feedforward_step(xw, state, p)
-    s_prev = state["h"]
-    h = np.tanh(xw + s_prev @ p["U"])
-    return {"h": h}, {"s_prev": s_prev, "h": h}
-
-
-def _jordan_backward(tr, d_state, p):
-    if "s_prev" not in tr:
-        return _feedforward_backward(tr, d_state, p)
-    d_a = d_state["h"] * (1.0 - tr["h"] * tr["h"])
-    return d_a, {"h": d_a @ p["U"].T}, {"U": tr["s_prev"].T @ d_a}
-
-
-def _feedforward_step(xw, state, p):
-    h = np.tanh(xw)
+def _tanh_step(xw, state, p):
+    """One tanh layer: feedforward, which reads no state, or jordan, the
+    classical output-feedback recurrence, whose state fed back is the
+    cell's previous output activation (U in the params)."""
+    h = np.tanh(xw if state is None or "U" not in p
+                else xw + state["h"] @ p["U"])
     return {"h": h}, {"h": h}
 
 
-def _feedforward_backward(tr, d_state, p):
+def _tanh_backward(tr, state, d_state, p):
     d_a = d_state["h"] * (1.0 - tr["h"] * tr["h"])
-    return d_a, None, {}
+    if state is None or "U" not in p:
+        return d_a, None, {}
+    return d_a, {"h": d_a @ p["U"].T}, {"U": state["h"].T @ d_a}
 
 
 class _Cell(NamedTuple):
@@ -314,9 +302,8 @@ _CELLS = {
                   state=("h", "c")),
     "lstm_google": _Cell(("i", "f", "o", "g"), _lstm_step, _lstm_backward,
                          state=("h", "c"), proj=True),
-    "jordan": _Cell(("",), _jordan_step, _jordan_backward),
-    "feedforward": _Cell(("",), _feedforward_step, _feedforward_backward,
-                         recurrent=False),
+    "jordan": _Cell(("",), _tanh_step, _tanh_backward),
+    "feedforward": _Cell(("",), _tanh_step, _tanh_backward, recurrent=False),
 }
 
 

@@ -93,11 +93,18 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
+def _load_json(path):
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # a syntax error, or bytes that are not text
+            raise ValueError(f"{path}: invalid JSON ({exc})") from None
+
+
 def _load_config(args):
     values = {}
     if args.config:
-        with open(args.config) as fh:
-            values = json.load(fh)
+        values = _load_json(args.config)
         if type(values) is not dict:
             raise ValueError(f"{args.config}: expected a JSON object")
     for flag in ("seed", "max_epochs", "hidden_size", "cell_kind",
@@ -164,6 +171,9 @@ def cmd_gradcheck(args) -> int:
         value = getattr(args, flag)
         if value < 1:
             raise ValueError(f"--{flag} must be at least 1, got {value}")
+    if not 0 <= args.tolerance < float("inf"):  # nan fails this too
+        raise ValueError("--tolerance must be a finite number >= 0, got "
+                         f"{args.tolerance}")
     n_failing = 0
     worst = (0.0, "")
     for kind in CELL_KINDS:
@@ -190,8 +200,7 @@ def cmd_compare(args) -> int:
         raise ValueError(f"--seeds must be at least 1, got {args.seeds}")
     check_writable(args.output + ".csv", args.output + ".json")
     cohort = ehr_data.load_patients(args.cohort)
-    with open(args.grid) as fh:
-        grid_spec = json.load(fh)
+    grid_spec = _load_json(args.grid)
     if (type(grid_spec) is not list or not grid_spec
             or any(type(s) is not dict for s in grid_spec)):
         raise ValueError(

@@ -15,21 +15,23 @@ pass (full backpropagation through time, including the slopes and the optional
 embedding) is hand-derived and verified against finite differences.
 
 Packed layout: a batch lays its patients out on (T, P) cells, of which only
-those with mask 1 are stored and computed: the batch holds their rows packed
-time-major (BatchTensor), so the rows of step t are the patients
-flatnonzero(mask[t]) in order. A flow keeps no per-patient state: each layer
-writes its states to packed rows, plus a last row that holds the zero state,
-and a step reads its previous states from the rows that the layout (_pack)
-names: those of its patients' latest earlier cells, or the zero row. BPTT
-adds each step's previous-state gradient to those rows. The backward flow
-packs mask[::-1] the same way, and one index array maps its rows to forward
-order. The first step of every layer, in both flows, passes the state None
-to cells.step: every row there holds the zero state, so the step forms no
-recurrent product, and in BPTT its backward step ends the carry. A layer's
-input terms x @ W + b are computed for all of its rows before the time loop
-(cells.project_inputs), and its W and b gradients after BPTT
-(cells.input_backward), so stacked layers run one after the other. The joint
-and output layers, the loss and its gradient run on the packed rows only.
+those with mask 1 are stored and computed: the batch holds their rows
+packed time-major (BatchTensor), so the rows of step t are the patients
+flatnonzero(mask[t]) in order. A flow keeps no per-patient state: each
+layer writes its states to packed rows, plus a last row that holds the zero
+state, and a step reads its previous states from the rows that the layout
+(_pack) names: those of its patients' latest earlier cells, or the zero
+row. BPTT gathers a step's previous states from the same rows again, and
+adds the step's previous-state gradient to the rows of its gradient. The
+backward flow packs mask[::-1] the same way, and one index array maps its
+rows to forward order. The first step of every layer, in both flows, passes
+the state None to cells.step: every row there holds the zero state, so the
+step forms no recurrent product, and in BPTT its backward step ends the
+carry. A layer's input terms x @ W + b are computed for all of its rows
+before the time loop (cells.project_inputs), and its W and b gradients
+after BPTT (cells.input_backward), so stacked layers run one after the
+other. The joint and output layers, the loss and its gradient run on the
+packed rows only.
 
 Two threads: the calling thread runs the forward flow and one worker thread
 (run_pair) the backward flow, in forward() and in backward(). Each flow ends
@@ -47,14 +49,15 @@ call, so every product keeps its full shape and every reduction runs over
 the whole array, and the trained weights do not depend on the threads.
 
 Memory: the trace of forward() holds what backward() cannot rebuild
-cheaply: each layer's step traces, the h rows of the layers below the top
-(the inputs of the layers above), hf, hb, j_pre, out_pre and yhat_rows, the
-dropout rows, and, by reference, the caller's code_noise (with an
-embedding, also the code rows that E multiplies). backward() rebuilds, by
-the same elementwise ops and so with the same bits, hj = LReLU(j_pre) times
-dropout for the Wout gradient, and each flow's float64 layer-0 input rows
-(_embed, in the flow's row order) just before its layer-0 input_backward,
-once that layer's d_rows are released. It holds the head's gradient buffers
+cheaply: each layer's state rows, the only copy of a flow's states, and its
+step traces, which hold no state; j_pre, out_pre and yhat_rows, the dropout
+rows, and, by reference, the caller's code_noise (with an embedding, also
+the code rows that E multiplies). backward() rebuilds, by the same ops and
+so with the same bits, each step's previous state (the gather the scan
+made), hb (the scatter forward() made), hj = LReLU(j_pre) times dropout for
+the Wout gradient, and each flow's float64 layer-0 input rows (_embed, in
+the flow's row order) just before its layer-0 input_backward, once that
+layer's d_rows are released. It holds the head's gradient buffers
 (d_out_pre and the summands of the slope gradients) only until d_j_pre is
 formed and the slope gradients are summed, and d_j_pre only until both
 flows have taken their top-layer gradients, each of which BPTT then holds
@@ -316,16 +319,14 @@ def _scan_direction(inp, layout, layer_params, cell_kind, hidden):
     state from the rows of the layer that earlier steps wrote. Rows that no
     step of the layout covers get h = 0.
 
-    Returns (top-layer h per row, the h rows of each layer below the top,
-    which are the inputs of the layers above them, per-layer step traces).
+    Returns (per-layer state rows, per-layer step traces). A layer's rows,
+    (n + 1, hidden) per state array, end in a zero-state row; its h rows
+    but that one are the input of the layer above.
     """
-    lower, traces = [], []
+    layer_rows, traces = [], []
     h_rows = inp
     for params in layer_params:
-        if traces:
-            lower.append(h_rows)
         xw = cells.project_inputs(cell_kind, h_rows, params)
-        # every state array's rows, and a last row that holds the zero state
         rows = cells.init_state(cell_kind, len(xw) + 1, hidden)
         layer_traces = []
         for lo, hi, prev in layout:
@@ -335,9 +336,10 @@ def _scan_direction(inp, layout, layer_params, cell_kind, hidden):
             for k, v in new.items():
                 rows[k][lo:hi] = v
             layer_traces.append(tr)
+        layer_rows.append(rows)
         traces.append(layer_traces)
         h_rows = rows["h"][:-1]
-    return h_rows, lower, traces
+    return layer_rows, traces
 
 
 def _head(jf, jb, model, dropout=None):
@@ -401,22 +403,21 @@ def forward(batch: BatchTensor, model: ModelParams, dropout_mask=None,
     kind, hidden = model.cell_kind, model.hidden
 
     def forward_flow():
-        hf, lower_f, tr_f = _scan_direction(inp, layout_f, model.fwd, kind,
-                                            hidden)
-        return hf, hf @ model.Vfwd, lower_f, tr_f
+        rows_f, tr_f = _scan_direction(inp, layout_f, model.fwd, kind, hidden)
+        return rows_f[-1]["h"][:-1] @ model.Vfwd, rows_f, tr_f
 
     def backward_flow():
+        rows_b, tr_b = _scan_direction(inp_rev, layout_b, model.bwd, kind,
+                                       hidden)
         # hb[i] summarizes admissions t..T-1 of the patient of row i
-        hb_rev, lower_b, tr_b = _scan_direction(inp_rev, layout_b, model.bwd,
-                                                kind, hidden)
-        hb = np.empty_like(hb_rev)
-        hb[rev] = hb_rev
-        return hb, hb @ model.Vbwd, lower_b, tr_b
+        hb = np.empty((n_valid, hidden))
+        hb[rev] = rows_b[-1]["h"][:-1]
+        return hb @ model.Vbwd, rows_b, tr_b
 
     # the backward flow runs on the worker thread, each flow up to its own
     # term of the joint layer
-    (hf, jf, lower_f, tr_f), (hb, jb, lower_b, tr_b) = run_pair(
-        forward_flow, backward_flow)
+    (jf, rows_f, tr_f), (jb, rows_b, tr_b) = run_pair(forward_flow,
+                                                       backward_flow)
     inp = inp_rev = None  # not in the trace: backward() builds them again
     dropout = None if dropout_mask is None else dropout_mask[valid]
     j_pre, out_pre, yhat_rows = _head(jf, jb, model, dropout)
@@ -424,9 +425,8 @@ def forward(batch: BatchTensor, model: ModelParams, dropout_mask=None,
     return {
         "valid": valid, "rev": rev, "codes": codes, "code_noise": code_noise,
         "layout_f": layout_f, "layout_b": layout_b,
-        "lower_f": lower_f, "lower_b": lower_b,
-        "traces_f": tr_f, "traces_b": tr_b,
-        "hf": hf, "hb": hb, "j_pre": j_pre, "out_pre": out_pre,
+        "rows_f": rows_f, "rows_b": rows_b, "traces_f": tr_f, "traces_b": tr_b,
+        "j_pre": j_pre, "out_pre": out_pre,
         "dropout": dropout, "yhat_rows": yhat_rows,
     }
 
@@ -434,19 +434,20 @@ def forward(batch: BatchTensor, model: ModelParams, dropout_mask=None,
 # ---------------------------------------------------------------------------
 # backward
 
-def _bptt_direction(take_d_top, layout, lower, traces, layer_params,
+def _bptt_direction(take_d_top, layout, layer_rows, traces, layer_params,
                     cell_kind, grads, prefix, need_d_inp, layer0_rows):
     """Backprop one directional stack over its packed rows, top layer first.
     take_d_top() hands over the gradient flowing into the top layer's h at
-    every row; it is held only in d_rows from then on. lower holds the input
-    rows of layers 1 and up (the h rows of the layer below, from
-    _scan_direction); layer0_rows() builds those of layer 0 once the
-    layer's d_rows are released. Returns the gradient wrt the layer-0 input
-    rows, or None when need_d_inp is false."""
+    every row; it is held only in d_rows from then on. Each step's backward
+    takes the state its step took, gathered again from layer_rows (from
+    _scan_direction, as are the traces), which also hold the input of
+    layers 1 and up; layer0_rows() builds layer 0's once the layer's
+    d_rows are released. Returns the gradient wrt the layer-0 input rows,
+    or None when need_d_inp is false."""
     d_h = take_d_top()
     n, hidden = d_h.shape
     for l in range(len(layer_params) - 1, -1, -1):
-        params = layer_params[l]
+        params, rows = layer_params[l], layer_rows[l]
         # the gradient wrt every state row; the zero state's row takes the
         # gradients of first cells, and nothing reads it
         d_rows = cells.init_state(cell_kind, n + 1, hidden)
@@ -454,9 +455,11 @@ def _bptt_direction(take_d_top, layout, lower, traces, layer_params,
         # names are rebound, not deleted: the next layer binds them again
         d_h = d_pre = None
         for (lo, hi, prev), tr in zip(reversed(layout), reversed(traces[l])):
+            state = (None if prev is None
+                     else {k: v[prev] for k, v in rows.items()})
             d_step, d_prev, d_params = cells.step_backward(
-                cell_kind, tr, {k: v[lo:hi] for k, v in d_rows.items()},
-                params)
+                cell_kind, tr, state,
+                {k: v[lo:hi] for k, v in d_rows.items()}, params)
             if d_pre is None:
                 d_pre = np.empty((n, d_step.shape[1]))
             d_pre[lo:hi] = d_step
@@ -467,8 +470,8 @@ def _bptt_direction(take_d_top, layout, lower, traces, layer_params,
                     d_rows[k][prev] += v
         d_rows = None  # released before layer0_rows() builds its rows
         d_h, d_params = cells.input_backward(
-            cell_kind, lower[l - 1] if l else layer0_rows(), d_pre, params,
-            need_dx=l > 0 or need_d_inp)
+            cell_kind, layer_rows[l - 1]["h"][:-1] if l else layer0_rows(),
+            d_pre, params, need_dx=l > 0 or need_d_inp)
         for k, g in d_params.items():
             grads[f"{prefix}{l}.{k}"] += g
     return d_h
@@ -545,12 +548,14 @@ def backward(trace: dict, batch: BatchTensor, model: ModelParams,
     tops = {}
 
     def forward_top():
-        grads["Vfwd"] += trace["hf"].T @ d_j_pre
+        grads["Vfwd"] += trace["rows_f"][-1]["h"][:-1].T @ d_j_pre
         grads["b_joint"] += d_j_pre.sum(axis=0)
         tops["f"] = d_j_pre @ model.Vfwd.T
 
     def backward_top():
-        grads["Vbwd"] += trace["hb"].T @ d_j_pre
+        hb = np.empty_like(d_j_pre)  # as forward() builds it
+        hb[rev] = trace["rows_b"][-1]["h"][:-1]
+        grads["Vbwd"] += hb.T @ d_j_pre
         tops["b"] = (d_j_pre @ model.Vbwd.T)[rev]
 
     run_pair(forward_top, backward_top)
@@ -561,13 +566,13 @@ def backward(trace: dict, batch: BatchTensor, model: ModelParams,
 
     def forward_flow():
         return _bptt_direction(
-            lambda: tops.pop("f"), trace["layout_f"], trace["lower_f"],
+            lambda: tops.pop("f"), trace["layout_f"], trace["rows_f"],
             trace["traces_f"], model.fwd, kind, grads, "fwd", embedded,
             lambda: _embed(model, batch, noise)[0])
 
     def backward_flow():
         return _bptt_direction(
-            lambda: tops.pop("b"), trace["layout_b"], trace["lower_b"],
+            lambda: tops.pop("b"), trace["layout_b"], trace["rows_b"],
             trace["traces_b"], model.bwd, kind, grads, "bwd", embedded,
             lambda: _embed(model, batch, noise)[0][rev])
 
@@ -620,12 +625,11 @@ def predict_topk(model: ModelParams, history: PatientRecord,
     steps = [(0, 1, None)] + [(t, t + 1, slice(t - 1, t))
                               for t in range(1, len(inp))]
     hf = _scan_direction(inp, steps, model.fwd, model.cell_kind,
-                         model.hidden)[0]
-    # a contiguous copy, laid out as forward()'s inp[rev]
-    hb_rev = _scan_direction(inp[::-1].copy(), steps[:1], model.bwd,
-                             model.cell_kind, model.hidden)[0]
+                         model.hidden)[0][-1]["h"][:-1]
     hb = np.zeros_like(hf)
-    hb[-1] = hb_rev[0]
+    # a contiguous copy, laid out as forward()'s inp[rev]
+    hb[-1] = _scan_direction(inp[::-1].copy(), steps[:1], model.bwd,
+                             model.cell_kind, model.hidden)[0][-1]["h"][0]
     probs = _head(hf @ model.Vfwd, hb @ model.Vbwd, model)[2][-1]
     order = rank_codes(probs)[:k]
     return [(int(i), float(probs[i])) for i in order]

@@ -69,13 +69,15 @@ def test_backward_zero_and_linearity():
     x = rng.normal(1.0, (2, 3))
     h_prev = rng.normal(1.0, (2, 4))
     _, tr = mgru(x, h_prev, p)
-    d_pre, dprev, grads = cells.step_backward("mgru", tr, {"h": np.zeros((2, 4))}, p)
+    state = {"h": h_prev}  # the state the step took
+    d_pre, dprev, grads = cells.step_backward(
+        "mgru", tr, state, {"h": np.zeros((2, 4))}, p)
     assert not d_pre.any() and not dprev["h"].any()
     assert all(not g.any() for g in grads.values())
 
     d = rng.normal(1.0, (2, 4))
-    d1, dp1, g1 = cells.step_backward("mgru", tr, {"h": d}, p)
-    d2, dp2, g2 = cells.step_backward("mgru", tr, {"h": 2.0 * d}, p)
+    d1, dp1, g1 = cells.step_backward("mgru", tr, state, {"h": d}, p)
+    d2, dp2, g2 = cells.step_backward("mgru", tr, state, {"h": 2.0 * d}, p)
     npt.assert_allclose(d2, 2.0 * d1, atol=1e-12)
     npt.assert_allclose(dp2["h"], 2.0 * dp1["h"], atol=1e-12)
     for k in g1:
@@ -138,7 +140,8 @@ def _step_gradcheck(kind, in_size, hid, n_pat, seed, zero_state=False):
 
     _, trace = cells.step(kind, xw, state0 or None, params)
     d_state = dict(weights)
-    d_pre, d_prev, grads = cells.step_backward(kind, trace, d_state, params)
+    d_pre, d_prev, grads = cells.step_backward(kind, trace, state0 or None,
+                                               d_state, params)
     _, in_grads = cells.input_backward(kind, x, d_pre, params, need_dx=False)
     if d_prev is None:  # no gradient flows to the previous state
         d_prev = {k: np.zeros_like(v) for k, v in state0.items()}
@@ -241,19 +244,26 @@ def test_step_deterministic():
 
 
 @pytest.mark.parametrize("kind, keys", [
-    ("mgru", {"h_prev", "f", "hc"}),        # no fh = f * h_prev
-    ("gru", {"h_prev", "z", "r", "hc"}),    # no rh = r * h_prev
+    ("mgru", {"f", "hc"}),              # no fh = f * h_prev
+    ("gru", {"z", "r", "hc"}),          # no rh = r * h_prev
+    ("lstm", {"i", "f", "o", "g", "tc"}),
+    ("lstm_google", {"i", "f", "o", "g", "tc", "m"}),
+    ("jordan", {"h"}),
+    ("feedforward", {"h"}),
 ])
 def test_step_trace_keeps_no_recomputable_product(kind, keys):
-    # the backward step recomputes the gated state from the trace; from the
-    # zero state there is no state, and gru forms no reset gate
+    # a trace holds what the cell computed and no state: the backward step
+    # takes the state and recomputes the gated state from it. From the zero
+    # state gru forms no reset gate and lstm no forget gate
     rng = SeededRng(9)
     p = cells.init_params(kind, 3, 4, rng)
     xw = cells.project_inputs(kind, rng.normal(1.0, (2, 3)), p)
-    _, trace = cells.step(kind, xw, {"h": rng.normal(1.0, (2, 4))}, p)
+    state = {k: rng.normal(1.0, (2, 4)) for k in cells.init_state(kind, 2, 4)}
+    _, trace = cells.step(kind, xw, state, p)
     assert set(trace) == keys
     _, trace = cells.step(kind, xw, None, p)
-    assert set(trace) == keys - {"h_prev", "r"}
+    assert set(trace) == keys - ({"r"} if kind == "gru" else
+                                 {"f"} if kind.startswith("lstm") else set())
 
 
 @pytest.mark.parametrize("kind", CELL_KINDS)
@@ -263,16 +273,19 @@ def test_zero_state_step_equals_a_step_from_init_state(kind):
     for v in p.values():
         v += rng.normal(0.4, v.shape)
     xw = cells.project_inputs(kind, rng.normal(1.0, (3, 5)), p)
+    state = cells.init_state(kind, 3, 6)
     new0, tr0 = cells.step(kind, xw, None, p)
-    new, tr = cells.step(kind, xw, cells.init_state(kind, 3, 6), p)
+    new, tr = cells.step(kind, xw, state, p)
     assert set(new0) == set(new)
     for k in new:
         assert new0[k].tobytes() == new[k].tobytes(), k
-    assert not {"h_prev", "c_prev", "s_prev"} & set(tr0)
+    for t in (tr0, tr):
+        assert not {"h_prev", "c_prev", "s_prev"} & set(t)
 
+    # each backward step takes the state its step took
     d_state = {k: rng.normal(1.0, (3, 6)) for k in new}
-    d_pre0, d_prev0, grads0 = cells.step_backward(kind, tr0, d_state, p)
-    d_pre, d_prev, grads = cells.step_backward(kind, tr, d_state, p)
+    d_pre0, d_prev0, grads0 = cells.step_backward(kind, tr0, None, d_state, p)
+    d_pre, d_prev, grads = cells.step_backward(kind, tr, state, d_state, p)
     # equal values of finite floats are equal bits, but for the sign of a
     # zero: gru's r and lstm's f multiply the zero state only, and their
     # blocks of d_pre are +0 here and signed zeros from init_state
@@ -287,7 +300,8 @@ def test_zero_state_step_equals_a_step_from_init_state(kind):
 @pytest.mark.parametrize("zero_state", [True, False])
 def test_steps_never_write_their_arguments(kind, zero_state):
     # the network passes views of its packed state rows, so a step and its
-    # backward step must take every argument read-only
+    # backward step must take every argument read-only; the backward step
+    # gets the same read-only state as the step
     rng = SeededRng(17)
     p = cells.init_params(kind, 5, 6, rng)
     for v in p.values():
@@ -303,4 +317,4 @@ def test_steps_never_write_their_arguments(kind, zero_state):
     _, trace = cells.step(kind, xw, state, p)
     for a in trace.values():
         a.flags.writeable = False
-    cells.step_backward(kind, trace, d_state, p)
+    cells.step_backward(kind, trace, state, d_state, p)

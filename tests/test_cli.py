@@ -504,6 +504,40 @@ def test_gradcheck_failure_exit_5(capsys):
     assert code == 5
 
 
+@pytest.mark.parametrize("tolerance", ["nan", "inf", "-inf", "-1e-4"])
+def test_gradcheck_rejects_a_tolerance_it_cannot_test(capsys, tolerance):
+    # no error is above nan or inf, so either would pass any gradient
+    code = main(["gradcheck", f"--tolerance={tolerance}"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: --tolerance must be ")
+    assert captured.out == ""
+
+
+def test_train_config_syntax_error_names_the_file(tmp_path, capsys):
+    cohort, _ = synth_cohort(tmp_path, capsys)
+    config = tmp_path / "config.json"
+    config.write_text('{"max_epochs": 1,\n bad}')
+    code = main(["train", "--cohort", str(cohort), "--config", str(config),
+                 "--model", str(tmp_path / "m.ckpt")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"error: {config}: invalid JSON (Expecting ")
+    assert not (tmp_path / "m.ckpt").exists()
+
+
+def test_compare_grid_syntax_error_names_the_file(tmp_path, capsys):
+    cohort, _ = synth_cohort(tmp_path, capsys)
+    grid = tmp_path / "grid.json"
+    grid.write_text('[{"cell_kind": "mgru",}]')
+    code = main(["compare", "--cohort", str(cohort), "--grid", str(grid),
+                 "--seeds", "1", "--output", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"error: {grid}: invalid JSON (Expecting ")
+    assert not (tmp_path / "out.json").exists()
+
+
 # ---------------------------------------------------------------------------
 # one error policy: main() maps malformed input and bad paths to exit 2
 

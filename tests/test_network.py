@@ -21,6 +21,15 @@ def small_model(seed=0, n_codes=5, hidden=4, kind="mgru", **kw):
     return model
 
 
+def top_rows(trace):
+    """(hf, hb): the top-layer h rows of each flow, in forward row order,
+    from the layer rows that forward() keeps."""
+    hf = trace["rows_f"][-1]["h"][:-1]
+    hb = np.empty_like(hf)
+    hb[trace["rev"]] = trace["rows_b"][-1]["h"][:-1]
+    return hf, hb
+
+
 def test_softmax_rows_sum_to_one_at_unmasked_steps():
     rng = SeededRng(1)
     model = small_model()
@@ -39,7 +48,7 @@ def test_identity_zero_joint_wiring():
     model.b_joint[...] = 0.0
     batch = random_batch(5, 2, 3, SeededRng(5), ragged=False)
     trace = network.forward(batch, model)
-    hf = np.abs(trace["hf"])  # force non-negative per the wiring premise
+    hf = np.abs(top_rows(trace)[0])  # force non-negative per the premise
     j = network.lrelu(hf @ model.Vfwd + model.b_joint, float(model.alpha_j))
     npt.assert_array_equal(j, hf)
 
@@ -347,12 +356,17 @@ def test_concurrent_flows_equal_serial_scans_and_repeat(kind):
     batch = _ragged_batch(67)
     trace = network.forward(batch, model)
     inp = network._embed(model, batch)[0]
-    hf = network._scan_direction(inp, trace["layout_f"], model.fwd, kind,
-                                 model.hidden)[0]
-    hb_rev = network._scan_direction(inp[trace["rev"]], trace["layout_b"],
-                                     model.bwd, kind, model.hidden)[0]
-    npt.assert_array_equal(trace["hf"], hf)
-    npt.assert_array_equal(trace["hb"][trace["rev"]], hb_rev)
+    serial = {
+        "f": network._scan_direction(inp, trace["layout_f"], model.fwd, kind,
+                                     model.hidden)[0],
+        "b": network._scan_direction(inp[trace["rev"]], trace["layout_b"],
+                                     model.bwd, kind, model.hidden)[0]}
+    for side, layers in serial.items():  # every state array of each layer
+        assert len(trace["rows_" + side]) == len(layers) == 2
+        for got, want in zip(trace["rows_" + side], layers):
+            assert got.keys() == want.keys()
+            for k in want:
+                npt.assert_array_equal(got[k], want[k], err_msg=side + k)
     first = network.backward(trace, batch, model)
     for _ in range(20):
         again = network.backward(network.forward(batch, model), batch, model)
@@ -709,8 +723,9 @@ def serial_backward(trace, batch, model, inp=None):
         d_hj = d_hj * trace["dropout"]
     d_j_pre = d_hj * np.where(j_pre >= 0, 1.0, float(model.alpha_j))
     grads["alpha_j"] += np.sum(d_hj * np.where(j_pre < 0, j_pre, 0.0))
-    grads["Vfwd"] += trace["hf"].T @ d_j_pre
-    grads["Vbwd"] += trace["hb"].T @ d_j_pre
+    hf, hb = top_rows(trace)
+    grads["Vfwd"] += hf.T @ d_j_pre
+    grads["Vbwd"] += hb.T @ d_j_pre
     grads["b_joint"] += d_j_pre.sum(axis=0)
     d_hf = d_j_pre @ model.Vfwd.T
     d_hb = d_j_pre @ model.Vbwd.T
@@ -722,7 +737,7 @@ def serial_backward(trace, batch, model, inp=None):
     for d_top, side, params, rows in ((d_hf, "f", model.fwd, inp),
                                       (d_hb[rev], "b", model.bwd, inp[rev])):
         d_inp[side] = network._bptt_direction(
-            lambda: d_top, trace["layout_" + side], trace["lower_" + side],
+            lambda: d_top, trace["layout_" + side], trace["rows_" + side],
             trace["traces_" + side], params, model.cell_kind, grads,
             "fwd" if side == "f" else "bwd", embedded, lambda: rows)
     if embedded:
@@ -752,7 +767,7 @@ def test_head_on_two_threads_equals_serial_head(kind, dropout, n):
         mask = (rng.uniform(batch.x.shape[:2] + (271,)) < 0.7) / 0.7
     trace = network.forward(batch, model, dropout_mask=mask)
     assert len(trace["yhat_rows"]) == n
-    expected = serial_head(trace["hf"], trace["hb"], model,
+    expected = serial_head(*top_rows(trace), model,
                            None if mask is None else mask[trace["valid"]])
     # the trace keeps no hj: out_pre and the Wout gradient check it
     for name, want in zip(("j_pre", "out_pre", "yhat_rows"),
@@ -782,9 +797,10 @@ def test_backward_from_rebuilt_layer0_rows_equals_kept_rows(kind, embed_dim):
     inp = np.concatenate([codes, batch.extra_rows], axis=1)
     trace = network.forward(batch, model, dropout_mask=dropout,
                             code_noise=noise)
-    hf = network._scan_direction(inp, trace["layout_f"], model.fwd, kind,
-                                 model.hidden)[0]
-    npt.assert_array_equal(hf, trace["hf"])  # the rows forward() read
+    rows_f = network._scan_direction(inp, trace["layout_f"], model.fwd, kind,
+                                     model.hidden)[0]
+    for got, want in zip(trace["rows_f"], rows_f):  # the rows forward() read
+        npt.assert_array_equal(got["h"], want["h"])
     grad = np.zeros_like(model.theta)
     network.backward(trace, batch, model, grad)
     npt.assert_array_equal(grad, serial_backward(trace, batch, model, inp))
@@ -807,12 +823,13 @@ def test_lstm_google_with_identity_projection_is_lstm(layers):
     assert len(google.flat()) - len(shared) == 2 * layers
     batch = random_batch(5, 4, 3, SeededRng(37))
     tr_g, tr_l = network.forward(batch, google), network.forward(batch, lstm)
-    for key in ("hf", "hb", "yhat_rows"):
-        assert tr_g[key].tobytes() == tr_l[key].tobytes(), key
-    for side in ("lower_f", "lower_b"):  # the lower layers' states
-        assert len(tr_g[side]) == len(tr_l[side]) == layers - 1
+    assert tr_g["yhat_rows"].tobytes() == tr_l["yhat_rows"].tobytes()
+    for side in ("rows_f", "rows_b"):  # every layer's h and c rows
+        assert len(tr_g[side]) == len(tr_l[side]) == layers
         for a, b in zip(tr_g[side], tr_l[side]):
-            assert a.tobytes() == b.tobytes(), side
+            assert a.keys() == b.keys() == {"h", "c"}
+            for k in a:
+                assert a[k].tobytes() == b[k].tobytes(), side + k
     g_g = network.backward(tr_g, batch, google)
     for name, g in network.backward(tr_l, batch, lstm).items():
         assert g.tobytes() == g_g[name].tobytes(), name
@@ -820,6 +837,50 @@ def test_lstm_google_with_identity_projection_is_lstm(layers):
 
 # ---------------------------------------------------------------------------
 # what backward() holds and writes
+
+@pytest.mark.parametrize("kind", CELL_KINDS)
+def test_step_traces_hold_no_copy_of_the_previous_state(kind, monkeypatch):
+    # a flow's states are kept once, in its layers' rows: a step's trace
+    # holds no array equal, bit for bit, to the previous state it was given
+    # (the rows gathered by the layout), and each backward step gets the
+    # state its step took, gathered from those rows again
+    from dxtraj import cells
+
+    took = {}  # id of a step's trace -> (the trace, the state it took)
+    given = []  # (trace, state) of each backward step
+    step, step_backward = cells.step, cells.step_backward
+
+    def recording_step(kind, xw, state, params):
+        new, trace = step(kind, xw, state, params)
+        took[id(trace)] = trace, state
+        return new, trace
+
+    def recording_backward(kind, trace, state, d_state, params):
+        given.append((trace, state))
+        return step_backward(kind, trace, state, d_state, params)
+
+    monkeypatch.setattr(cells, "step", recording_step)
+    monkeypatch.setattr(cells, "step_backward", recording_backward)
+    model = small_model(seed=151, kind=kind, layers=2)
+    batch = random_batch(5, 4, 4, SeededRng(157), lengths=(4, 0, 3, 2))
+    trace = network.forward(batch, model)
+    # 4 steps per layer in each flow, of 2 layers; the first has no state
+    later = [(tr, state) for tr, state in took.values() if state is not None]
+    assert len(took) == 2 * 2 * 4 and len(later) == 2 * 2 * 3
+    for tr, state in later:
+        for k, v in state.items():
+            for name, a in tr.items():
+                assert a.tobytes() != v.tobytes(), (k, name)
+    assert not {"lower_f", "lower_b", "hf", "hb"} & set(trace)
+
+    network.backward(trace, batch, model)
+    assert len(given) == len(took)
+    for tr, state in given:
+        _, want = took[id(tr)]
+        assert (state is None) == (want is None)
+        for k, v in (want or {}).items():
+            assert state[k].tobytes() == v.tobytes(), k
+
 
 @pytest.mark.parametrize("kind", ["mgru", "gru"])
 def test_backward_leaves_the_trace_unchanged(kind):
