@@ -13,6 +13,7 @@ arrays and optional matrices), and these functions take the kind first:
 
     init_params(in_size, hid, rng)  -> dict of named arrays
     init_state(n_rows, hid)         -> dict of state arrays ("h" always present)
+    is_recurrent()                  -> whether step reads its state
     project_inputs(x, params)       -> xw, the input terms of every gate,
                                        one column block per gate
     step(xw, state or None, params) -> (new_state, trace)
@@ -85,6 +86,12 @@ def param_count(kind: str, in_size: int, hid: int) -> int:
 
 def init_state(kind: str, n_rows: int, hid: int) -> dict:
     return {k: np.zeros((n_rows, hid)) for k in _cell(kind).state}
+
+
+def is_recurrent(kind: str) -> bool:
+    """Whether a step of this kind reads its previous state; one that does
+    not (feedforward) is always given the state None."""
+    return _cell(kind).recurrent
 
 
 # ---------------------------------------------------------------------------

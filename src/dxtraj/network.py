@@ -14,54 +14,53 @@ over the code slots. Both LReLU slopes are trainable scalars. The backward
 pass (full backpropagation through time, including the slopes and the optional
 embedding) is hand-derived and verified against finite differences.
 
-Packed layout: a batch lays its patients out on (T, P) cells, of which only
-those with mask 1 are stored and computed: the batch holds their rows
-packed time-major (BatchTensor), so the rows of step t are the patients
-flatnonzero(mask[t]) in order. A flow keeps no per-patient state: each
-layer writes its states to packed rows, plus a last row that holds the zero
-state, and a step reads its previous states from the rows that the layout
-(_pack) names: those of its patients' latest earlier cells, or the zero
-row. BPTT gathers a step's previous states from the same rows again, and
-adds the step's previous-state gradient to the rows of its gradient. The
-backward flow packs mask[::-1] the same way, and one index array maps its
-rows to forward order. The first step of every layer, in both flows, passes
-the state None to cells.step: every row there holds the zero state, so the
-step forms no recurrent product, and in BPTT its backward step ends the
-carry. A layer's input terms x @ W + b are computed for all of its rows
-before the time loop (cells.project_inputs), and its W and b gradients
-after BPTT (cells.input_backward), so stacked layers run one after the
-other. The joint and output layers, the loss and its gradient run on the
-packed rows only.
+Packed layout: a batch stores only the (T, P) cells with mask 1, their rows
+packed time-major (BatchTensor): the rows of step t are the patients
+flatnonzero(mask[t]) in order. Each flow has a Layout (_layouts): its
+steps, and src, the forward-order row that each of its rows stands for. The
+forward flow packs the mask and the backward flow mask[::-1], the same way
+(_pack); each gathers its layer-0 input rows at src and scatters its top
+rows back to forward order. A flow keeps no per-patient state: each layer
+writes its states to its rows, plus a last row that holds the zero state,
+and a step reads its previous states from the rows that its layout names:
+those of its patients' latest earlier cells, or the zero row. BPTT gathers
+them again, and adds the step's previous-state gradient to the rows of its
+gradient. The first step of every layer, and every step of a kind that
+reads no state (cells.is_recurrent), pass the state None to cells.step:
+such a step forms no recurrent product, and in BPTT it ends the carry. A
+layer's input terms x @ W + b are computed for all of its rows before the
+time loop (cells.project_inputs), and its W and b gradients after BPTT
+(cells.input_backward), so stacked layers run one after the other.
 
-Two threads: the calling thread runs the forward flow and one worker thread
-(run_pair) the backward flow, in forward() and in backward(). Each flow ends
-(forward) or starts (backward) with its own products of the joint layer:
-hf @ Vfwd on the caller, hb @ Vbwd on the worker, and in backward() the
-Vfwd, b_joint and d_hf terms on the caller, the Vbwd and d_hb terms on the
-worker. The row-wise work of the head (the joint and output LReLUs,
-dropout, softmax, the loss gradient, and the summands of the slope
-gradients) runs by halves of the rows, one half on each thread
-(run_by_halves). hj @ Wout and d_out_pre @ Wout.T stay on the caller; in
-backward() the Wout, b_out and alpha_o gradients run on the worker beside
-the latter. A product is never split by rows: with this BLAS, a row of a
-matrix product can change in the last bit with the number of rows in the
-call, so every product keeps its full shape and every reduction runs over
-the whole array, and the trained weights do not depend on the threads.
+Two threads: forward() and backward() run each phase as one function per
+flow, the forward flow's on the calling thread and the backward flow's on
+one worker thread (run_pair). Each flow ends (forward) or starts (backward)
+with its own products of the joint layer: h @ V, and in backward() its V
+gradient and the gradient into its top layer. The row-wise work of the head
+(the joint and output LReLUs, dropout, softmax, the loss gradient, and the
+summands of the slope gradients) runs by halves of the rows, one half on
+each thread (run_by_halves). hj @ Wout and d_out_pre @ Wout.T stay on the
+caller; in backward() the Wout, b_out and alpha_o gradients run on the
+worker beside the latter. A product is never split by rows: with this BLAS,
+a row of a matrix product can change in the last bit with the number of
+rows in the call, so every product keeps its full shape and every reduction
+runs over the whole array, and the trained weights do not depend on the
+threads.
 
 Memory: the trace of forward() holds what backward() cannot rebuild
-cheaply: each layer's state rows, the only copy of a flow's states, and its
-step traces, which hold no state; j_pre, out_pre and yhat_rows, the dropout
-rows, and, by reference, the caller's code_noise (with an embedding, also
-the code rows that E multiplies). backward() rebuilds, by the same ops and
-so with the same bits, each step's previous state (the gather the scan
-made), hb (the scatter forward() made), hj = LReLU(j_pre) times dropout for
-the Wout gradient, and each flow's float64 layer-0 input rows (_embed, in
-the flow's row order) just before its layer-0 input_backward, once that
-layer's d_rows are released. It holds the head's gradient buffers
-(d_out_pre and the summands of the slope gradients) only until d_j_pre is
-formed and the slope gradients are summed, and d_j_pre only until both
-flows have taken their top-layer gradients, each of which BPTT then holds
-once, in d_rows. It reads the trace and never writes it.
+cheaply: each flow's layout, its layers' state rows, the only copy of its
+states, and its step traces, which hold no state; j_pre, out_pre and
+yhat_rows, the dropout rows, and, by reference, the caller's code_noise
+(with an embedding, also the code rows that E multiplies). backward()
+rebuilds, by the same ops and so with the same bits, each step's previous
+state, the top rows in forward order, hj = LReLU(j_pre) times dropout for
+the Wout gradient, and each flow's float64 layer-0 input rows (_embed,
+gathered at src) just before its layer-0 input_backward, once that layer's
+d_rows are released. It holds the head's gradient buffers (d_out_pre and
+the summands of the slope gradients) only until d_j_pre is formed and the
+slope gradients are summed, and d_j_pre only until both flows have taken
+their top-layer gradients, each of which BPTT then holds once, in d_rows.
+It reads the trace and never writes it.
 """
 
 from __future__ import annotations
@@ -70,6 +69,7 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -277,8 +277,21 @@ def run_by_halves(n, work):
 # ---------------------------------------------------------------------------
 # forward
 
+class Layout(NamedTuple):
+    """The rows of one flow: steps holds a (lo, hi, prev) per step (_pack);
+    src[i] is the forward-order row (the batch's) that row i of the flow
+    stands for, and None means the flow's rows are in forward order."""
+    steps: list
+    src: np.ndarray | None
+
+
+# the model's two stacks, forward flow first: ModelParams.fwd and .bwd,
+# their joint matrices "V" + name, and the prefix of their gradient names
+FLOWS = ("fwd", "bwd")
+
+
 def _pack(valid):
-    """Layout of the packed rows of a (T, P) boolean mask: one (lo, hi, prev)
+    """Steps of the packed rows of a (T, P) boolean mask: one (lo, hi, prev)
     per step that has an active patient. Rows lo:hi belong to that step.
     prev[i] is the row of the latest earlier cell of the patient of row
     lo + i, or n_valid, the zero state's row, when there is none; prev is
@@ -299,6 +312,44 @@ def _pack(valid):
     return steps
 
 
+def _layouts(valid):
+    """The forward flow's Layout of a (T, P) mask, and the backward flow's."""
+    row = np.zeros(valid.shape, dtype=np.intp)
+    row[valid] = np.arange(int(valid.sum()))
+    return (Layout(_pack(valid), None),
+            Layout(_pack(valid[::-1]), row[::-1][valid[::-1]]))
+
+
+def _history_layouts(n):
+    """_layouts of one patient active at all n steps, built by hand, with
+    the backward flow's cut to its first step: at the last step, the only
+    one predict_topk reads, that flow has seen the last admission only."""
+    steps = [(0, 1, None)] + [(t, t + 1, slice(t - 1, t))
+                              for t in range(1, n)]
+    return Layout(steps, None), Layout(steps[:1], np.arange(n)[::-1])
+
+
+def _gather(rows, src):
+    """rows (in forward order) laid out as a flow's rows."""
+    return rows if src is None else rows[src]
+
+
+def _scatter(flow_rows, src):
+    """A flow's rows laid out in forward order."""
+    if src is None:
+        return flow_rows
+    rows = np.empty_like(flow_rows)
+    rows[src] = flow_rows
+    return rows
+
+
+def _run_pair_of_flows(fn, *per_flow):
+    """run_pair(lambda: fn(*firsts), lambda: fn(*seconds)), given sequences
+    of one item per flow, forward flow first."""
+    first, second = zip(*per_flow)
+    return run_pair(lambda: fn(*first), lambda: fn(*second))
+
+
 def _embed(model, batch, code_noise=None):
     """(inp, codes): the float64 layer-0 input rows of a batch, and the
     code rows that E multiplies, which the E gradient reads. Without an
@@ -314,23 +365,22 @@ def _embed(model, batch, code_noise=None):
 
 
 def _scan_direction(inp, layout, layer_params, cell_kind, hidden):
-    """Run a stack of cells, one layer after the other, over the packed input
-    rows of one direction (layout from _pack). Each step reads its previous
-    state from the rows of the layer that earlier steps wrote. Rows that no
-    step of the layout covers get h = 0.
-
-    Returns (per-layer state rows, per-layer step traces). A layer's rows,
-    (n + 1, hidden) per state array, end in a zero-state row; its h rows
-    but that one are the input of the layer above.
-    """
+    """Run a stack of cells, one layer after the other, over one flow's
+    rows; layer 0 reads inp, the input rows in forward order, at layout.src.
+    Each step reads its previous state from the rows of the layer that
+    earlier steps wrote. Rows that no step covers get h = 0. Returns
+    (per-layer state rows, per-layer step traces). A layer's rows, (n + 1,
+    hidden) per state array, end in a zero-state row; its h rows but that
+    one are the input of the layer above."""
     layer_rows, traces = [], []
-    h_rows = inp
+    h_rows = _gather(inp, layout.src)
+    recurrent = cells.is_recurrent(cell_kind)
     for params in layer_params:
         xw = cells.project_inputs(cell_kind, h_rows, params)
         rows = cells.init_state(cell_kind, len(xw) + 1, hidden)
         layer_traces = []
-        for lo, hi, prev in layout:
-            state = (None if prev is None
+        for lo, hi, prev in layout.steps:
+            state = (None if prev is None or not recurrent
                      else {k: v[prev] for k, v in rows.items()})
             new, tr = cells.step(cell_kind, xw[lo:hi], state, params)
             for k, v in new.items():
@@ -340,6 +390,15 @@ def _scan_direction(inp, layout, layer_params, cell_kind, hidden):
         traces.append(layer_traces)
         h_rows = rows["h"][:-1]
     return layer_rows, traces
+
+
+def _flow(model, name, inp, layout):
+    """Scan the flow of stack name (in FLOWS) over inp: returns (its joint
+    term, its top h rows in forward order @ V; its layer rows; its traces)."""
+    rows, traces = _scan_direction(inp, layout, getattr(model, name),
+                                   model.cell_kind, model.hidden)
+    return (_scatter(rows[-1]["h"][:-1], layout.src)
+            @ getattr(model, "V" + name), rows, traces)
 
 
 def _head(jf, jb, model, dropout=None):
@@ -381,7 +440,6 @@ def forward(batch: BatchTensor, model: ModelParams, dropout_mask=None,
     code_noise, when given, is (n_valid, |D|) and is added to the code
     slots (input noise); the trace keeps it, not the layer-0 rows built
     from it."""
-    mask = batch.mask
     d, width = model.n_codes, model.extras.width
     if (batch.code_rows.shape[1], batch.extra_rows.shape[1]) != (d, width):
         raise ValueError(
@@ -389,43 +447,22 @@ def forward(batch: BatchTensor, model: ModelParams, dropout_mask=None,
             f"{batch.extra_rows.shape[1]} extras does not match model "
             f"({d} codes + {width} extras)")
 
-    valid = mask != 0
-    n_valid = int(valid.sum())
-    pos = np.zeros(valid.shape, dtype=np.intp)
-    pos[valid] = np.arange(n_valid)
-    # rev[i] is the forward-order row of row i of the backward flow, whose
-    # rows are packed from the step-reversed mask
-    rev = pos[::-1][valid[::-1]]
-    layout_f, layout_b = _pack(valid), _pack(valid[::-1])
-
+    valid = batch.mask != 0
+    layouts = _layouts(valid)
     inp, codes = _embed(model, batch, code_noise)
-    inp_rev = inp[rev]
-    kind, hidden = model.cell_kind, model.hidden
 
-    def forward_flow():
-        rows_f, tr_f = _scan_direction(inp, layout_f, model.fwd, kind, hidden)
-        return rows_f[-1]["h"][:-1] @ model.Vfwd, rows_f, tr_f
-
-    def backward_flow():
-        rows_b, tr_b = _scan_direction(inp_rev, layout_b, model.bwd, kind,
-                                       hidden)
-        # hb[i] summarizes admissions t..T-1 of the patient of row i
-        hb = np.empty((n_valid, hidden))
-        hb[rev] = rows_b[-1]["h"][:-1]
-        return hb @ model.Vbwd, rows_b, tr_b
-
-    # the backward flow runs on the worker thread, each flow up to its own
-    # term of the joint layer
-    (jf, rows_f, tr_f), (jb, rows_b, tr_b) = run_pair(forward_flow,
-                                                       backward_flow)
-    inp = inp_rev = None  # not in the trace: backward() builds them again
+    # each flow up to its own term of the joint layer, the backward flow on
+    # the worker thread
+    scans = _run_pair_of_flows(
+        lambda name, layout: _flow(model, name, inp, layout), FLOWS, layouts)
+    inp = None  # not in the trace: backward() builds it again
     dropout = None if dropout_mask is None else dropout_mask[valid]
-    j_pre, out_pre, yhat_rows = _head(jf, jb, model, dropout)
+    j_pre, out_pre, yhat_rows = _head(scans[0][0], scans[1][0], model, dropout)
 
     return {
-        "valid": valid, "rev": rev, "codes": codes, "code_noise": code_noise,
-        "layout_f": layout_f, "layout_b": layout_b,
-        "rows_f": rows_f, "rows_b": rows_b, "traces_f": tr_f, "traces_b": tr_b,
+        "valid": valid, "codes": codes, "code_noise": code_noise,
+        "flows": [(layout, rows, traces)
+                  for layout, (_, rows, traces) in zip(layouts, scans)],
         "j_pre": j_pre, "out_pre": out_pre,
         "dropout": dropout, "yhat_rows": yhat_rows,
     }
@@ -440,12 +477,13 @@ def _bptt_direction(take_d_top, layout, layer_rows, traces, layer_params,
     take_d_top() hands over the gradient flowing into the top layer's h at
     every row; it is held only in d_rows from then on. Each step's backward
     takes the state its step took, gathered again from layer_rows (from
-    _scan_direction, as are the traces), which also hold the input of
-    layers 1 and up; layer0_rows() builds layer 0's once the layer's
-    d_rows are released. Returns the gradient wrt the layer-0 input rows,
-    or None when need_d_inp is false."""
+    _scan_direction, as are the traces), which also hold the input of layers
+    1 and up; layer0_rows() builds the input rows in forward order, gathered
+    at layout.src, once layer 0's d_rows are released. Returns the gradient
+    wrt the gathered rows, or None when need_d_inp is false."""
     d_h = take_d_top()
     n, hidden = d_h.shape
+    recurrent = cells.is_recurrent(cell_kind)
     for l in range(len(layer_params) - 1, -1, -1):
         params, rows = layer_params[l], layer_rows[l]
         # the gradient wrt every state row; the zero state's row takes the
@@ -454,8 +492,9 @@ def _bptt_direction(take_d_top, layout, layer_rows, traces, layer_params,
         d_rows["h"][:-1] = d_h
         # names are rebound, not deleted: the next layer binds them again
         d_h = d_pre = None
-        for (lo, hi, prev), tr in zip(reversed(layout), reversed(traces[l])):
-            state = (None if prev is None
+        for (lo, hi, prev), tr in zip(reversed(layout.steps),
+                                      reversed(traces[l])):
+            state = (None if prev is None or not recurrent
                      else {k: v[prev] for k, v in rows.items()})
             d_step, d_prev, d_params = cells.step_backward(
                 cell_kind, tr, state,
@@ -470,7 +509,8 @@ def _bptt_direction(take_d_top, layout, layer_rows, traces, layer_params,
                     d_rows[k][prev] += v
         d_rows = None  # released before layer0_rows() builds its rows
         d_h, d_params = cells.input_backward(
-            cell_kind, layer_rows[l - 1]["h"][:-1] if l else layer0_rows(),
+            cell_kind, layer_rows[l - 1]["h"][:-1] if l
+            else _gather(layer0_rows(), layout.src),
             d_pre, params, need_dx=l > 0 or need_d_inp)
         for k, g in d_params.items():
             grads[f"{prefix}{l}.{k}"] += g
@@ -540,50 +580,34 @@ def backward(trace: dict, batch: BatchTensor, model: ModelParams,
     run_by_halves(n, joint_rows)
     grads["alpha_j"] += np.sum(j_terms)
     del j_terms  # of the head's buffers, only d_j_pre is still needed
+    grads["b_joint"] += d_j_pre.sum(axis=0)
 
-    # each flow's joint-layer gradients and the gradient into its top layer,
+    # each flow's joint-layer gradient and the gradient into its top layer,
     # the backward flow's on the worker thread; then d_j_pre goes, and each
     # BPTT takes its top gradient out of tops
-    rev = trace["rev"]
-    tops = {}
+    def top(name, flow):
+        layout, rows, _ = flow
+        h = _scatter(rows[-1]["h"][:-1], layout.src)
+        grads["V" + name] += h.T @ d_j_pre
+        return _gather(d_j_pre @ getattr(model, "V" + name).T, layout.src)
 
-    def forward_top():
-        grads["Vfwd"] += trace["rows_f"][-1]["h"][:-1].T @ d_j_pre
-        grads["b_joint"] += d_j_pre.sum(axis=0)
-        tops["f"] = d_j_pre @ model.Vfwd.T
-
-    def backward_top():
-        hb = np.empty_like(d_j_pre)  # as forward() builds it
-        hb[rev] = trace["rows_b"][-1]["h"][:-1]
-        grads["Vbwd"] += hb.T @ d_j_pre
-        tops["b"] = (d_j_pre @ model.Vbwd.T)[rev]
-
-    run_pair(forward_top, backward_top)
+    tops = dict(zip(FLOWS, _run_pair_of_flows(top, FLOWS, trace["flows"])))
     d_j_pre = None
-    kind = model.cell_kind
     embedded = model.E is not None
-    noise = trace["code_noise"]
 
-    def forward_flow():
+    def bptt(name, flow):
         return _bptt_direction(
-            lambda: tops.pop("f"), trace["layout_f"], trace["rows_f"],
-            trace["traces_f"], model.fwd, kind, grads, "fwd", embedded,
-            lambda: _embed(model, batch, noise)[0])
+            lambda: tops.pop(name), *flow, getattr(model, name),
+            model.cell_kind, grads, name, embedded,
+            lambda: _embed(model, batch, trace["code_noise"])[0])
 
-    def backward_flow():
-        return _bptt_direction(
-            lambda: tops.pop("b"), trace["layout_b"], trace["rows_b"],
-            trace["traces_b"], model.bwd, kind, grads, "bwd", embedded,
-            lambda: _embed(model, batch, noise)[0][rev])
-
-    d_inp, d_inp_rev = run_pair(forward_flow, backward_flow)
+    d_inp, d_src = _run_pair_of_flows(bptt, FLOWS, trace["flows"])
     if embedded:
-        d_inp[rev] += d_inp_rev
-        e = model.embed_dim
+        np.add.at(d_inp, trace["flows"][1][0].src, d_src)
         # cast keeping the transposed layout, so BLAS takes the product
         # as it takes it for float64 code slots
         codes_t = trace["codes"].T.astype(np.float64, copy=False)
-        grads["E"] += codes_t @ d_inp[:, :e]
+        grads["E"] += codes_t @ d_inp[:, :model.embed_dim]
 
     return grads
 
@@ -608,28 +632,19 @@ def predict_topk(model: ModelParams, history: PatientRecord,
                  vocab: CodeVocabulary, k: int) -> list:
     """Top-k (code index, probability) for the admission after the history.
 
-    Only the last step is read, and the backward flow's state there has seen
-    the last admission only, so its time loop runs over that one admission
-    and reads no recurrent matrix.
-    The products over rows keep the shapes forward() gives them, because a
-    BLAS result for one row can change in the last bit with the number of
-    rows: the answer equals forward()'s last row exactly.
+    Only the last step is read, where the backward flow has seen the last
+    admission only: its layout has one step, which reads no recurrent
+    matrix (_history_layouts). The products over rows keep the shapes
+    forward() gives them, because a BLAS result for one row can change in
+    the last bit with the number of rows: the answer equals forward()'s
+    last row exactly.
     """
     if not history.admissions:
         raise ValueError("empty admission history")
     if not (1 <= k <= len(vocab)):
         raise ValueError(f"k={k} out of range [1, {len(vocab)}]")
-    batch = build_history_tensor(history, model, vocab)
-    inp, _ = _embed(model, batch)
-    # one patient, active at every step
-    steps = [(0, 1, None)] + [(t, t + 1, slice(t - 1, t))
-                              for t in range(1, len(inp))]
-    hf = _scan_direction(inp, steps, model.fwd, model.cell_kind,
-                         model.hidden)[0][-1]["h"][:-1]
-    hb = np.zeros_like(hf)
-    # a contiguous copy, laid out as forward()'s inp[rev]
-    hb[-1] = _scan_direction(inp[::-1].copy(), steps[:1], model.bwd,
-                             model.cell_kind, model.hidden)[0][-1]["h"][0]
-    probs = _head(hf @ model.Vfwd, hb @ model.Vbwd, model)[2][-1]
-    order = rank_codes(probs)[:k]
-    return [(int(i), float(probs[i])) for i in order]
+    inp, _ = _embed(model, build_history_tensor(history, model, vocab))
+    jf, jb = (_flow(model, name, inp, layout)[0]
+              for name, layout in zip(FLOWS, _history_layouts(len(inp))))
+    probs = _head(jf, jb, model)[2][-1]
+    return [(int(i), float(probs[i])) for i in rank_codes(probs)[:k]]

@@ -24,9 +24,11 @@ def small_model(seed=0, n_codes=5, hidden=4, kind="mgru", **kw):
 def top_rows(trace):
     """(hf, hb): the top-layer h rows of each flow, in forward row order,
     from the layer rows that forward() keeps."""
-    hf = trace["rows_f"][-1]["h"][:-1]
+    (layout_f, rows_f, _), (layout_b, rows_b, _) = trace["flows"]
+    assert layout_f.src is None
+    hf = rows_f[-1]["h"][:-1]
     hb = np.empty_like(hf)
-    hb[trace["rev"]] = trace["rows_b"][-1]["h"][:-1]
+    hb[layout_b.src] = rows_b[-1]["h"][:-1]
     return hf, hb
 
 
@@ -345,6 +347,31 @@ def test_pack_equals_a_per_patient_walk(mask, reverse):
         assert want[0][2] == [int(valid.sum())] * (want[0][1] - want[0][0])
     for (_, _, prev), (_, _, expected) in zip(got[1:], want[1:]):
         assert prev.dtype == np.intp and prev.tolist() == expected
+    # the backward flow's row i stands for the forward row of its cell
+    fwd, bwd = network._layouts(valid)
+    n_steps = len(valid)
+    cells_f = [(t, p) for t in range(n_steps) for p in np.flatnonzero(valid[t])]
+    cells_b = [(n_steps - 1 - t, p) for t in range(n_steps)
+               for p in np.flatnonzero(valid[::-1][t])]
+    assert fwd.src is None and bwd.src.dtype == np.intp
+    assert bwd.src.tolist() == [cells_f.index(c) for c in cells_b]
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_history_layouts_are_the_one_patient_layouts(n):
+    # predict_topk's hand-built layouts are those of _layouts, with the
+    # backward flow's cut to its first step
+    def rows(steps):  # a prev slice or index array as the rows it names
+        return [(lo, hi, None if prev is None
+                 else np.arange(n + 1)[prev].tolist())
+                for lo, hi, prev in steps]
+
+    got = network._history_layouts(n)
+    want = network._layouts(np.ones((n, 1), dtype=bool))
+    assert rows(got[0].steps) == rows(want[0].steps)
+    assert rows(got[1].steps) == rows(want[1].steps[:1])
+    assert got[0].src is None and want[0].src is None
+    assert got[1].src.tolist() == want[1].src.tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -356,14 +383,13 @@ def test_concurrent_flows_equal_serial_scans_and_repeat(kind):
     batch = _ragged_batch(67)
     trace = network.forward(batch, model)
     inp = network._embed(model, batch)[0]
-    serial = {
-        "f": network._scan_direction(inp, trace["layout_f"], model.fwd, kind,
-                                     model.hidden)[0],
-        "b": network._scan_direction(inp[trace["rev"]], trace["layout_b"],
-                                     model.bwd, kind, model.hidden)[0]}
-    for side, layers in serial.items():  # every state array of each layer
-        assert len(trace["rows_" + side]) == len(layers) == 2
-        for got, want in zip(trace["rows_" + side], layers):
+    for side, (layout, rows, _), params in zip("fb", trace["flows"],
+                                               (model.fwd, model.bwd)):
+        # every state array of each layer
+        layers = network._scan_direction(inp, layout, params, kind,
+                                         model.hidden)[0]
+        assert len(rows) == len(layers) == 2
+        for got, want in zip(rows, layers):
             assert got.keys() == want.keys()
             for k in want:
                 npt.assert_array_equal(got[k], want[k], err_msg=side + k)
@@ -731,15 +757,15 @@ def serial_backward(trace, batch, model, inp=None):
     d_hb = d_j_pre @ model.Vbwd.T
     if inp is None:
         inp = network._embed(model, batch, trace["code_noise"])[0]
-    rev = trace["rev"]
+    rev = trace["flows"][1][0].src
     embedded = model.E is not None
     d_inp = {}
-    for d_top, side, params, rows in ((d_hf, "f", model.fwd, inp),
-                                      (d_hb[rev], "b", model.bwd, inp[rev])):
+    for d_top, side, params, (layout, rows, traces) in (
+            (d_hf, "f", model.fwd, trace["flows"][0]),
+            (d_hb[rev], "b", model.bwd, trace["flows"][1])):
         d_inp[side] = network._bptt_direction(
-            lambda: d_top, trace["layout_" + side], trace["rows_" + side],
-            trace["traces_" + side], params, model.cell_kind, grads,
-            "fwd" if side == "f" else "bwd", embedded, lambda: rows)
+            lambda: d_top, layout, rows, traces, params, model.cell_kind,
+            grads, "fwd" if side == "f" else "bwd", embedded, lambda: inp)
     if embedded:
         d_inp["f"][rev] += d_inp["b"]
         codes_t = trace["codes"].T.astype(np.float64, copy=False)
@@ -797,9 +823,10 @@ def test_backward_from_rebuilt_layer0_rows_equals_kept_rows(kind, embed_dim):
     inp = np.concatenate([codes, batch.extra_rows], axis=1)
     trace = network.forward(batch, model, dropout_mask=dropout,
                             code_noise=noise)
-    rows_f = network._scan_direction(inp, trace["layout_f"], model.fwd, kind,
+    layout_f, rows_f = trace["flows"][0][:2]
+    want_f = network._scan_direction(inp, layout_f, model.fwd, kind,
                                      model.hidden)[0]
-    for got, want in zip(trace["rows_f"], rows_f):  # the rows forward() read
+    for got, want in zip(rows_f, want_f):  # the rows forward() read
         npt.assert_array_equal(got["h"], want["h"])
     grad = np.zeros_like(model.theta)
     network.backward(trace, batch, model, grad)
@@ -824,9 +851,10 @@ def test_lstm_google_with_identity_projection_is_lstm(layers):
     batch = random_batch(5, 4, 3, SeededRng(37))
     tr_g, tr_l = network.forward(batch, google), network.forward(batch, lstm)
     assert tr_g["yhat_rows"].tobytes() == tr_l["yhat_rows"].tobytes()
-    for side in ("rows_f", "rows_b"):  # every layer's h and c rows
-        assert len(tr_g[side]) == len(tr_l[side]) == layers
-        for a, b in zip(tr_g[side], tr_l[side]):
+    for side, flow_g, flow_l in zip("fb", tr_g["flows"], tr_l["flows"]):
+        # every layer's h and c rows
+        assert len(flow_g[1]) == len(flow_l[1]) == layers
+        for a, b in zip(flow_g[1], flow_l[1]):
             assert a.keys() == b.keys() == {"h", "c"}
             for k in a:
                 assert a[k].tobytes() == b[k].tobytes(), side + k
@@ -864,9 +892,12 @@ def test_step_traces_hold_no_copy_of_the_previous_state(kind, monkeypatch):
     model = small_model(seed=151, kind=kind, layers=2)
     batch = random_batch(5, 4, 4, SeededRng(157), lengths=(4, 0, 3, 2))
     trace = network.forward(batch, model)
-    # 4 steps per layer in each flow, of 2 layers; the first has no state
+    # 4 steps per layer in each flow, of 2 layers; the first has no state,
+    # nor has any step of feedforward, which reads none: neither the scan
+    # nor (below) BPTT gathers one for it
     later = [(tr, state) for tr, state in took.values() if state is not None]
-    assert len(took) == 2 * 2 * 4 and len(later) == 2 * 2 * 3
+    assert len(took) == 2 * 2 * 4
+    assert len(later) == (2 * 2 * 3 if kind != "feedforward" else 0)
     for tr, state in later:
         for k, v in state.items():
             for name, a in tr.items():

@@ -1,4 +1,4 @@
-"""Checkpoint bits of a dxtraj tree, as one JSON table.
+"""Checkpoint and served-answer bits of a dxtraj tree, as one JSON table.
 
 Usage:
 
@@ -6,15 +6,22 @@ Usage:
 
 TREE is the root of a dxtraj checkout (default: the checkout holding this
 script); its src/ and perfbench/ are imported. The table maps each row to
-the sha256 of the checkpoint file that training writes:
+the sha256 of the checkpoint file that training writes, or of the answers
+that predict_topk serves from that model (a JSON list, probabilities
+written exactly):
 
-  <kind>/<config>   every cell kind under each config of CONFIGS, trained
-                    on a 60-patient synth cohort;
-  perfbench/<name>  each perfbench workload's train() at seed 1.
+  <kind>/<config>           every cell kind under each config of CONFIGS,
+                            trained on a 60-patient synth cohort;
+  <kind>/<config>/predict   the full ranking for each patient of that
+                            cohort, from its admissions but the last;
+  perfbench/<name>          each perfbench workload's train() at seed 1;
+  perfbench/<name>/predict  the top-K answers for each held-out patient of
+                            that workload, from its admissions but the
+                            last, as perfbench serves them.
 
 BLAS runs on one thread. Two trees run on the same host give the same
-table exactly when they train the same bits; the hashes are not meant to
-hold across hosts or BLAS builds.
+table exactly when they train and serve the same bits; the hashes are not
+meant to hold across hosts or BLAS builds.
 """
 
 from __future__ import annotations
@@ -55,6 +62,8 @@ def main(argv=None):
     sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
     from dxtraj.cells import CELL_KINDS
     from dxtraj.checkpoint import save_checkpoint
+    from dxtraj.ehr_data import CodeVocabulary, PatientRecord
+    from dxtraj.network import predict_topk
     from dxtraj.synth import SynthSpec, generate_cohort
     from dxtraj.training import TrainConfig, train
     import workload
@@ -67,6 +76,14 @@ def main(argv=None):
             save_checkpoint(model, path)
             return hashlib.sha256(path.read_bytes()).hexdigest()
 
+        def served(model, patients, k=None):
+            vocab = CodeVocabulary(model.vocab_labels)
+            answers = [predict_topk(model, PatientRecord(p.patient_id,
+                                                         p.admissions[:-1]),
+                                    vocab, k or len(vocab))
+                       for p in patients if len(p.admissions) > 1]
+            return hashlib.sha256(json.dumps(answers).encode()).hexdigest()
+
         cohort = generate_cohort(SynthSpec(n_patients=60, vocab_size=40,
                                            n_states=5, noise_rate=0.2,
                                            seed=7))
@@ -74,7 +91,9 @@ def main(argv=None):
             for name, overrides in CONFIGS.items():
                 config = TrainConfig.from_dict(
                     {**BASE, "cell_kind": kind, **overrides})
-                table[f"{kind}/{name}"] = digest(train(cohort, config)[0])
+                model = train(cohort, config)[0]
+                table[f"{kind}/{name}"] = digest(model)
+                table[f"{kind}/{name}/predict"] = served(model, cohort)
         for name, w in workload.WORKLOADS.items():
             workdir = Path(tmp) / name
             workdir.mkdir()
@@ -82,6 +101,8 @@ def main(argv=None):
             ready = workload.setup(w, files)
             model = workload.train_once(w, ready.cohort).model
             table[f"perfbench/{name}"] = digest(model)
+            table[f"perfbench/{name}/predict"] = served(model, ready.held_out,
+                                                        workload.K)
     json.dump(table, sys.stdout, indent=1)
     print()
 
