@@ -126,6 +126,9 @@ def load_checkpoint(path) -> ModelParams:
         fh.readinto(model.theta)
     if not np.little_endian:
         model.theta.byteswap(inplace=True)
+    # a corrupted or diverged file would serve NaN probabilities
+    if not np.isfinite(model.theta).all():
+        raise ValueError(f"{path}: the weights hold a non-finite value")
     model.duration_max = header["duration_max"]
     model.interval_max = header["interval_max"]
     model.vocab_labels = header["vocab_labels"]

@@ -263,9 +263,11 @@ def load_ccs_map(path) -> CcsMap:
     mapping = {}
     labels = {}
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader, None)  # the header
-        for lineno, row in enumerate(reader, start=2):
+        try:  # csv.Error, a field over csv's size limit say, is no ValueError
+            rows = list(csv.reader(fh))
+        except csv.Error as exc:
+            raise CcsMapError(f"{path}: {exc}") from None
+        for lineno, row in enumerate(rows[1:], start=2):  # after the header
             if not row or all(not c.strip() for c in row):
                 continue
             if len(row) < 2:

@@ -471,6 +471,18 @@ def forward(batch: BatchTensor, model: ModelParams, dropout_mask=None,
 # ---------------------------------------------------------------------------
 # backward
 
+def _put(grads, layer, d_params, written):
+    """Write each gradient g of d_params to grads[layer + k] if k is not in
+    written yet, and add it after: the first contribution is assigned."""
+    for k, g in d_params.items():
+        view = grads[layer + k]
+        if k in written:
+            view += g
+        else:
+            view[...] = g
+            written.add(k)
+
+
 def _bptt_direction(take_d_top, layout, layer_rows, traces, layer_params,
                     cell_kind, grads, prefix, need_d_inp, layer0_rows):
     """Backprop one directional stack over its packed rows, top layer first.
@@ -479,13 +491,19 @@ def _bptt_direction(take_d_top, layout, layer_rows, traces, layer_params,
     takes the state its step took, gathered again from layer_rows (from
     _scan_direction, as are the traces), which also hold the input of layers
     1 and up; layer0_rows() builds the input rows in forward order, gathered
-    at layout.src, once layer 0's d_rows are released. Returns the gradient
-    wrt the gathered rows, or None when need_d_inp is false."""
+    at layout.src, once layer 0's d_rows are released. Writes the gradient
+    of every parameter of the stack into grads: a parameter's first
+    contribution is assigned and later ones are added, and one that no step
+    forms (the U<g> of a flow in which no step reads a state) is zeroed.
+    Returns the gradient wrt the gathered rows, or None when need_d_inp is
+    false."""
     d_h = take_d_top()
     n, hidden = d_h.shape
     recurrent = cells.is_recurrent(cell_kind)
     for l in range(len(layer_params) - 1, -1, -1):
         params, rows = layer_params[l], layer_rows[l]
+        layer = f"{prefix}{l}."
+        written = set()  # the keys of params that hold a contribution
         # the gradient wrt every state row; the zero state's row takes the
         # gradients of first cells, and nothing reads it
         d_rows = cells.init_state(cell_kind, n + 1, hidden)
@@ -502,8 +520,7 @@ def _bptt_direction(take_d_top, layout, layer_rows, traces, layer_params,
             if d_pre is None:
                 d_pre = np.empty((n, d_step.shape[1]))
             d_pre[lo:hi] = d_step
-            for k, g in d_params.items():
-                grads[f"{prefix}{l}.{k}"] += g
+            _put(grads, layer, d_params, written)
             if d_prev is not None:  # None: a zero state, or feedforward's
                 for k, v in d_prev.items():
                     d_rows[k][prev] += v
@@ -512,8 +529,9 @@ def _bptt_direction(take_d_top, layout, layer_rows, traces, layer_params,
             cell_kind, layer_rows[l - 1]["h"][:-1] if l
             else _gather(layer0_rows(), layout.src),
             d_pre, params, need_dx=l > 0 or need_d_inp)
-        for k, g in d_params.items():
-            grads[f"{prefix}{l}.{k}"] += g
+        _put(grads, layer, d_params, written)
+        for k in params.keys() - written:
+            grads[layer + k].fill(0.0)
     return d_h
 
 
@@ -522,17 +540,21 @@ def backward(trace: dict, batch: BatchTensor, model: ModelParams,
     """Gradients of the row-mean negated cross-entropy loss (see
     training.cross_entropy_loss) with respect to every parameter.
 
-    The gradients are added to grad, a vector laid out like model.theta
-    (zeros when None), and returned as model.views(grad). The two flows
-    backpropagate concurrently, the backward flow on the worker thread; they
-    write disjoint parts of grad.
+    The gradients are written to grad, a vector laid out like model.theta
+    (a new one when None), whose values before the call are never read, and
+    returned as model.views(grad). Every element is written: the products
+    go straight into their views, and a parameter that no row reaches (every
+    one, in a batch without rows) gets zeros. The two flows backpropagate
+    concurrently, the backward flow on the worker thread; they write
+    disjoint parts of grad.
     """
     if grad is None:
-        grad = np.zeros_like(model.theta)
+        grad = np.empty_like(model.theta)
     grads = model.views(grad)
     yhat, out_pre, j_pre = trace["yhat_rows"], trace["out_pre"], trace["j_pre"]
     n = len(yhat)
     if n == 0:
+        grad.fill(0.0)
         return grads
 
     targets = batch.target_rows
@@ -563,9 +585,9 @@ def backward(trace: dict, batch: BatchTensor, model: ModelParams,
             hj *= dropout[r]
 
     def output_grads():
-        grads["Wout"] += j_terms.T @ d_out_pre
-        grads["b_out"] += d_out_pre.sum(axis=0)
-        grads["alpha_o"] += np.sum(o_terms)
+        np.matmul(j_terms.T, d_out_pre, out=grads["Wout"])
+        grads["b_out"][...] = d_out_pre.sum(axis=0)
+        grads["alpha_o"][...] = np.sum(o_terms)
 
     def joint_rows(r):
         d, j = d_j_pre[r], j_pre[r]  # d holds d_hj until the last line
@@ -578,9 +600,9 @@ def backward(trace: dict, batch: BatchTensor, model: ModelParams,
     d_j_pre, _ = run_pair(lambda: d_out_pre @ model.Wout.T, output_grads)
     del d_out_pre, o_terms
     run_by_halves(n, joint_rows)
-    grads["alpha_j"] += np.sum(j_terms)
+    grads["alpha_j"][...] = np.sum(j_terms)
     del j_terms  # of the head's buffers, only d_j_pre is still needed
-    grads["b_joint"] += d_j_pre.sum(axis=0)
+    grads["b_joint"][...] = d_j_pre.sum(axis=0)
 
     # each flow's joint-layer gradient and the gradient into its top layer,
     # the backward flow's on the worker thread; then d_j_pre goes, and each
@@ -588,7 +610,7 @@ def backward(trace: dict, batch: BatchTensor, model: ModelParams,
     def top(name, flow):
         layout, rows, _ = flow
         h = _scatter(rows[-1]["h"][:-1], layout.src)
-        grads["V" + name] += h.T @ d_j_pre
+        np.matmul(h.T, d_j_pre, out=grads["V" + name])
         return _gather(d_j_pre @ getattr(model, "V" + name).T, layout.src)
 
     tops = dict(zip(FLOWS, _run_pair_of_flows(top, FLOWS, trace["flows"])))
@@ -607,7 +629,7 @@ def backward(trace: dict, batch: BatchTensor, model: ModelParams,
         # cast keeping the transposed layout, so BLAS takes the product
         # as it takes it for float64 code slots
         codes_t = trace["codes"].T.astype(np.float64, copy=False)
-        grads["E"] += codes_t @ d_inp[:, :model.embed_dim]
+        np.matmul(codes_t, d_inp[:, :model.embed_dim], out=grads["E"])
 
     return grads
 

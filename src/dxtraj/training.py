@@ -2,16 +2,19 @@
 with patient-level 90/10 split and patience-based early stopping.
 
 An update works on flat vectors laid out like the model's parameter vector
-(ModelParams.theta): network.backward() adds into one gradient vector, which
-is zeroed once per update, and the L2 term, the clipping rescale and
-ADADELTA (Zeiler 2012) run in place over cache-sized blocks of these
-vectors, with a small scratch buffer for each of the two threads that run
-them: the calling thread takes the first half of the blocks and the worker
-thread (network.run_pair) the second. Every element's arithmetic is that of
-the per-array formulas, so the trained weights do not depend on the blocking
-or on the threads. The loss likewise computes its per-row sums by halves of
-the rows on the two threads, and their mean as one reduction over the
-whole array: a reduction split between threads would add in another order.
+(ModelParams.theta): network.backward() writes every element of one
+gradient vector, which is never zero-filled, and the L2 term and ADADELTA
+(Zeiler 2012) run in place over cache-sized blocks of these vectors, with a
+small scratch buffer for each of the two threads that run them: the calling
+thread takes the first half of the blocks and the worker thread
+(network.run_pair) the second. Clipping splits the parameter arrays in two
+halves by size the same way: each thread forms the sums of squares of its
+arrays, and rescales them, while the caller adds the per-array sums in the
+order of the arrays. Every element's arithmetic is that of the per-array
+formulas, so the trained weights do not depend on the blocking or on the
+threads. The loss likewise computes its per-row sums by halves of the rows
+on the two threads, and their mean as one reduction over the whole array: a
+reduction split between threads would add in another order.
 """
 
 from __future__ import annotations
@@ -131,15 +134,44 @@ def cross_entropy_loss(targets, yhat) -> float:
     return float(-np.sum(sums) / len(sums))
 
 
+def _sums_of_squares(arrays, scratch) -> list:
+    """float(np.sum(g * g)) of each array, with g * g written to a view of
+    scratch in the array's shape: numpy sums it as it sums g * g."""
+    return [float(np.sum(np.multiply(g, g,
+                                     out=scratch[:g.size].reshape(g.shape))))
+            for g in arrays]
+
+
 def clip_gradients(grads: dict, clip_norm: float) -> dict:
     """Global-norm clipping, in place: if ||g||_2 > clip_norm, every entry
-    is rescaled. The squared norm sums the arrays' own sums in the order of
-    the mapping. Returns grads."""
-    total = np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
+    is rescaled. The squared norm adds the arrays' own sums of squares in
+    the order of the mapping. The arrays (C-ordered, as model.views gives
+    them) are split in two halves by size: the calling thread forms the
+    sums of the first and rescales it, the worker thread (network.run_pair)
+    the second. Returns grads."""
+    arrays = list(grads.values())
+    sizes = np.cumsum([0] + [g.size for g in arrays])
+    cut = int(np.searchsorted(sizes, sizes[-1] / 2))
+    first, second = arrays[:cut], arrays[cut:]
+    # one buffer, as large as the largest array of each half, allocated by
+    # this thread and freed on return: scratch that the worker allocated
+    # itself put train_short's peak RSS in its upper mode (98 against 92 MB)
+    # in 19 of 28 benchmark runs, this buffer in 3 of 19, serial clipping
+    # with a temporary per array in 20 of 42
+    split = max((g.size for g in first), default=0)
+    scratch = np.empty(split + max((g.size for g in second), default=0))
+    mine, theirs = network.run_pair(
+        lambda: _sums_of_squares(first, scratch[:split]),
+        lambda: _sums_of_squares(second, scratch[split:]))
+    total = np.sqrt(sum(mine + theirs))
     if total > clip_norm:
         scale = clip_norm / total
-        for g in grads.values():
-            g *= scale
+
+        def rescale(part):
+            for g in part:
+                g *= scale
+
+        network.run_pair(lambda: rescale(first), lambda: rescale(second))
     return grads
 
 
@@ -152,7 +184,7 @@ BLOCK = 32768
 
 class AdadeltaState:
     """What a training update writes besides the model: the gradient vector
-    that network.backward() adds into and ADADELTA's running averages of the
+    that network.backward() writes and ADADELTA's running averages of the
     squared gradients and steps, all laid out like model.theta, plus one
     pair of block-sized scratch buffers for each half of the blocks.
 
@@ -288,7 +320,6 @@ def _epoch_pass(batches, model, config, rng, update_state=None):
         total_loss += loss * w
         total_weight += w
         if update_state is not None:
-            update_state.grad.fill(0.0)
             grads = network.backward(trace, batch, model, update_state.grad)
             _add_l2_grads(model, update_state, config.l2_coeff)
             clip_gradients(grads, config.clip_norm)

@@ -12,8 +12,9 @@ from hypothesis import strategies as st
 from dxtraj import network
 from dxtraj.cells import CELL_KINDS
 from dxtraj.checkpoint import HEADER_FIELDS, load_checkpoint, save_checkpoint
+from dxtraj.cli import main
 from dxtraj.ehr_data import (Admission, CodeVocabulary, ExtraFeatures,
-                             PatientRecord)
+                             PatientRecord, save_patients)
 from dxtraj.gradcheck import random_batch
 from dxtraj.numerics import SeededRng
 
@@ -225,6 +226,38 @@ def test_rejects_trailing_payload_bytes(tmp_path):
     path.write_bytes(path.read_bytes() + bytes(8))
     with pytest.raises(ValueError, match="payload"):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("poison", ["nan payload", "one inf"])
+def test_rejects_non_finite_weights(tmp_path, capsys, poison):
+    # a corrupted or diverged checkpoint: load names the file, and predict
+    # and evaluate exit 2 where they would print NaN or a recall of 0
+    model = network.init_model("mgru", 3, 2, rng=SeededRng(5))
+    model.vocab_labels = ["a", "b", "c"]
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(model, path)
+    magic, header, payload = path.read_bytes().split(b"\n", 2)
+    weights = np.frombuffer(payload, dtype="<f8").copy()
+    if poison == "nan payload":
+        weights[:] = np.nan
+    else:
+        weights[len(weights) // 2] = np.inf
+    assert len(weights.tobytes()) == len(payload)
+    path.write_bytes(b"\n".join([magic, header, weights.tobytes()]))
+    with pytest.raises(ValueError, match="m.ckpt: the weights hold a "
+                                         "non-finite value"):
+        load_checkpoint(path)
+    cohort = tmp_path / "cohort.jsonl"
+    save_patients([PatientRecord(f"p{i}", [Admission(10, {"a", "b"}),
+                                           Admission(20, {"c"})])
+                   for i in range(2)], cohort)
+    for argv in (["predict", "--history", str(cohort), "--k", "2"],
+                 ["evaluate", "--cohort", str(cohort), "--k", "2"]):
+        assert main(["--quiet", *argv, "--model", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "non-finite" in \
+            captured.err
 
 
 def test_load_draws_no_weights(tmp_path, monkeypatch):

@@ -81,6 +81,14 @@ def test_load_ccs_map_duplicate_consistent_ok(tmp_path):
     assert load_ccs_map(f).mapping == {"01000": "1"}
 
 
+def test_load_ccs_map_field_over_the_csv_limit(tmp_path):
+    # csv raises csv.Error, which is no ValueError; the map names the file
+    f = tmp_path / "huge.csv"
+    f.write_text("icd9,ccs_label\n01000," + "1" * 200_000 + "\n")
+    with pytest.raises(CcsMapError, match="huge.csv: field larger"):
+        load_ccs_map(f)
+
+
 # ---------------------------------------------------------------------------
 # mapping
 

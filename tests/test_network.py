@@ -491,18 +491,40 @@ def test_forked_child_starts_its_own_worker():
     assert child.exitcode == 0
 
 
-def test_backward_adds_into_the_given_vector():
-    model = small_model(seed=79, layers=2, embed_dim=3)
-    batch = _ragged_batch(83)
-    trace = network.forward(batch, model)
-    fresh = network.backward(trace, batch, model)
-    grad = np.ones_like(model.theta)
-    grads = network.backward(trace, batch, model, grad)
-    assert list(grads) == list(model.flat())
-    for k, g in grads.items():
-        assert np.shares_memory(g, grad)
-        # the sums run in another order than fresh + 1
-        npt.assert_allclose(g, fresh[k] + 1.0, rtol=0, atol=1e-12)
+def test_backward_writes_every_element_of_the_given_vector():
+    # backward() never reads grad: from a vector of nan it gives the bits of
+    # a fresh call, and the reference that adds into zeros; a parameter that
+    # no row reaches is written zeros: the U<g> of a batch in which no step
+    # reads a state, and every array of a batch without rows
+    for kind in CELL_KINDS:
+        model = small_model(seed=79, kind=kind, layers=2, embed_dim=3,
+                            extras=ALL_EXTRAS)
+        batch = random_batch(5, 4, 3, SeededRng(83), extras=ALL_EXTRAS,
+                             lengths=(3, 0, 2, 1))
+        trace = network.forward(batch, model)
+        fresh = network.backward(trace, batch, model)
+        grad = np.full_like(model.theta, np.nan)
+        grads = network.backward(trace, batch, model, grad)
+        assert list(grads) == list(model.flat())
+        for k, g in grads.items():
+            assert np.shares_memory(g, grad)
+            assert g.tobytes() == fresh[k].tobytes(), (kind, k)
+        npt.assert_array_equal(grad, serial_backward(trace, batch, model),
+                               err_msg=kind)
+
+        one_step = random_batch(5, 4, 1, SeededRng(89), extras=ALL_EXTRAS)
+        empty = random_batch(5, 2, 2, SeededRng(97), extras=ALL_EXTRAS,
+                             lengths=(0, 0))
+        for batch in (one_step, empty):
+            trace = network.forward(batch, model)
+            grad = np.full_like(model.theta, np.nan)
+            grads = network.backward(trace, batch, model, grad)
+            if batch is one_step:
+                npt.assert_array_equal(
+                    grad, serial_backward(trace, batch, model), err_msg=kind)
+            for k, g in grads.items():
+                if batch is empty or k.split(".")[-1].startswith("U"):
+                    assert not g.any(), (kind, k)
 
 
 def test_flat_views_are_the_model():

@@ -245,12 +245,16 @@ def update_model(kind, seed):
 @pytest.mark.parametrize("kind", ["mgru", "lstm_google"])
 def test_arena_update_equals_per_array_formulas(kind, clip_norm, l2_coeff,
                                                 block, monkeypatch):
-    # 5 updates through _epoch_pass against the per-array formulas; a 7-element
-    # block makes blocks cross array borders and both halves hold many
+    # 10 updates through _epoch_pass against the per-array formulas; a
+    # 7-element block makes blocks cross array borders and both halves hold
+    # many. Every other batch has one step, which reads no state, so no U<g>
+    # gradient is formed: one left over from the update before would show,
+    # as the reference starts each gradient from zeros
     monkeypatch.setattr(training, "BLOCK", block)
     config = TrainConfig(clip_norm=clip_norm, l2_coeff=l2_coeff)
-    batches = [random_batch(6, 4, 3, SeededRng(60 + i), lengths=(3, 0, 2, 1))
-               for i in range(5)]
+    batches = [random_batch(6, 4, 3, SeededRng(seed + i), lengths=lengths)
+               for i in range(5)
+               for seed, lengths in ((60, (3, 0, 2, 1)), (70, (1, 0, 1, 1)))]
     model = update_model(kind, seed=59)
     ref = update_model(kind, seed=59)
     g_acc = {k: np.zeros_like(v) for k, v in ref.flat().items()}
@@ -260,8 +264,8 @@ def test_arena_update_equals_per_array_formulas(kind, clip_norm, l2_coeff,
         training._epoch_pass([batch], model, config, SeededRng(0),
                              update_state=state)
         trace = network.forward(batch, ref)
-        grads = {k: g.copy()
-                 for k, g in network.backward(trace, batch, ref).items()}
+        grads = {k: g.copy() for k, g in network.backward(
+            trace, batch, ref, np.zeros_like(ref.theta)).items()}
         reference_l2(ref, grads, l2_coeff)
         assert (reference_norm(grads) > clip_norm) == (clip_norm < 1.0)
         grads = reference_clip(grads, clip_norm)

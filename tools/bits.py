@@ -14,6 +14,12 @@ written exactly):
                             trained on a 60-patient synth cohort;
   <kind>/<config>/predict   the full ranking for each patient of that
                             cohort, from its admissions but the last;
+  <kind>/mixed              every cell kind under the plain config, with
+                            batches of 4, trained on that cohort with every
+                            patient but every fifth cut to two admissions:
+                            some batches have one step, read no state and
+                            form no U gradient, and others do;
+  <kind>/mixed/predict      its full rankings, as for <kind>/<config>;
   perfbench/<name>          each perfbench workload's train() at seed 1;
   perfbench/<name>/predict  the top-K answers for each held-out patient of
                             that workload, from its admissions but the
@@ -51,6 +57,7 @@ CONFIGS = {
 }
 # shared by every synth row: several ragged batches, a few epochs
 BASE = {"seed": 1, "hidden_size": 16, "max_epochs": 3, "batch_size": 16}
+MIXED_BATCH = 4
 PERFBENCH_SEED = 1
 
 
@@ -62,10 +69,12 @@ def main(argv=None):
     sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
     from dxtraj.cells import CELL_KINDS
     from dxtraj.checkpoint import save_checkpoint
-    from dxtraj.ehr_data import CodeVocabulary, PatientRecord
+    from dxtraj.ehr_data import (CodeVocabulary, PatientRecord,
+                                 build_vocabulary, split_batches)
     from dxtraj.network import predict_topk
+    from dxtraj.numerics import SeededRng
     from dxtraj.synth import SynthSpec, generate_cohort
-    from dxtraj.training import TrainConfig, train
+    from dxtraj.training import TrainConfig, split_patients, train
     import workload
 
     table = {}
@@ -94,6 +103,23 @@ def main(argv=None):
                 model = train(cohort, config)[0]
                 table[f"{kind}/{name}"] = digest(model)
                 table[f"{kind}/{name}/predict"] = served(model, cohort)
+        mixed = [p if i % 5 == 0 else PatientRecord(p.patient_id,
+                                                     p.admissions[:2])
+                 for i, p in enumerate(cohort)]
+        # train() splits the patients with the first draws of its seed's
+        # stream; both kinds of batch must occur in its training split
+        config = TrainConfig.from_dict({**BASE, "batch_size": MIXED_BATCH})
+        part = split_patients(mixed, config.split_fraction,
+                              SeededRng(config.seed))[0]
+        steps = {len(b.mask) > 1 for b in split_batches(
+            part, build_vocabulary(mixed), batch_size=MIXED_BATCH)}
+        assert steps == {False, True}, steps
+        for kind in CELL_KINDS:
+            config = TrainConfig.from_dict(
+                {**BASE, "batch_size": MIXED_BATCH, "cell_kind": kind})
+            model = train(mixed, config)[0]
+            table[f"{kind}/mixed"] = digest(model)
+            table[f"{kind}/mixed/predict"] = served(model, mixed)
         for name, w in workload.WORKLOADS.items():
             workdir = Path(tmp) / name
             workdir.mkdir()
