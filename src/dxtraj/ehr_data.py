@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 import sys
 from dataclasses import dataclass, field, fields
 
@@ -22,6 +21,7 @@ import numpy as np
 from .files import atomic_write_text
 
 ADMISSION_TYPES = ("newborn", "elective", "emergency", "urgent")
+_FLOAT_MAX = sys.float_info.max  # an int above it is no finite float
 
 
 class CcsMapError(ValueError):
@@ -93,11 +93,11 @@ class ExtraFeatures:
 
 @dataclass
 class BatchTensor:
-    """A batch of patients on a grid of (step, patient) cells, of which mask
-    marks the valid ones. Only the valid cells are stored, as rows packed
-    time-major, in the order of x[mask != 0]: the rows of step t are the
-    patients flatnonzero(mask[t]), in order. The target of the cell at step
-    i is the multi-hot of the patient's admission i + 1.
+    """A batch of patients on a grid of (step, patient) cells, of which mask,
+    a (T, P) boolean array, marks the valid ones. Only the valid cells are
+    stored, as rows packed time-major, in the order of x[mask]: the rows of
+    step t are the patients flatnonzero(mask[t]), in order. The target of
+    the cell at step i is the multi-hot of the patient's admission i + 1.
 
     An input row is split in two arrays: the multi-hot code slots and the
     float64 extras that follow them (width 0 without extras). build_batch
@@ -109,10 +109,10 @@ class BatchTensor:
     code_rows: np.ndarray    # (n_valid, |D|), uint8 from build_batch
     extra_rows: np.ndarray   # (n_valid, extras), float64
     target_rows: np.ndarray  # (n_valid, |D|), uint8 from build_batch
-    mask: np.ndarray         # (T, P) of {0, 1}
-    patient_ids: list
+    mask: np.ndarray         # (T, P) bool; another dtype: nonzero is valid
 
     def __post_init__(self):
+        self.mask = np.asarray(self.mask, dtype=bool)
         n_valid = np.count_nonzero(self.mask)
         if not (len(self.code_rows) == len(self.extra_rows)
                 == len(self.target_rows) == n_valid):
@@ -122,15 +122,14 @@ class BatchTensor:
                 f"valid cells")
 
     @classmethod
-    def from_padded(cls, x, mask, targets, patient_ids):
+    def from_padded(cls, x, mask, targets):
         """The batch of padded (T, P, ·) inputs and targets; what they hold
         at the cells that mask leaves out is dropped. The first |D| slots
         of x, |D| being the width of targets, are the code slots, kept in
         x's dtype; the rest are the extras."""
-        valid = mask != 0
+        valid = np.asarray(mask, dtype=bool)
         d = targets.shape[-1]
-        return cls(x[..., :d][valid], x[..., d:][valid], targets[valid],
-                   mask, patient_ids)
+        return cls(x[..., :d][valid], x[..., d:][valid], targets[valid], valid)
 
     def input_rows(self, code_noise=None) -> np.ndarray:
         """The layer-0 input rows (n_valid, |D| + extras) as float64: the
@@ -148,7 +147,7 @@ class BatchTensor:
         """Packed rows (n_valid, ...) laid out on the (T, P) grid, zeros at
         the cells that mask leaves out."""
         out = np.zeros(self.mask.shape + rows.shape[1:], dtype=rows.dtype)
-        out[self.mask != 0] = rows
+        out[self.mask] = rows
         return out
 
     @property
@@ -200,9 +199,9 @@ def _all_strings(items) -> bool:
 
 def _patient_record(obj) -> PatientRecord:
     """The record of one parsed JSON line; a field that is missing or of the
-    wrong type, or a non-finite duration, is a ValueError naming it. The
-    values come from json.loads, so their types are exact (bool is not
-    int)."""
+    wrong type, a timestamp past 64 bits or a duration that is no finite
+    float is a ValueError naming it. The values come from json.loads, so
+    their types are exact (bool is not int)."""
     if type(obj) is not dict:
         raise ValueError("expected a JSON object")
     pid = obj.get("patient_id")
@@ -217,14 +216,14 @@ def _patient_record(obj) -> PatientRecord:
             raise ValueError(f"admissions[{i}]: expected an object")
         ts, codes = a.get("timestamp"), a.get("icd9")
         adm_type, duration = a.get("type"), a.get("duration_hours")
-        if type(ts) is not int:
-            field, expected = "timestamp", "an integer"
+        if type(ts) is not int or not -2 ** 63 <= ts < 2 ** 63:
+            field, expected = "timestamp", "a 64-bit integer"
         elif type(codes) is not list or not _all_strings(codes):
             field, expected = "icd9", "a list of strings"
         elif adm_type is not None and type(adm_type) is not str:
             field, expected = "type", "a string or null"
         elif duration is not None and (type(duration) not in (int, float)
-                                       or not math.isfinite(duration)):
+                                       or not abs(duration) <= _FLOAT_MAX):
             field, expected = "duration_hours", "a finite number or null"
         else:
             # one str per distinct code: each occurrence's is freed with its line
@@ -359,7 +358,8 @@ def build_batch(patients, vocab: CodeVocabulary,
     A patient with m admissions has m - 1 steps, or m with every_admission
     (a history to predict from): step i holds admission i as input and
     admission i + 1 as target, a zero row when there is none. So every
-    patient needs two admissions, or one with every_admission. Each
+    patient needs two admissions, or one with every_admission; without it,
+    each admission after the first is a target and needs a code. Each
     admission's codes are mapped through the vocabulary once, and the
     multi-hot slots of the code rows and of the target rows (both uint8)
     are set by one assignment each.
@@ -377,6 +377,10 @@ def build_batch(patients, vocab: CodeVocabulary,
         if len(p.admissions) <= lead:
             raise ValueError(f"patient {p.patient_id} has " + (
                 "fewer than 2 admissions" if lead else "no admissions"))
+        if lead and not all(a.codes for a in p.admissions[1:]):
+            i = next(i for i, a in enumerate(p.admissions) if i and not a.codes)
+            raise ValueError(f"patient {p.patient_id}: admission {i} has no "
+                             "codes to predict (dxtraj prepare would drop it)")
     extras = extras or ExtraFeatures()
     d, n_pat = len(vocab), len(patients)
     n_steps = [len(p.admissions) - lead for p in patients]
@@ -423,8 +427,7 @@ def build_batch(patients, vocab: CodeVocabulary,
                 for a, b in zip(p.admissions[:1] + p.admissions, p.admissions)]
 
     return BatchTensor(code_rows=code_rows[:-1], extra_rows=extra_rows[:-1],
-                       target_rows=target_rows[:-1], mask=valid * 1.0,
-                       patient_ids=[p.patient_id for p in patients])
+                       target_rows=target_rows[:-1], mask=valid)
 
 
 def split_batches(patients, vocab, extras=None, batch_size=None,

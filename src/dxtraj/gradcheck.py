@@ -12,23 +12,22 @@ from .training import cross_entropy_loss
 
 def random_batch(n_codes, n_patients, n_steps, rng: SeededRng,
                  extras: ExtraFeatures | None = None,
-                 ragged: bool = True, lengths=None) -> BatchTensor:
-    """Random multi-hot batch; with ragged=True the last patient has one step
-    fewer, exercising the mask path. lengths, when given, holds the number of
-    steps of each patient instead (0 makes an all-padding patient)."""
+                 lengths=None) -> BatchTensor:
+    """Random multi-hot batch in which patient h has lengths[h] steps (0
+    makes an all-padding patient); by default n_steps each, but n_steps - 1
+    for the last patient when n_steps > 1 and n_patients > 1."""
     extras = extras or ExtraFeatures()
     x = (rng.uniform((n_steps, n_patients, n_codes + extras.width)) < 0.4) * 1.0
     targets = (rng.uniform((n_steps, n_patients, n_codes)) < 0.4) * 1.0
-    mask = np.ones((n_steps, n_patients))
-    if lengths is not None:
-        if len(lengths) != n_patients or max(lengths) > n_steps:
-            raise ValueError(f"lengths {list(lengths)} do not fit "
-                             f"{n_steps} steps x {n_patients} patients")
-        mask = (np.arange(n_steps)[:, None] < np.asarray(lengths)) * 1.0
-    elif ragged and n_steps > 1 and n_patients > 1:
-        mask[-1, -1] = 0.0
-    return BatchTensor.from_padded(
-        x, mask, targets, patient_ids=[f"p{i}" for i in range(n_patients)])
+    if lengths is None:
+        lengths = [n_steps] * n_patients
+        if n_steps > 1 and n_patients > 1:
+            lengths[-1] -= 1
+    if len(lengths) != n_patients or max(lengths, default=0) > n_steps:
+        raise ValueError(f"lengths {list(lengths)} do not fit "
+                         f"{n_steps} steps x {n_patients} patients")
+    mask = np.arange(n_steps)[:, None] < np.asarray(lengths)
+    return BatchTensor.from_padded(x, mask, targets)
 
 
 def full_network_gradcheck(cell_kind: str, n_codes: int = 5, hidden: int = 4,
@@ -60,9 +59,10 @@ def full_network_gradcheck(cell_kind: str, n_codes: int = 5, hidden: int = 4,
     dropout = None
     if dropout_rate > 0:
         keep = 1.0 - dropout_rate
-        dropout = (rng.uniform(batch.mask.shape + (hidden,)) < keep) / keep
+        dropout = (rng.uniform(batch.mask.shape + (hidden,))[batch.mask]
+                   < keep) / keep
 
-    trace = network.forward(batch, model, dropout_mask=dropout)
+    trace = network.forward(batch, model, dropout)
     grads = network.backward(trace, batch, model)
     if corrupt is not None:
         grads[corrupt] += 0.5
@@ -71,7 +71,7 @@ def full_network_gradcheck(cell_kind: str, n_codes: int = 5, hidden: int = 4,
 
     def objective(theta):
         model.theta[...] = theta
-        tr = network.forward(batch, model, dropout_mask=dropout)
+        tr = network.forward(batch, model, dropout)
         return cross_entropy_loss(batch.target_rows, tr["yhat_rows"])
 
     numeric = model.views(finite_diff_grad(objective, theta0, eps=eps))

@@ -14,23 +14,23 @@ over the code slots. Both LReLU slopes are trainable scalars. The backward
 pass (full backpropagation through time, including the slopes and the optional
 embedding) is hand-derived and verified against finite differences.
 
-Packed layout: a batch stores only the (T, P) cells with mask 1, their rows
-packed time-major (BatchTensor): the rows of step t are the patients
-flatnonzero(mask[t]) in order. Each flow has a Layout (_layouts): its
-steps, and src, the forward-order row that each of its rows stands for. The
-forward flow packs the mask and the backward flow mask[::-1], the same way
-(_pack); each gathers its layer-0 input rows at src and scatters its top
-rows back to forward order. A flow keeps no per-patient state: each layer
-writes its states to its rows, plus a last row that holds the zero state,
-and a step reads its previous states from the rows that its layout names:
-those of its patients' latest earlier cells, or the zero row. BPTT gathers
-them again, and adds the step's previous-state gradient to the rows of its
-gradient. The first step of every layer, and every step of a kind that
-reads no state (cells.is_recurrent), pass the state None to cells.step:
-such a step forms no recurrent product, and in BPTT it ends the carry. A
-layer's input terms x @ W + b are computed for all of its rows before the
-time loop (cells.project_inputs), and its W and b gradients after BPTT
-(cells.input_backward), so stacked layers run one after the other.
+Packed layout: a batch stores only the (T, P) cells that its boolean mask
+marks valid, their rows packed time-major (BatchTensor): the rows of step t
+are the patients flatnonzero(mask[t]) in order. Each flow has a Layout
+(_layouts): its steps, and src, the forward-order row that each of its rows
+stands for. The forward flow packs the mask and the backward flow
+mask[::-1], the same way (_pack); each gathers its layer-0 input rows at src
+and scatters its top rows back to forward order. A flow keeps no per-patient
+state: each layer writes its states to its rows, plus a last row that holds
+the zero state, and a step reads its previous states from the rows that its
+layout names: those of its patients' latest earlier cells, or the zero row.
+BPTT gathers them again, and adds the step's previous-state gradient to the
+rows of its gradient. The first step of every layer, and every step of a
+kind that reads no state (cells.is_recurrent), pass the state None to
+cells.step: such a step forms no recurrent product, and in BPTT it ends the
+carry. A layer's input terms x @ W + b are computed for all of its rows
+before the time loop (cells.project_inputs), and its W and b gradients after
+BPTT (cells.input_backward), so stacked layers run one after the other.
 
 Two threads: forward() and backward() run each phase as one function per
 flow, the forward flow's on the calling thread and the backward flow's on
@@ -50,7 +50,7 @@ threads.
 Memory: the trace of forward() holds what backward() cannot rebuild
 cheaply: each flow's layout, its layers' state rows, the only copy of its
 states, and its step traces, which hold no state; j_pre, out_pre and
-yhat_rows, the dropout rows, and, by reference, the caller's code_noise
+yhat_rows, and, by reference, the caller's dropout and code_noise rows
 (with an embedding, also the code rows that E multiplies). backward()
 rebuilds, by the same ops and so with the same bits, each step's previous
 state, the top rows in forward order, hj = LReLU(j_pre) times dropout for
@@ -430,16 +430,14 @@ def _head(jf, jb, model, dropout=None):
     return jf, out_pre, yhat
 
 
-def forward(batch: BatchTensor, model: ModelParams, dropout_mask=None,
+def forward(batch: BatchTensor, model: ModelParams, dropout=None,
             code_noise=None) -> dict:
     """Full forward pass over the valid cells of a batch; the returned trace
     holds what backward() reads. trace["yhat_rows"] holds the predictions of
-    the valid cells, packed like the batch's rows.
-    dropout_mask, when given, is (T, P, hidden) and multiplies the
-    joint-layer output (inverted-dropout convention, already scaled).
-    code_noise, when given, is (n_valid, |D|) and is added to the code
-    slots (input noise); the trace keeps it, not the layer-0 rows built
-    from it."""
+    the valid cells, packed like the batch's rows. So are dropout (n_valid,
+    hidden), which multiplies the joint-layer output (inverted dropout,
+    already scaled), and code_noise (n_valid, |D|), which is added to the
+    code slots (input noise); the trace keeps both, not the layer-0 rows."""
     d, width = model.n_codes, model.extras.width
     if (batch.code_rows.shape[1], batch.extra_rows.shape[1]) != (d, width):
         raise ValueError(
@@ -447,8 +445,7 @@ def forward(batch: BatchTensor, model: ModelParams, dropout_mask=None,
             f"{batch.extra_rows.shape[1]} extras does not match model "
             f"({d} codes + {width} extras)")
 
-    valid = batch.mask != 0
-    layouts = _layouts(valid)
+    layouts = _layouts(batch.mask)
     inp, codes = _embed(model, batch, code_noise)
 
     # each flow up to its own term of the joint layer, the backward flow on
@@ -456,11 +453,10 @@ def forward(batch: BatchTensor, model: ModelParams, dropout_mask=None,
     scans = _run_pair_of_flows(
         lambda name, layout: _flow(model, name, inp, layout), FLOWS, layouts)
     inp = None  # not in the trace: backward() builds it again
-    dropout = None if dropout_mask is None else dropout_mask[valid]
     j_pre, out_pre, yhat_rows = _head(scans[0][0], scans[1][0], model, dropout)
 
     return {
-        "valid": valid, "codes": codes, "code_noise": code_noise,
+        "codes": codes, "code_noise": code_noise,
         "flows": [(layout, rows, traces)
                   for layout, (_, rows, traces) in zip(layouts, scans)],
         "j_pre": j_pre, "out_pre": out_pre,

@@ -299,20 +299,19 @@ def _epoch_pass(batches, model, config, rng, update_state=None):
     total_loss = 0.0
     total_weight = 0.0
     for batch in batches:
-        # the noise and dropout draws cover the whole (T, P, ·) grid, padded
-        # cells included, so the seeded stream, and with it the trained
-        # weights, do not depend on how the cells are stored
-        dropout_mask = code_noise = None
+        # each draw covers the whole (T, P, ·) grid, padded cells included,
+        # so that the seeded stream, and with it the trained weights, do not
+        # depend on how cells are stored; it is cut to the valid rows at once
+        dropout = code_noise = None
         if update_state is not None and config.input_noise_std > 0:
-            noise = rng.normal(config.input_noise_std,
-                               batch.mask.shape + (model.n_codes,))
-            code_noise = noise[batch.mask != 0]
+            code_noise = rng.normal(
+                config.input_noise_std,
+                batch.mask.shape + (model.n_codes,))[batch.mask]
         if update_state is not None and config.dropout_rate > 0:
             keep = 1.0 - config.dropout_rate
-            dropout_mask = (rng.uniform(batch.mask.shape + (model.hidden,))
-                            < keep) / keep
-        trace = network.forward(batch, model, dropout_mask=dropout_mask,
-                                code_noise=code_noise)
+            dropout = (rng.uniform(batch.mask.shape + (model.hidden,))
+                       [batch.mask] < keep) / keep
+        trace = network.forward(batch, model, dropout, code_noise)
         loss = cross_entropy_loss(batch.target_rows, trace["yhat_rows"])
         if not np.isfinite(loss):
             raise TrainingDivergedError("non-finite training loss")

@@ -60,12 +60,11 @@ def test_03_masking_invariance():
     model = network.init_model("mgru", 5, 4, rng=rng)
     for k, v in model.flat().items():
         v[...] = v + rng.normal(0.3, v.shape)
-    batch = random_batch(5, 2, 3, rng, ragged=False)
+    batch = random_batch(5, 2, 3, rng, lengths=(3, 3))
     padded = BatchTensor.from_padded(
         np.concatenate([batch.x, np.zeros((3, 1, 5))], axis=1),
         np.concatenate([batch.mask, np.zeros((3, 1))], axis=1),
-        np.concatenate([batch.targets, np.zeros((3, 1, 5))], axis=1),
-        batch.patient_ids + ["pad"])
+        np.concatenate([batch.targets, np.zeros((3, 1, 5))], axis=1))
     tr_a = network.forward(batch, model)
     tr_b = network.forward(padded, model)
     dl = abs(cross_entropy_loss(batch.target_rows, tr_a["yhat_rows"])

@@ -289,6 +289,23 @@ def test_evaluate_single_admission_patient_exit_2(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_train_admission_without_codes_exit_2(tmp_path, capsys):
+    # an unprepared cohort with an emptied admission after a first one
+    cohort, _ = synth_cohort(tmp_path, capsys, n=20)
+    records = [json.loads(line) for line in cohort.read_text().splitlines()]
+    record = next(r for r in records if len(r["admissions"]) >= 3)
+    record["admissions"][2]["icd9"] = []
+    write_patient_file(cohort, records)
+    model = tmp_path / "m.ckpt"
+    code = main(["--quiet", "train", "--cohort", str(cohort), "--model",
+                 str(model), "--max-epochs", "30"])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: patient {record['patient_id']}: admission 2 has no codes "
+        f"to predict (dxtraj prepare would drop it)\n")
+    assert not model.exists()
+
+
 def test_relative_paths_are_used_as_given(tmp_path, capsys, monkeypatch):
     # a file in DXTRAJ_DATA_DIR is not found by a relative path elsewhere
     data = tmp_path / "data"

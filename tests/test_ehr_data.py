@@ -422,21 +422,21 @@ def test_split_batches_hold_only_valid_rows():
         arrays = [v for v in vars(b).values() if isinstance(v, np.ndarray)]
         assert sum(a.size for a in arrays) == \
             b.mask.size + n_valid * (3 + 6 + 3)
-        # one-byte code slots and targets, float64 extras and mask
+        # one-byte code slots, targets and mask, float64 extras
         assert b.code_rows.dtype == b.target_rows.dtype == np.uint8
+        assert b.mask.dtype == bool
         assert b.extra_rows.dtype == np.float64
         assert sum(a.nbytes for a in arrays) == \
-            8 * (b.mask.size + n_valid * 6) + n_valid * (3 + 3)
+            b.mask.size + 8 * n_valid * 6 + n_valid * (3 + 3)
 
 
 def test_batch_rows_must_match_the_mask():
     with pytest.raises(ValueError, match="valid cells"):
         BatchTensor(code_rows=np.zeros((2, 3)), extra_rows=np.zeros((2, 0)),
-                    target_rows=np.zeros((2, 3)), mask=np.ones((1, 3)),
-                    patient_ids=["a", "b", "c"])
+                    target_rows=np.zeros((2, 3)), mask=np.ones((1, 3)))
     padded = np.arange(12.0).reshape(2, 2, 3)
     mask = np.array([[1.0, 1.0], [0.0, 1.0]])
-    batch = BatchTensor.from_padded(padded, mask, padded, ["a", "b"])
+    batch = BatchTensor.from_padded(padded, mask, padded)
     npt.assert_array_equal(batch.input_rows(), padded[[0, 0, 1], [0, 1, 1]])
     npt.assert_array_equal(batch.x, padded * mask[:, :, None])
 
@@ -498,6 +498,11 @@ def _admission(**fields):
     (_admission(duration_hours=float("nan")), "duration_hours"),
     (_admission(duration_hours=float("inf")), "duration_hours"),
     (_admission(duration_hours="12"), "duration_hours"),
+    # past 64 bits, an interval between two timestamps overflowed a float,
+    # and an integer duration past the largest float overflowed one
+    (_admission(timestamp=2 ** 63), r"admissions\[1\]\.timestamp"),
+    (_admission(timestamp=-10 ** 400), r"admissions\[1\]\.timestamp"),
+    (_admission(duration_hours=10 ** 400), "duration_hours"),
 ])
 def test_load_patients_names_line_and_field(tmp_path, record, field):
     # line 1 is good and line 2 blank, so the bad record is on line 3
@@ -572,8 +577,7 @@ def test_from_padded_round_trips(patients, extras):
     vocab = CodeVocabulary(LABELS)
     batch = build_batch(patients, vocab, extras,
                         *feature_constants(patients, extras))
-    again = BatchTensor.from_padded(batch.x, batch.mask, batch.targets,
-                                    batch.patient_ids)
+    again = BatchTensor.from_padded(batch.x, batch.mask, batch.targets)
     assert again.input_rows().tobytes() == batch.input_rows().tobytes()
     npt.assert_array_equal(again.code_rows, batch.code_rows)
     assert again.extra_rows.tobytes() == batch.extra_rows.tobytes()
@@ -582,7 +586,7 @@ def test_from_padded_round_trips(patients, extras):
     npt.assert_array_equal(again.x, batch.x)
     # the padded code slots come back as the uint8 rows build_batch wrote
     codes = BatchTensor.from_padded(batch.pad(batch.code_rows), batch.mask,
-                                    batch.targets, batch.patient_ids)
+                                    batch.targets)
     assert codes.code_rows.dtype == np.uint8
     assert codes.code_rows.tobytes() == batch.code_rows.tobytes()
     assert codes.extra_rows.shape == (len(batch.code_rows), 0)

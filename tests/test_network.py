@@ -8,7 +8,7 @@ import pytest
 from dxtraj import network
 from dxtraj.cells import CELL_KINDS
 from dxtraj.ehr_data import (Admission, BatchTensor, CodeVocabulary,
-                             ExtraFeatures, PatientRecord)
+                             ExtraFeatures, PatientRecord, build_batch)
 from dxtraj.gradcheck import full_network_gradcheck, random_batch
 from dxtraj.numerics import SeededRng
 
@@ -48,7 +48,7 @@ def test_identity_zero_joint_wiring():
     model.Vfwd[...] = np.eye(model.hidden)
     model.Vbwd[...] = 0.0
     model.b_joint[...] = 0.0
-    batch = random_batch(5, 2, 3, SeededRng(5), ragged=False)
+    batch = random_batch(5, 2, 3, SeededRng(5), lengths=(3, 3))
     trace = network.forward(batch, model)
     hf = np.abs(top_rows(trace)[0])  # force non-negative per the premise
     j = network.lrelu(hf @ model.Vfwd + model.b_joint, float(model.alpha_j))
@@ -57,7 +57,7 @@ def test_identity_zero_joint_wiring():
 
 def test_single_step_degenerate_sequence():
     model = small_model()
-    batch = random_batch(5, 1, 1, SeededRng(2), ragged=False)
+    batch = random_batch(5, 1, 1, SeededRng(2), lengths=(1,))
     trace = network.forward(batch, model)
     assert trace["yhat_rows"].shape == (1, 5)
     npt.assert_allclose(trace["yhat_rows"].sum(), 1.0, atol=1e-9)
@@ -66,23 +66,21 @@ def test_single_step_degenerate_sequence():
 def test_future_admission_influences_early_output():
     # backward flow: changing admission 2 changes the prediction at step 0
     model = small_model(seed=7)
-    batch = random_batch(5, 1, 3, SeededRng(11), ragged=False)
+    batch = random_batch(5, 1, 3, SeededRng(11), lengths=(3,))
     base = network.forward(batch, model)["yhat_rows"][0].copy()
     x2 = batch.x
     x2[2, 0] = 1.0 - x2[2, 0]
-    altered = BatchTensor.from_padded(x2, batch.mask, batch.targets,
-                                      batch.patient_ids)
+    altered = BatchTensor.from_padded(x2, batch.mask, batch.targets)
     changed = network.forward(altered, model)["yhat_rows"][0]
     assert np.abs(changed - base).max() > 0
 
 
 def test_zero_mask_gives_zero_gradients():
     model = small_model()
-    batch = random_batch(5, 2, 3, SeededRng(0), ragged=False)
+    batch = random_batch(5, 2, 3, SeededRng(0), lengths=(3, 3))
     empty = BatchTensor.from_padded(np.zeros_like(batch.x),
                                     np.zeros_like(batch.mask),
-                                    np.zeros_like(batch.targets),
-                                    batch.patient_ids)
+                                    np.zeros_like(batch.targets))
     trace = network.forward(empty, model)
     grads = network.backward(trace, empty, model)
     assert all(not g.any() for g in grads.values())
@@ -92,12 +90,11 @@ def test_masking_invariance_padding_patient():
     from dxtraj.training import cross_entropy_loss
 
     model = small_model(seed=5)
-    batch = random_batch(5, 2, 3, SeededRng(9), ragged=False)
+    batch = random_batch(5, 2, 3, SeededRng(9), lengths=(3, 3))
     padded = BatchTensor.from_padded(
         np.concatenate([batch.x, np.zeros((3, 1, 5))], axis=1),
         np.concatenate([batch.mask, np.zeros((3, 1))], axis=1),
-        np.concatenate([batch.targets, np.zeros((3, 1, 5))], axis=1),
-        batch.patient_ids + ["pad"])
+        np.concatenate([batch.targets, np.zeros((3, 1, 5))], axis=1))
 
     tr_a = network.forward(batch, model)
     tr_b = network.forward(padded, model)
@@ -131,12 +128,11 @@ def test_reversal_consistency_vbwd_zero():
 
 def test_patient_duplication_doubles_gradients():
     model = small_model(seed=17)
-    batch = random_batch(5, 1, 3, SeededRng(21), ragged=False)
+    batch = random_batch(5, 1, 3, SeededRng(21), lengths=(3,))
     double = BatchTensor.from_padded(
         np.concatenate([batch.x, batch.x], axis=1),
         np.concatenate([batch.mask, batch.mask], axis=1),
-        np.concatenate([batch.targets, batch.targets], axis=1),
-        ["a", "b"])
+        np.concatenate([batch.targets, batch.targets], axis=1))
     g1 = network.backward(network.forward(batch, model), batch, model)
     g2 = network.backward(network.forward(double, model), double, model)
     # loss is averaged over unmasked steps, so the mean loss is unchanged and
@@ -241,12 +237,11 @@ def test_trailing_padding_steps_change_nothing(kind):
     longer = BatchTensor.from_padded(
         np.concatenate([batch.x, pad]),
         np.concatenate([batch.mask, np.zeros((2, 4))]),
-        np.concatenate([batch.targets, pad]),
-        batch.patient_ids)
+        np.concatenate([batch.targets, pad]))
     a = _loss_grads_yhat(batch, model)
     b = _loss_grads_yhat(longer, model)
     _assert_same(a, b)
-    valid = batch.mask == 1
+    valid = batch.mask
     assert np.abs(a[2][valid] - b[2][:3][valid]).max() <= 1e-12
 
 
@@ -256,12 +251,11 @@ def test_patient_order_within_batch_changes_nothing(kind):
     batch = _ragged_batch(31)
     perm = [2, 0, 3, 1]
     shuffled = BatchTensor.from_padded(
-        batch.x[:, perm], batch.mask[:, perm], batch.targets[:, perm],
-        [batch.patient_ids[i] for i in perm])
+        batch.x[:, perm], batch.mask[:, perm], batch.targets[:, perm])
     a = _loss_grads_yhat(batch, model)
     b = _loss_grads_yhat(shuffled, model)
     _assert_same(a, b)
-    valid = shuffled.mask == 1
+    valid = shuffled.mask
     assert np.abs(a[2][:, perm][valid] - b[2][valid]).max() <= 1e-12
 
 
@@ -271,27 +265,60 @@ def test_masked_middle_step_carries_state(kind):
     # same patient with that step removed
     model = small_model(seed=47, kind=kind, layers=2, embed_dim=3)
     rng = SeededRng(53)
-    full = random_batch(5, 2, 3, rng, ragged=False)
+    full = random_batch(5, 2, 3, rng, lengths=(3, 3))
     x, mask, targets = full.x, full.mask.copy(), full.targets
     mask[1, 0] = 0.0
     x[1, 0] = 1.0
     targets[1, 0] = 0.0
-    gap = BatchTensor.from_padded(x, mask, targets, full.patient_ids)
+    gap = BatchTensor.from_padded(x, mask, targets)
     x, mask, targets = x.copy(), mask.copy(), targets.copy()
     for arr in (x, mask, targets):
         arr[1:, 0] = np.concatenate([arr[2:, 0], np.zeros_like(arr[:1, 0])])
-    closed = BatchTensor.from_padded(x, mask, targets, full.patient_ids)
+    closed = BatchTensor.from_padded(x, mask, targets)
     a = _loss_grads_yhat(gap, model)
     b = _loss_grads_yhat(closed, model)
     _assert_same(a, b)
     npt.assert_allclose(a[2][[0, 2], 0], b[2][[0, 1], 0], rtol=0, atol=1e-12)
 
 
+def test_every_batch_holds_a_boolean_mask():
+    # build_batch, from_padded given a float {0, 1} mask and random_batch
+    # all hold the boolean grid of valid cells; the float mask packs the
+    # same rows, and forward() reads the same bits from either batch
+    model = small_model(seed=59, extras=ALL_EXTRAS)
+    patients = [PatientRecord(f"p{h}", [
+        Admission(10 * i, {str(i % 5), str(h % 5)}, "urgent", 2.0 + i)
+        for i in range(n)]) for h, n in enumerate((4, 2, 3))]
+    built = build_batch(patients, CodeVocabulary([str(c) for c in range(5)]),
+                        ALL_EXTRAS, 5.0, 20.0)
+    drawn = random_batch(5, 3, 4, SeededRng(61), extras=ALL_EXTRAS)
+    # by default every patient has every step but the last patient's last
+    npt.assert_array_equal(drawn.mask.sum(axis=0), [4, 4, 3])
+    for batch in (built, drawn):
+        as_float = BatchTensor.from_padded(batch.x, batch.mask * 1.0,
+                                           batch.targets)
+        given = BatchTensor(batch.code_rows, batch.extra_rows,
+                            batch.target_rows, batch.mask * 1.0)
+        for b in (batch, as_float, given):
+            assert b.mask.dtype == bool
+            npt.assert_array_equal(b.mask, batch.mask)
+        assert as_float.input_rows().tobytes() == batch.input_rows().tobytes()
+        npt.assert_array_equal(as_float.target_rows, batch.target_rows)
+        yhat, again = (network.forward(b, model)["yhat_rows"]
+                       for b in (batch, as_float))
+        assert yhat.tobytes() == again.tobytes()
+    # the dropout rows are packed like the batch, and the trace keeps them
+    rows = np.full((len(drawn.code_rows), model.hidden), 1.25)
+    trace = network.forward(drawn, model, rows)
+    assert trace["dropout"] is rows
+    assert "valid" not in trace
+
+
 def test_padded_cells_get_zero_yhat():
     model = small_model(seed=37)
     batch = _ragged_batch(41)
     yhat = batch.pad(network.forward(batch, model)["yhat_rows"])
-    assert not yhat[batch.mask == 0].any()
+    assert not yhat[~batch.mask].any()
 
 
 @pytest.mark.parametrize("kind", CELL_KINDS)
@@ -810,13 +837,12 @@ def test_head_on_two_threads_equals_serial_head(kind, dropout, n):
     model = small_model(seed=101, n_codes=271, hidden=271, kind=kind)
     rng = SeededRng(n)
     batch = rows_batch(n, 271, rng)
-    mask = None
+    rows = None
     if dropout:
-        mask = (rng.uniform(batch.x.shape[:2] + (271,)) < 0.7) / 0.7
-    trace = network.forward(batch, model, dropout_mask=mask)
+        rows = (rng.uniform(batch.mask.shape + (271,))[batch.mask] < 0.7) / 0.7
+    trace = network.forward(batch, model, rows)
     assert len(trace["yhat_rows"]) == n
-    expected = serial_head(*top_rows(trace), model,
-                           None if mask is None else mask[trace["valid"]])
+    expected = serial_head(*top_rows(trace), model, rows)
     # the trace keeps no hj: out_pre and the Wout gradient check it
     for name, want in zip(("j_pre", "out_pre", "yhat_rows"),
                           expected[:1] + expected[2:]):
@@ -838,13 +864,12 @@ def test_backward_from_rebuilt_layer0_rows_equals_kept_rows(kind, embed_dim):
                          lengths=(3, 0, 2, 1))
     rng = SeededRng(139)
     noise = rng.normal(0.1, (int(batch.mask.sum()), 5))
-    dropout = (rng.uniform((3, 4, 4)) < 0.7) / 0.7
+    dropout = (rng.uniform((3, 4, 4))[batch.mask] < 0.7) / 0.7
     codes = batch.code_rows + noise
     if embed_dim:
         codes = codes @ model.E
     inp = np.concatenate([codes, batch.extra_rows], axis=1)
-    trace = network.forward(batch, model, dropout_mask=dropout,
-                            code_noise=noise)
+    trace = network.forward(batch, model, dropout, noise)
     layout_f, rows_f = trace["flows"][0][:2]
     want_f = network._scan_direction(inp, layout_f, model.fwd, kind,
                                      model.hidden)[0]
@@ -939,8 +964,7 @@ def test_step_traces_hold_no_copy_of_the_previous_state(kind, monkeypatch):
 def test_backward_leaves_the_trace_unchanged(kind):
     model = small_model(seed=79, kind=kind, layers=2, embed_dim=3)
     batch = _ragged_batch(83)
-    trace = network.forward(batch, model,
-                            dropout_mask=np.full((3, 4, 4), 1.25))
+    trace = network.forward(batch, model, np.full((6, 4), 1.25))
     arrays = []
 
     def collect(value):
@@ -970,7 +994,7 @@ def test_backward_frees_the_head_buffers_before_bptt(monkeypatch):
 
     n_codes = 400
     model = small_model(seed=89, n_codes=n_codes, hidden=4)
-    batch = random_batch(n_codes, 20, 3, SeededRng(97), ragged=False)
+    batch = random_batch(n_codes, 20, 3, SeededRng(97), lengths=[3] * 20)
     trace = network.forward(batch, model)
     grad = np.zeros_like(model.theta)
     head_buffer = 60 * n_codes * 8
@@ -1033,7 +1057,8 @@ def test_neither_trace_nor_bptt_holds_the_layer0_rows(monkeypatch):
     # again after the step loops, so they are held nowhere in between
     n_codes = 400
     model = small_model(seed=103, n_codes=n_codes, hidden=4)
-    batch = random_batch(n_codes, 20, 3, SeededRng(107), ragged=False)
+    batch = random_batch(n_codes, 20, 3, SeededRng(107),
+                         lengths=[3] * 20)
     noise = SeededRng(109).normal(0.1, (60, n_codes))
     wide = 60 * n_codes * 8
     trace, trace_bytes, beyond = _memory_around_bptt(monkeypatch, model,
@@ -1051,7 +1076,7 @@ def test_bptt_holds_each_top_gradient_once(monkeypatch):
     # copy of the top gradient, or d_j_pre, would be a fifth
     hidden, n_rows = 64, 1200
     model = small_model(seed=113, n_codes=5, hidden=hidden)
-    batch = random_batch(5, 20, 60, SeededRng(127), ragged=False)
+    batch = random_batch(5, 20, 60, SeededRng(127), lengths=[60] * 20)
     one = n_rows * hidden * 8
     trace, _, beyond = _memory_around_bptt(monkeypatch, model, batch)
     assert "hj" not in trace

@@ -1,13 +1,18 @@
-"""Malformed serving inputs end in a clean exit, never a traceback.
+"""Malformed inputs end in a clean exit, never a traceback.
 
-A property test: one tiny model is trained once per module, then a history
-file, the checkpoint's header or its payload is mutated and `dxtraj
-predict` and `dxtraj evaluate` run on them in-process, or the CCS map is
-mutated and `dxtraj prepare` runs on it. Every run must exit 0, 2 (bad
-input) or, predict and evaluate only, 4 (a code outside the vocabulary),
-and a nonzero exit must say why on a stderr line that starts with
-"error:". On exit 0, predict and evaluate must print strict JSON: no NaN
-or infinity. Any other exception fails the test.
+Two property tests share one tiny model, trained once per module, and its
+cohort. In the first, a history file, the checkpoint's header or its
+payload is mutated and `dxtraj predict` and `dxtraj evaluate` run on them
+in-process, or the CCS map is mutated and `dxtraj prepare` runs on it.
+Every run must exit 0, 2 (bad input) or, predict and evaluate only, 4 (a
+code outside the vocabulary), and a nonzero exit must say why on a stderr
+line that starts with "error:". On exit 0, predict and evaluate must print
+strict JSON: no NaN or infinity. In the second, the cohort file is mutated
+under `train` and `prepare`, a `--config` file under `train`, a grid under
+`compare`, or the numeric flags of a command are set; every run trains at
+most one epoch. It must exit 0, 2, 3 (diverged), 4 or 5 (gradcheck
+failed), and on 2, 3 or 4 a stderr line must start with "error:" or
+"training diverged:". Any other exception fails either test.
 """
 
 import contextlib
@@ -24,14 +29,25 @@ from hypothesis import strategies as st
 
 from dxtraj.cli import main
 
-# any JSON value, non-finite numbers and huge integers included
-JSON = st.recursive(
-    st.none() | st.booleans() | st.integers(-2 ** 70, 2 ** 70)
-    | st.sampled_from([10 ** 400, -10 ** 400]) | st.floats()
-    | st.text(max_size=6),
-    lambda inner: st.lists(inner, max_size=3)
-    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
-    max_leaves=6)
+
+def json_values(integers):
+    """Any JSON value, non-finite numbers included, whose integers are
+    drawn from integers."""
+    return st.recursive(
+        st.none() | st.booleans() | integers | st.floats()
+        | st.text(max_size=6),
+        lambda inner: st.lists(inner, max_size=3)
+        | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+        max_leaves=6)
+
+
+# any JSON value, huge integers included
+JSON = json_values(st.integers(-2 ** 70, 2 ** 70)
+                   | st.sampled_from([10 ** 400, -10 ** 400]))
+# a value of a config or grid field, with integers up to 1: a size has no
+# upper bound yet, and a large layer or node count builds a model until
+# memory runs out; and max_epochs stays at most 1
+FIELD = json_values(st.integers(-3, 1))
 # what a few of the payload's float64s are overwritten with
 WEIGHTS = st.sampled_from([math.nan, -math.nan, math.inf, -math.inf, 1e300,
                            -1e300, 1e20, -1e20])
@@ -59,24 +75,25 @@ def served(tmp_path_factory):
     return tmp, lines, magic, json.loads(header), payload, ccs
 
 
-def mutate(data, value):
+def mutate(data, value, values=JSON):
     """value, a parsed JSON document, with one change at a place drawn from
-    data: a value replaced, an item or key removed, or a key added."""
+    data: a value replaced, an item or key removed, or a key added; a new
+    value is drawn from values."""
     keys = list(value) if isinstance(value, dict) else range(
         len(value) if isinstance(value, list) else 0)
     action = data.draw(st.sampled_from(
         ["replace"] + (["descend"] * 4 + ["remove"] if keys else [])
         + (["add"] if isinstance(value, dict) else [])))
     if action == "replace":
-        return data.draw(JSON)
+        return data.draw(values)
     value = copy.copy(value)
     key = data.draw(st.sampled_from(list(keys))) if keys else None
     if action == "descend":
-        value[key] = mutate(data, value[key])
+        value[key] = mutate(data, value[key], values)
     elif action == "remove":
         del value[key]
     else:
-        value[data.draw(st.text(max_size=6))] = data.draw(JSON)
+        value[data.draw(st.text(max_size=6))] = data.draw(values)
     return value
 
 
@@ -173,3 +190,96 @@ def test_mutated_history_or_header_exits_cleanly(served, data):
                        for line in err.splitlines()), (argv[0], err)
         elif argv[0] != "prepare":
             strict_json(out)
+
+
+SEEDS = st.integers(-2 ** 70, 2 ** 70)
+# each command's numeric flags and what they are set to; sizes stay small,
+# for the reason given at FIELD and because gradcheck's time grows fast
+SIZES = st.integers(-2, 1)
+FLAGS = {
+    "train": {"--seed": SEEDS, "--max-epochs": SIZES,
+              "--hidden-size": st.integers(-2, 3),
+              "--batch-size": st.integers(-2, 3),
+              "--patience": st.integers(-2, 3)},
+    "evaluate": {"--k": SEEDS},
+    "predict": {"--k": SEEDS},
+    "gradcheck": {"--codes": SIZES, "--hidden": SIZES, "--patients": SIZES,
+                  "--steps": SIZES, "--seed": SEEDS,
+                  "--tolerance": st.floats()},
+    "synth": {"--patients": st.integers(-2, 12),
+              "--vocab-size": st.integers(-2, 12),
+              "--states": st.integers(-2, 4), "--noise-rate": st.floats(),
+              "--seed": SEEDS},
+    "compare": {"--seeds": st.integers(-2, 3), "--seed": SEEDS},
+}
+GRID = [{"hidden_size": 4, "max_epochs": 1, "label": "mgru"},
+        {"random_baseline": True}]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_mutated_training_inputs_exit_cleanly(served, data):
+    tmp = served[0]
+    cohort, config, grid = (tmp / "input.jsonl", tmp / "input-config.json",
+                            tmp / "input-grid.json")
+    texts = {"cohort": (tmp / "cohort.jsonl").read_text(),
+             "config": (tmp / "config.json").read_text(),
+             "grid": json.dumps(GRID)}
+    target = data.draw(st.sampled_from(
+        ["cohort", "cohort admission", "cohort admission", "cohort bytes",
+         "config", "config", "config bytes", "grid", "grid", "grid bytes",
+         "flags", "flags", "flags"]))
+    name = target.split()[0]
+    if target == "cohort":
+        lines = texts["cohort"].splitlines()
+        i = data.draw(st.integers(0, len(lines) - 1))
+        record = mutate(data, json.loads(lines[i]))
+        texts["cohort"] = "\n".join(
+            lines[:i] + [json.dumps(record)] + lines[i + 1:])
+    elif target == "cohort admission":  # one admission of one record
+        lines = texts["cohort"].splitlines()
+        i = data.draw(st.integers(0, len(lines) - 1))
+        record = json.loads(lines[i])
+        j = data.draw(st.integers(0, len(record["admissions"]) - 1))
+        record["admissions"][j] = mutate(data, record["admissions"][j])
+        texts["cohort"] = "\n".join(
+            lines[:i] + [json.dumps(record)] + lines[i + 1:])
+    elif target in ("config", "grid"):
+        texts[name] = json.dumps(mutate(data, json.loads(texts[name]), FIELD))
+    elif target != "flags":
+        texts[name] = splice(data, texts[name].encode(),
+                             len(texts[name])).decode("latin-1")
+    for path, key in ((cohort, "cohort"), (config, "config"), (grid, "grid")):
+        path.write_text(texts[key], encoding="latin-1")
+    base = {
+        "train": ["train", "--cohort", str(cohort), "--config", str(config),
+                  "--model", str(tmp / "trained.ckpt"), "--max-epochs", "1"],
+        "prepare": ["prepare", "--input", str(cohort), "--ccs",
+                    str(tmp / "ccs.csv"), "--output",
+                    str(tmp / "prepared.jsonl")],
+        "evaluate": ["evaluate", "--model", str(tmp / "model.ckpt"),
+                     "--cohort", str(cohort), "--k", "5"],
+        "predict": ["predict", "--model", str(tmp / "model.ckpt"),
+                    "--history", str(cohort), "--k", "5"],
+        "gradcheck": ["gradcheck", "--codes", "1", "--hidden", "1",
+                      "--patients", "1", "--steps", "1"],
+        "synth": ["synth", "--patients", "12", "--vocab-size", "12",
+                  "--states", "3", "--output", str(tmp / "synth.jsonl")],
+        "compare": ["compare", "--cohort", str(cohort), "--grid", str(grid),
+                    "--seeds", "1", "--output", str(tmp / "compared")],
+    }
+    if target == "flags":
+        command = data.draw(st.sampled_from(sorted(FLAGS)))
+        flags = data.draw(st.fixed_dictionaries({}, optional=FLAGS[command]))
+        runs = [base[command] + [f"{f}={v}" for f, v in flags.items()]]
+    else:
+        runs = [base[c] for c in {"cohort": ["train", "prepare"],
+                                  "config": ["train"],
+                                  "grid": ["compare"]}[name]]
+    for argv in runs:
+        code, _, err = run(*argv)
+        assert code in (0, 2, 3, 4, 5), (argv, code, err)
+        if code in (2, 3, 4):
+            assert any(line.startswith(("error:", "training diverged:"))
+                       for line in err.splitlines()), (argv, err)

@@ -135,8 +135,7 @@ def test_appending_padding_steps_leaves_the_loss_bit_identical():
         padded = BatchTensor.from_padded(
             np.concatenate([batch.x, np.zeros((extra, 4, 6))]),
             np.concatenate([batch.mask, np.zeros((extra, 4))]),
-            np.concatenate([batch.targets, np.zeros((extra, 4, 6))]),
-            batch.patient_ids)
+            np.concatenate([batch.targets, np.zeros((extra, 4, 6))]))
         losses = [cross_entropy_loss(b.target_rows,
                                      network.forward(b, model)["yhat_rows"])
                   for b in (batch, padded)]
@@ -374,7 +373,7 @@ def embed_input(x, E, extras=ExtraFeatures()):
                                embed_dim=dim, rng=SeededRng(0))
     model.E[...] = E
     batch = BatchTensor.from_padded(x, np.ones((1, 1)),
-                                    np.zeros((1, 1, n_codes)), ["p"])
+                                    np.zeros((1, 1, n_codes)))
     return network._embed(model, batch)[0][0]
 
 
@@ -526,6 +525,29 @@ def test_train_too_small_cohort():
         train(planted_cohort(n=1), TrainConfig())
 
 
+@pytest.mark.parametrize("side", [0, 1])
+def test_an_admission_without_codes_stops_train_before_any_epoch(
+        monkeypatch, side):
+    # an admission after a patient's first is a target: one without codes
+    # raises, naming the patient and the admission, before the first
+    # epoch, on the training side of the split (0) and on the other (1)
+    cohort = planted_cohort(n=20)
+    config = TrainConfig(seed=3, max_epochs=2)
+    sides = split_patients(cohort, config.split_fraction,
+                           SeededRng(config.seed))
+    patient = next(p for p in sides[side] if len(p.admissions) >= 3)
+    emptied = PatientRecord(patient.patient_id, [
+        replace(a, codes=set()) if i == 2 else a
+        for i, a in enumerate(patient.admissions)])
+    passes = []
+    monkeypatch.setattr(training, "_epoch_pass",
+                        lambda *args, **kwargs: passes.append(1))
+    with pytest.raises(ValueError, match=rf"^patient {patient.patient_id}: "
+                                         r"admission 2 has no codes"):
+        train([emptied if p is patient else p for p in cohort], config)
+    assert passes == []
+
+
 def test_train_max_epochs_bound():
     cohort = planted_cohort()
     cfg = TrainConfig(seed=0, max_epochs=1)
@@ -606,7 +628,7 @@ def test_validation_patients_leave_the_training_batches_unchanged(
 
 def rows_by_patient(batch):
     """The batch's input rows, patient by patient, each in step order."""
-    return batch.x.transpose(1, 0, 2)[batch.mask.T != 0]
+    return batch.x.transpose(1, 0, 2)[batch.mask.T]
 
 
 def test_training_batches_are_normalised_as_the_whole_split(monkeypatch):
