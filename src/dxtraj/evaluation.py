@@ -119,12 +119,11 @@ def run_comparison(cohort, grid_spec: list, seeds, ks=(10, 20, 30)) -> list:
 
     grid_spec rows are dicts of TrainConfig overrides, plus optional keys
     "label" and "random_baseline": true for the untrained-scores row, which
-    scores the held-out patients of train() under the same config. A
+    scores the held-out side of training.split() under the same config. A
     configuration that fails on bad input or diverges yields a marked row
     instead of aborting the grid; any other exception is raised.
     """
-    from .training import (TrainConfig, TrainingDivergedError,
-                           split_patients, train)
+    from .training import TrainConfig, TrainingDivergedError, split, train
     from .ehr_data import build_vocabulary
 
     rows = []
@@ -141,8 +140,7 @@ def run_comparison(cohort, grid_spec: list, seeds, ks=(10, 20, 30)) -> list:
                 t0 = time.perf_counter()
                 config = TrainConfig.from_dict({**spec, "seed": int(seed)})
                 if is_random:
-                    _, test = split_patients(cohort, config.split_fraction,
-                                             SeededRng(config.seed))
+                    _, test, _ = split(cohort, config)
                     res = random_baseline(test, build_vocabulary(cohort),
                                           SeededRng(config.seed), ks=ks)
                     means = {k: r.mean for k, r in res.items()}

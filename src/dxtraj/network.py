@@ -192,11 +192,12 @@ def param_count(cell_kind: str, n_codes: int, hidden: int, layers: int = 1,
                 extras: ExtraFeatures | None = None,
                 embed_dim: int | None = None) -> int:
     """Size of the theta of init_model(...) with these arguments, computed
-    without building the model."""
+    without building the model, in time that does not grow with layers."""
     extras = extras or ExtraFeatures()
     in0 = (embed_dim if embed_dim else n_codes) + extras.width
-    flows = 2 * sum(cells.param_count(cell_kind, in0 if l == 0 else hidden,
-                                      hidden) for l in range(layers))
+    # per flow: layer 0 reads the input, the layers - 1 above it the states
+    flows = 2 * (cells.param_count(cell_kind, in0, hidden) + (layers - 1)
+                 * cells.param_count(cell_kind, hidden, hidden))
     head = 2 * hidden * hidden + hidden + 1 + hidden * n_codes + n_codes + 1
     return (n_codes * embed_dim if embed_dim else 0) + flows + head
 

@@ -18,6 +18,8 @@ from .evaluation import recall_rows
 from .numerics import SeededRng
 
 MAX_ADMISSIONS = 42
+# the largest size numpy can index or draw from
+MAX_SIZE = 2**63 - 1
 
 
 @dataclass
@@ -37,6 +39,8 @@ class SynthSpec:
             value = getattr(self, name)
             if value < 1:
                 raise ValueError(f"{name} must be >= 1, got {value}")
+            if value > MAX_SIZE:
+                raise ValueError(f"{name} must be <= 2**63 - 1, got {value}")
         if not (0.0 <= self.noise_rate < 1.0):
             raise ValueError(f"noise_rate must be in [0, 1), "
                              f"got {self.noise_rate}")

@@ -1,5 +1,10 @@
 """Loss, ADADELTA with gradient clipping, regularization, and the epoch loop
-with patient-level 90/10 split and patience-based early stopping.
+with patience-based early stopping.
+
+train() is split() then fit(). split() draws the patient-level 90/10 split
+with the first draw of the seed's stream; fit() trains on one side and
+validates on the other with the rest of that stream. Whatever needs the
+patients that train() holds out calls split().
 
 An update works on flat vectors laid out like the model's parameter vector
 (ModelParams.theta): network.backward() writes every element of one
@@ -158,11 +163,11 @@ def clip_gradients(grads: dict, clip_norm: float) -> dict:
     # itself put train_short's peak RSS in its upper mode (98 against 92 MB)
     # in 19 of 28 benchmark runs, this buffer in 3 of 19, serial clipping
     # with a temporary per array in 20 of 42
-    split = max((g.size for g in first), default=0)
-    scratch = np.empty(split + max((g.size for g in second), default=0))
+    mid = max((g.size for g in first), default=0)
+    scratch = np.empty(mid + max((g.size for g in second), default=0))
     mine, theirs = network.run_pair(
-        lambda: _sums_of_squares(first, scratch[:split]),
-        lambda: _sums_of_squares(second, scratch[split:]))
+        lambda: _sums_of_squares(first, scratch[:mid]),
+        lambda: _sums_of_squares(second, scratch[mid:]))
     total = np.sqrt(sum(mine + theirs))
     if total > clip_norm:
         scale = clip_norm / total
@@ -327,27 +332,36 @@ def _epoch_pass(batches, model, config, rng, update_state=None):
     return total_loss / total_weight if total_weight else 0.0
 
 
-def train(cohort, config: TrainConfig,
-          validation_loss_hook=None) -> tuple:
-    """Train on a filtered cohort. Returns (best-epoch model, TrainReport).
-    Each split is encoded once, with the training split's feature constants;
-    batch_size splits the training split only.
+def split(cohort, config: TrainConfig) -> tuple:
+    """(training patients, held-out patients, generator) of train(): the
+    first draw of config.seed's stream splits the patients, and the
+    generator, past that draw, goes on to fit()."""
+    if len(cohort) < 2:
+        raise ValueError("cohort must contain at least 2 patients")
+    rng = SeededRng(config.seed)
+    return (*split_patients(cohort, config.split_fraction, rng), rng)
+
+
+def fit(train_patients, held_out, rng: SeededRng, config: TrainConfig,
+        validation_loss_hook=None) -> tuple:
+    """Train on the training patients and validate on the held-out ones,
+    drawing from rng, as in fit(*split(cohort, config), config). Returns
+    (best-epoch model, TrainReport). The vocabulary is that of both sides;
+    each side is encoded once, with the training side's feature constants;
+    batch_size splits the training side only.
 
     validation_loss_hook, when given, replaces the computed validation loss
     (test hook for exercising the stopping rule).
     """
-    if len(cohort) < 2:
-        raise ValueError("cohort must contain at least 2 patients")
     t0 = time.perf_counter()
-    rng = SeededRng(config.seed)
-    vocab = build_vocabulary(cohort)
+    vocab = build_vocabulary(train_patients + held_out)
     hidden = config.hidden_size or len(vocab)
 
-    train_pat, test_pat = split_patients(cohort, config.split_fraction, rng)
-    constants = feature_constants(train_pat, config.extra_features)
-    train_batches = split_batches(train_pat, vocab, config.extra_features,
-                                  config.batch_size, *constants)
-    test_batches = split_batches(test_pat, vocab, config.extra_features,
+    constants = feature_constants(train_patients, config.extra_features)
+    train_batches = split_batches(train_patients, vocab,
+                                  config.extra_features, config.batch_size,
+                                  *constants)
+    test_batches = split_batches(held_out, vocab, config.extra_features,
                                  None, *constants)
 
     model = network.init_model(
@@ -391,3 +405,10 @@ def train(cohort, config: TrainConfig,
     report.recall = {k: r.mean for k, r in result.items()}
     report.wall_time_s = time.perf_counter() - t0
     return model, report
+
+
+def train(cohort, config: TrainConfig,
+          validation_loss_hook=None) -> tuple:
+    """Train on a filtered cohort: split() then fit(). Returns (best-epoch
+    model, TrainReport)."""
+    return fit(*split(cohort, config), config, validation_loss_hook)

@@ -94,6 +94,19 @@ def test_oversized_header_is_rejected_before_allocating(tmp_path):
     assert peak < 2 * 2**20
 
 
+def test_header_with_countless_layers_fails_on_its_payload_size(tmp_path):
+    # the expected size is counted in closed form, not layer by layer
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(make_model(), path)
+    magic, header, payload = path.read_bytes().split(b"\n", 2)
+    header = json.loads(header)
+    header["layers"] = 10**21
+    path.write_bytes(b"\n".join([magic, json.dumps(header).encode(),
+                                 payload]))
+    with pytest.raises(ValueError, match="payload holds"):
+        load_checkpoint(path)
+
+
 def with_header(path, header: bytes):
     """Replace the header line of the checkpoint at path."""
     magic, _, payload = path.read_bytes().split(b"\n", 2)

@@ -489,6 +489,19 @@ def test_checkpoint_header_field_of_the_wrong_type_exit_2(
         f"error: {model}: header field {field}: expected")
 
 
+def test_checkpoint_header_with_countless_layers_exit_2(tmp_path, capsys):
+    cohort, model = trained_model(tmp_path, capsys)
+    magic, header, payload = model.read_bytes().split(b"\n", 2)
+    header = json.loads(header)
+    header["layers"] = 10**21
+    model.write_bytes(b"\n".join([magic, json.dumps(header).encode(),
+                                  payload]))
+    code = main(["predict", "--model", str(model), "--history", str(cohort)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: {model}: payload holds")
+
+
 @pytest.mark.parametrize("ks", [["0", "5"], ["5", "500"], ["-1"]])
 def test_evaluate_k_out_of_range_exit_2(tmp_path, capsys, ks):
     cohort, model = trained_model(tmp_path, capsys)
@@ -568,6 +581,12 @@ BAD_INPUT = {
                          "--output", "{tmp}/c.jsonl"],
     "synth-patients-negative": ["synth", "--patients", "-3",
                                 "--output", "{tmp}/c.jsonl"],
+    "synth-patients-huge": ["synth", "--patients", str(10**21),
+                            "--output", "{tmp}/c.jsonl"],
+    "synth-vocab-size-huge": ["synth", "--vocab-size", str(10**21),
+                              "--output", "{tmp}/c.jsonl"],
+    "synth-states-huge": ["synth", "--states", str(10**21),
+                          "--output", "{tmp}/c.jsonl"],
     "synth-output-dir": ["synth", "--patients", "3", "--vocab-size", "10",
                          "--output", "{tmp}/missing/c.jsonl"],
     "train-model-dir": ["train", "--cohort", "{cohort}", "--max-epochs", "1",

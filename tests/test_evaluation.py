@@ -17,7 +17,7 @@ from dxtraj.evaluation import (
 )
 from dxtraj.numerics import SeededRng
 from dxtraj.synth import SynthSpec, generate_cohort
-from dxtraj.training import TrainConfig, train, split_patients
+from dxtraj.training import TrainConfig, split, train
 
 
 def brute_force_recall(yhat, targets, k):
@@ -293,12 +293,12 @@ def test_random_row_scores_the_held_out_patients_of_train(monkeypatch):
         return random_baseline(patients, *args, **kwargs)
 
     def recording_split(*args):
-        train_split, test = split_patients(*args)
-        held_out.append([p.patient_id for p in test])
-        return train_split, test
+        sides = split(*args)
+        held_out.append([p.patient_id for p in sides[1]])
+        return sides
 
     monkeypatch.setattr(evaluation, "random_baseline", recording_baseline)
-    monkeypatch.setattr(training, "split_patients", recording_split)
+    monkeypatch.setattr(training, "split", recording_split)
     rows = run_comparison(cohort, [
         {"label": "random", "random_baseline": True, "split_fraction": 0.6},
         {"label": "m", "split_fraction": 0.6, "max_epochs": 1,
@@ -337,7 +337,7 @@ def test_random_baseline_row_near_chance():
     # noise makes every one of the 271 codes appear in the cohort
     cohort = generate_cohort(SynthSpec(n_patients=300, vocab_size=271,
                                        n_states=20, noise_rate=0.3, seed=4))
-    _, test = split_patients(cohort, 0.9, SeededRng(0))
+    _, test, _ = split(cohort, TrainConfig(seed=0))
     vocab = build_vocabulary(cohort)
     assert len(vocab) == 271
     res = random_baseline(test, vocab, SeededRng(1), ks=(10,))

@@ -1,4 +1,5 @@
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -95,6 +96,14 @@ def test_spec_validation():
 def test_spec_rejects_sizes_below_one(field, value):
     with pytest.raises(ValueError, match=f"^{field} must be >= 1, got {value}$"):
         SynthSpec(**{field: value})
+
+
+@pytest.mark.parametrize("field", ["n_patients", "vocab_size", "n_states"])
+def test_spec_rejects_sizes_numpy_cannot_index(field):
+    SynthSpec(**{field: 2**63 - 1})
+    message = f"{field} must be <= 2**63 - 1, got {2**63}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        SynthSpec(**{field: 2**63})
 
 
 def test_oracle_noise_free_is_perfect():

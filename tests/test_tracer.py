@@ -7,9 +7,8 @@ from pathlib import Path
 
 from dxtraj import network
 from dxtraj.ehr_data import ExtraFeatures, build_vocabulary
-from dxtraj.numerics import SeededRng
 from dxtraj.synth import SynthSpec, generate_cohort
-from dxtraj.training import TrainConfig, split_patients, train
+from dxtraj.training import TrainConfig, split, train
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -37,8 +36,7 @@ def test_tracer_hooks_exist_and_count_the_valid_cells():
     assert t.absent == []
     # train() encodes each split once: the training batches and the one
     # validation batch, which gives both the losses and the recall
-    train_split, test_split = split_patients(cohort, config.split_fraction,
-                                             SeededRng(config.seed))
+    train_split, test_split, _ = split(cohort, config)
     assert t.cells_valid == steps(train_split) + steps(test_split)
     metrics = t.metrics()
     assert set(metrics) == set(tracer.LAYER_METRICS)

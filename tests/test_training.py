@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from dxtraj import network, training
 from dxtraj.cells import CELL_KINDS
+from dxtraj.checkpoint import save_checkpoint
 from dxtraj.ehr_data import (BatchTensor, ExtraFeatures, PatientRecord,
                              build_batch, build_vocabulary, feature_constants)
 from dxtraj.evaluation import evaluate_model
@@ -22,6 +23,8 @@ from dxtraj.training import (
     adadelta_update,
     clip_gradients,
     cross_entropy_loss,
+    fit,
+    split,
     split_patients,
     train,
 )
@@ -408,6 +411,35 @@ def test_split_is_patient_level_disjoint():
     assert len(ids_train) == 18
 
 
+@pytest.mark.parametrize("seed", [0, 1, 3, 11])
+@pytest.mark.parametrize("fraction", [0.5, 0.6, 0.9])
+def test_split_draws_the_sides_of_split_patients(seed, fraction):
+    # the benchmark and the acceptance test find train()'s held-out
+    # patients by this replay of its first draw
+    cohort = planted_cohort(n=20)
+    train_p, test_p, _ = split(
+        cohort, TrainConfig(seed=seed, split_fraction=fraction))
+    assert (train_p, test_p) == split_patients(cohort, fraction,
+                                               SeededRng(seed))
+
+
+def test_train_is_split_then_fit(tmp_path):
+    # dropout and input noise draw from the generator that split() hands on
+    cohort = planted_cohort(n=30)
+    config = TrainConfig(seed=5, max_epochs=3, batch_size=8,
+                         dropout_rate=0.3, input_noise_std=0.1,
+                         extra_features=ALL_EXTRAS)
+    runs = [train(cohort, config), fit(*split(cohort, config), config)]
+    blobs, reports = [], []
+    for i, (model, report) in enumerate(runs):
+        save_checkpoint(model, tmp_path / f"{i}.ckpt")
+        blobs.append((tmp_path / f"{i}.ckpt").read_bytes())
+        reports.append(replace(report, wall_time_s=0.0))
+    assert blobs[0] == blobs[1]
+    assert reports[0] == reports[1]
+    assert reports[0].iterations == 3
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(split_fraction=1.5)
@@ -533,8 +565,7 @@ def test_an_admission_without_codes_stops_train_before_any_epoch(
     # epoch, on the training side of the split (0) and on the other (1)
     cohort = planted_cohort(n=20)
     config = TrainConfig(seed=3, max_epochs=2)
-    sides = split_patients(cohort, config.split_fraction,
-                           SeededRng(config.seed))
+    sides = split(cohort, config)
     patient = next(p for p in sides[side] if len(p.admissions) >= 3)
     emptied = PatientRecord(patient.patient_id, [
         replace(a, codes=set()) if i == 2 else a
@@ -595,7 +626,7 @@ def test_train_encodes_each_split_once(monkeypatch):
     config = TrainConfig(seed=2, max_epochs=2, batch_size=4,
                          extra_features=ALL_EXTRAS)
     _, _, calls = train_recording_batches(monkeypatch, cohort, config)
-    train_p, test_p = split_patients(cohort, 0.9, SeededRng(2))
+    train_p, test_p, _ = split(cohort, config)
     training_batches, (validation_batch,) = calls
     assert [b.mask.shape[1] for b in training_batches] == [4] * 6 + [3]
     # the validation split as one batch, with the training split's constants
@@ -609,7 +640,7 @@ def test_validation_patients_leave_the_training_batches_unchanged(
     cohort = planted_cohort(n=30)
     config = TrainConfig(seed=2, max_epochs=1, batch_size=4,
                          extra_features=ALL_EXTRAS)
-    _, test_p = split_patients(cohort, 0.9, SeededRng(2))
+    _, test_p, _ = split(cohort, config)
     # longer than any duration and interval of the cohort
     held_out = test_p[0]
     altered = PatientRecord(held_out.patient_id, [
@@ -637,7 +668,7 @@ def test_training_batches_are_normalised_as_the_whole_split(monkeypatch):
                          extra_features=ALL_EXTRAS)
     model, _, (batches, _) = train_recording_batches(monkeypatch, cohort,
                                                      config)
-    train_p, _ = split_patients(cohort, 0.9, SeededRng(2))
+    train_p, _, _ = split(cohort, config)
     constants = feature_constants(train_p, ALL_EXTRAS)
     assert (model.duration_max, model.interval_max) == constants
     whole = build_batch(train_p, build_vocabulary(cohort), ALL_EXTRAS,
@@ -653,7 +684,7 @@ def test_train_recall_equals_evaluate_model_on_the_validation_split():
     config = TrainConfig(seed=2, max_epochs=2, batch_size=4,
                          extra_features=ALL_EXTRAS)
     model, report = train(cohort, config)
-    _, test_p = split_patients(cohort, 0.9, SeededRng(2))
+    _, test_p, _ = split(cohort, config)
     result = evaluate_model(model, test_p, build_vocabulary(cohort))
     assert report.recall == {k: r.mean for k, r in result.items()}
 

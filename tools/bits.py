@@ -72,9 +72,8 @@ def main(argv=None):
     from dxtraj.ehr_data import (CodeVocabulary, PatientRecord,
                                  build_vocabulary, split_batches)
     from dxtraj.network import predict_topk
-    from dxtraj.numerics import SeededRng
     from dxtraj.synth import SynthSpec, generate_cohort
-    from dxtraj.training import TrainConfig, split_patients, train
+    from dxtraj.training import TrainConfig, split, train
     import workload
 
     table = {}
@@ -106,11 +105,9 @@ def main(argv=None):
         mixed = [p if i % 5 == 0 else PatientRecord(p.patient_id,
                                                      p.admissions[:2])
                  for i, p in enumerate(cohort)]
-        # train() splits the patients with the first draws of its seed's
-        # stream; both kinds of batch must occur in its training split
+        # both kinds of batch must occur in train()'s training split
         config = TrainConfig.from_dict({**BASE, "batch_size": MIXED_BATCH})
-        part = split_patients(mixed, config.split_fraction,
-                              SeededRng(config.seed))[0]
+        part = split(mixed, config)[0]
         steps = {len(b.mask) > 1 for b in split_batches(
             part, build_vocabulary(mixed), batch_size=MIXED_BATCH)}
         assert steps == {False, True}, steps
