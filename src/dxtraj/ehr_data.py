@@ -95,9 +95,9 @@ class ExtraFeatures:
 class BatchTensor:
     """A batch of patients on a grid of (step, patient) cells, of which mask,
     a (T, P) boolean array, marks the valid ones. Only the valid cells are
-    stored, as rows packed time-major, in the order of x[mask]: the rows of
-    step t are the patients flatnonzero(mask[t]), in order. The target of
-    the cell at step i is the multi-hot of the patient's admission i + 1.
+    stored, as rows packed time-major: the rows of step t are the patients
+    flatnonzero(mask[t]), in order. The target of the cell at step i is
+    the multi-hot of the patient's admission i + 1.
 
     An input row is split in two arrays: the multi-hot code slots and the
     float64 extras that follow them (width 0 without extras). build_batch
@@ -121,16 +121,6 @@ class BatchTensor:
                 f"and {len(self.target_rows)} target rows for {n_valid} "
                 f"valid cells")
 
-    @classmethod
-    def from_padded(cls, x, mask, targets):
-        """The batch of padded (T, P, ·) inputs and targets; what they hold
-        at the cells that mask leaves out is dropped. The first |D| slots
-        of x, |D| being the width of targets, are the code slots, kept in
-        x's dtype; the rest are the extras."""
-        valid = np.asarray(mask, dtype=bool)
-        d = targets.shape[-1]
-        return cls(x[..., :d][valid], x[..., d:][valid], targets[valid], valid)
-
     def input_rows(self, code_noise=None) -> np.ndarray:
         """The layer-0 input rows (n_valid, |D| + extras) as float64: the
         code slots, plus code_noise (n_valid, |D|) when given, then the
@@ -143,23 +133,16 @@ class BatchTensor:
         rows[:, d:] = self.extra_rows
         return rows
 
-    def pad(self, rows: np.ndarray) -> np.ndarray:
-        """Packed rows (n_valid, ...) laid out on the (T, P) grid, zeros at
-        the cells that mask leaves out."""
-        out = np.zeros(self.mask.shape + rows.shape[1:], dtype=rows.dtype)
-        out[self.mask] = rows
-        return out
-
     @property
     def x(self) -> np.ndarray:
         """The float64 inputs padded to (T, P, |D| + extras), built on each
-        call."""
-        return self.pad(self.input_rows())
-
-    @property
-    def targets(self) -> np.ndarray:
-        """The targets padded to (T, P, |D|), built on each call."""
-        return self.pad(self.target_rows)
+        call. Its one reader is perfbench's tracer, which takes (T, P) from
+        its shape; it goes when the library times its own phases (ROADMAP
+        item 5)."""
+        rows = self.input_rows()
+        out = np.zeros(self.mask.shape + rows.shape[1:])
+        out[self.mask] = rows
+        return out
 
 
 # ---------------------------------------------------------------------------

@@ -15,9 +15,15 @@ def random_batch(n_codes, n_patients, n_steps, rng: SeededRng,
                  lengths=None) -> BatchTensor:
     """Random multi-hot batch in which patient h has lengths[h] steps (0
     makes an all-padding patient); by default n_steps each, but n_steps - 1
-    for the last patient when n_steps > 1 and n_patients > 1."""
+    for the last patient when n_steps > 1 and n_patients > 1. The grids it
+    draws are bounded like a model's weights (network.MAX_THETA_BYTES)."""
     extras = extras or ExtraFeatures()
-    x = (rng.uniform((n_steps, n_patients, n_codes + extras.width)) < 0.4) * 1.0
+    width = n_codes + extras.width
+    if 8 * n_steps * n_patients * width > network.MAX_THETA_BYTES:
+        raise ValueError(f"a grid of {n_steps} steps x {n_patients} patients "
+                         f"x {width} slots is above the limit of "
+                         f"{network.MAX_THETA_BYTES} bytes")
+    x = (rng.uniform((n_steps, n_patients, width)) < 0.4) * 1.0
     targets = (rng.uniform((n_steps, n_patients, n_codes)) < 0.4) * 1.0
     if lengths is None:
         lengths = [n_steps] * n_patients
@@ -27,7 +33,8 @@ def random_batch(n_codes, n_patients, n_steps, rng: SeededRng,
         raise ValueError(f"lengths {list(lengths)} do not fit "
                          f"{n_steps} steps x {n_patients} patients")
     mask = np.arange(n_steps)[:, None] < np.asarray(lengths)
-    return BatchTensor.from_padded(x, mask, targets)
+    rows = x[mask]
+    return BatchTensor(rows[:, :n_codes], rows[:, n_codes:], targets[mask], mask)
 
 
 def full_network_gradcheck(cell_kind: str, n_codes: int = 5, hidden: int = 4,

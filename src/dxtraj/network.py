@@ -80,6 +80,13 @@ from .numerics import SeededRng, init_gaussian, lrelu, softmax_rows
 
 LOSS_EPS = 1e-8
 
+# The largest parameter vector the library builds: 2**31 bytes, about 330
+# times the acceptance-size model. Training holds five vectors of its size
+# (theta, the gradient, ADADELTA's two accumulators, the best epoch's copy),
+# so a larger model cannot train in the memory of one machine; init_model
+# refuses it before it allocates anything.
+MAX_THETA_BYTES = 2**31
+
 
 # the head's trainable arrays, in flat() order after the two stacks
 _HEAD = ("Vfwd", "Vbwd", "b_joint", "alpha_j", "Wout", "b_out", "alpha_o", "E")
@@ -170,7 +177,15 @@ def init_model(cell_kind: str, n_codes: int, hidden: int, layers: int = 1,
     """Weights: Gaussian for rectangular matrices, identity for square ones,
     zeros for biases, 0.01 for both LReLU slopes. With rng None nothing is
     drawn and the Gaussian matrices are zeros: the structure of a model whose
-    values are about to be overwritten (checkpoint loading)."""
+    values are about to be overwritten (checkpoint loading). A model whose
+    theta would exceed MAX_THETA_BYTES is a ValueError."""
+    n_bytes = 8 * param_count(cell_kind, n_codes, hidden, layers, extras,
+                              embed_dim)
+    if n_bytes > MAX_THETA_BYTES:
+        raise ValueError(f"a {cell_kind} model of hidden size {hidden}, "
+                         f"{layers} layer(s) and {n_codes} codes needs "
+                         f"{n_bytes} bytes of weights, above the limit of "
+                         f"{MAX_THETA_BYTES}")
     extras = extras or ExtraFeatures()
     E = init_gaussian(n_codes, embed_dim, rng) if embed_dim else None
     in0 = (embed_dim if embed_dim else n_codes) + extras.width

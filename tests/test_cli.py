@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -649,6 +650,38 @@ def test_bad_input_exits_2_without_a_traceback_in_a_process():
         capture_output=True, text=True, timeout=120)
     assert done.returncode == 2
     assert done.stderr == "error: --codes must be at least 1, got 0\n"
+
+
+# sizes whose model or gradcheck grid cannot fit are refused before any
+# allocation; unrefused, each ended in a MemoryError or ran out of memory
+
+CANNOT_FIT = {
+    "train-hidden": ["train", "--cohort", "{cohort}", "--config",
+                     "{file:{\"hidden_size\": 100000}}",
+                     "--model", "{tmp}/m.ckpt"],
+    "train-layers": ["train", "--cohort", "{cohort}", "--config",
+                     "{file:{\"layers\": %d}}" % 10**21,
+                     "--model", "{tmp}/m.ckpt"],
+    "gradcheck-hidden": ["gradcheck", "--hidden", "100000"],
+    "gradcheck-patients": ["gradcheck", "--patients", str(10**12)],
+    "gradcheck-steps": ["gradcheck", "--steps", str(10**12)],
+}
+
+
+@pytest.mark.parametrize("argv", CANNOT_FIT.values(), ids=CANNOT_FIT.keys())
+def test_sizes_that_cannot_fit_exit_2_before_allocating(tmp_path, capsys,
+                                                         argv):
+    argv = [fill(tmp_path, capsys, arg) for arg in argv]
+    tracemalloc.start()
+    try:
+        code = main(["--quiet", *argv])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "m.ckpt").exists()
+    assert peak < 4 * 2**20
 
 
 # outputs are checked before the work that produces them

@@ -25,6 +25,7 @@ from dxtraj.ehr_data import (
     map_icd_to_ccs,
     split_batches,
 )
+from padded import pad
 
 
 def make_patient(pid, code_sets, start=1000, gap=86400, durations=None):
@@ -188,7 +189,7 @@ def test_multi_hot_slots():
     vocab = CodeVocabulary(["0", "1", "2", "3", "4", "5"])
     p = make_patient("a", [{"2", "5"}, {"0"}])
     batch = build_batch([p], vocab)
-    npt.assert_array_equal(batch.x[0, 0], [0, 0, 1, 0, 0, 1])
+    npt.assert_array_equal(batch.code_rows[0], [0, 0, 1, 0, 0, 1])
 
 
 def test_batch_padding_and_mask():
@@ -199,17 +200,17 @@ def test_batch_padding_and_mask():
     assert batch.mask.shape[0] == 3
     npt.assert_array_equal(batch.mask[:, 0], [1, 0, 0])
     npt.assert_array_equal(batch.mask[:, 1], [1, 1, 1])
-    # masked-out positions are all-zero
-    assert not batch.x[1:, 0].any()
-    assert not batch.targets[1:, 0].any()
+    # masked-out positions hold no row: "short" has one, at step 0
+    npt.assert_array_equal(batch.code_rows, [[1, 0], [1, 0], [0, 1], [1, 0]])
+    npt.assert_array_equal(batch.target_rows,
+                           [[0, 1], [0, 1], [1, 0], [0, 1]])
 
 
 def test_targets_are_next_admission():
     vocab = CodeVocabulary(["0", "1", "2"])
     p = make_patient("a", [{"0"}, {"1"}, {"0", "2"}])
     batch = build_batch([p], vocab)
-    npt.assert_array_equal(batch.targets[0, 0], [0, 1, 0])
-    npt.assert_array_equal(batch.targets[1, 0], [1, 0, 1])
+    npt.assert_array_equal(batch.target_rows, [[0, 1, 0], [1, 0, 1]])
 
 
 def test_roundtrip_multi_hot_recovers_codes():
@@ -217,7 +218,7 @@ def test_roundtrip_multi_hot_recovers_codes():
     p = make_patient("a", [{"1", "3"}, {"0", "2"}, {"2"}])
     batch = build_batch([p], vocab)
     for i in range(2):
-        decoded = {vocab.labels[j] for j in np.nonzero(batch.x[i, 0, :4])[0]}
+        decoded = {vocab.labels[j] for j in np.flatnonzero(batch.code_rows[i])}
         assert decoded == p.admissions[i].codes
 
 
@@ -229,9 +230,10 @@ def test_duration_normalization():
     constants = feature_constants([a, b], extras)
     assert constants == (40.0, 0.0)
     batch = build_batch([a, b], vocab, extras, *constants)
-    assert batch.x.shape[2] == 2
-    assert batch.x[0, 0, 1] == pytest.approx(0.25)
-    assert batch.x[0, 1, 1] == pytest.approx(1.0)
+    rows = batch.input_rows()  # patient a's step 0, then patient b's
+    assert rows.shape == (2, 2)
+    assert rows[0, 1] == pytest.approx(0.25)
+    assert rows[1, 1] == pytest.approx(1.0)
 
 
 def test_interval_and_type_features():
@@ -244,12 +246,13 @@ def test_interval_and_type_features():
     extras = ExtraFeatures(adm_type=True, interval=True)
     assert feature_constants([p], extras) == (0.0, 200.0)
     batch = build_batch([p], vocab, extras, *feature_constants([p], extras))
-    assert batch.x.shape[2] == 1 + 4 + 1
+    rows = batch.input_rows()
+    assert rows.shape == (2, 1 + 4 + 1)
     # type one-hot order: newborn, elective, emergency, urgent
-    npt.assert_array_equal(batch.x[0, 0, 1:5], [0, 0, 1, 0])
-    npt.assert_array_equal(batch.x[1, 0, 1:5], [0, 0, 0, 1])
-    assert batch.x[0, 0, 5] == 0.0  # first admission has no predecessor
-    assert batch.x[1, 0, 5] == pytest.approx(100 / 200)
+    npt.assert_array_equal(rows[0, 1:5], [0, 0, 1, 0])
+    npt.assert_array_equal(rows[1, 1:5], [0, 0, 0, 1])
+    assert rows[0, 5] == 0.0  # first admission has no predecessor
+    assert rows[1, 5] == pytest.approx(100 / 200)
 
 
 def test_feature_width_combinations():
@@ -366,8 +369,8 @@ def test_packed_batch_equals_old_padded_builder(patients, extras, dmax, imax):
     npt.assert_array_equal(batch.mask, mask)
     npt.assert_array_equal(batch.input_rows(), x[mask != 0])
     npt.assert_array_equal(batch.target_rows, targets[mask != 0])
-    npt.assert_array_equal(batch.x, x)
-    npt.assert_array_equal(batch.targets, targets)
+    npt.assert_array_equal(pad(batch.mask, batch.input_rows()), x)
+    npt.assert_array_equal(pad(batch.mask, batch.target_rows), targets)
     if dmax is None and extras.duration:
         assert derived[0] == dur_max
     if imax is None and extras.interval:
@@ -434,10 +437,11 @@ def test_batch_rows_must_match_the_mask():
     with pytest.raises(ValueError, match="valid cells"):
         BatchTensor(code_rows=np.zeros((2, 3)), extra_rows=np.zeros((2, 0)),
                     target_rows=np.zeros((2, 3)), mask=np.ones((1, 3)))
+    # the rows of step t are those of the patients flatnonzero(mask[t])
     padded = np.arange(12.0).reshape(2, 2, 3)
     mask = np.array([[1.0, 1.0], [0.0, 1.0]])
-    batch = BatchTensor.from_padded(padded, mask, padded)
-    npt.assert_array_equal(batch.input_rows(), padded[[0, 0, 1], [0, 1, 1]])
+    rows = padded[[0, 0, 1], [0, 1, 1]]
+    batch = BatchTensor(rows[:, :2], rows[:, 2:], rows[:, :2], mask)
     npt.assert_array_equal(batch.x, padded * mask[:, :, None])
 
 
@@ -569,27 +573,6 @@ def test_records_keep_no_instance_dict():
         assert not hasattr(obj, "__dict__")
         with pytest.raises(AttributeError):
             obj.note = "x"
-
-
-@settings(max_examples=60, deadline=None)
-@given(cohorts, extra_sets)
-def test_from_padded_round_trips(patients, extras):
-    vocab = CodeVocabulary(LABELS)
-    batch = build_batch(patients, vocab, extras,
-                        *feature_constants(patients, extras))
-    again = BatchTensor.from_padded(batch.x, batch.mask, batch.targets)
-    assert again.input_rows().tobytes() == batch.input_rows().tobytes()
-    npt.assert_array_equal(again.code_rows, batch.code_rows)
-    assert again.extra_rows.tobytes() == batch.extra_rows.tobytes()
-    assert again.target_rows.dtype == np.uint8
-    assert again.target_rows.tobytes() == batch.target_rows.tobytes()
-    npt.assert_array_equal(again.x, batch.x)
-    # the padded code slots come back as the uint8 rows build_batch wrote
-    codes = BatchTensor.from_padded(batch.pad(batch.code_rows), batch.mask,
-                                    batch.targets)
-    assert codes.code_rows.dtype == np.uint8
-    assert codes.code_rows.tobytes() == batch.code_rows.tobytes()
-    assert codes.extra_rows.shape == (len(batch.code_rows), 0)
 
 
 def test_save_patients_that_fails_leaves_the_file_as_it_was(tmp_path):

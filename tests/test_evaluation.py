@@ -18,6 +18,7 @@ from dxtraj.evaluation import (
 from dxtraj.numerics import SeededRng
 from dxtraj.synth import SynthSpec, generate_cohort
 from dxtraj.training import TrainConfig, split, train
+from padded import pad
 
 
 def brute_force_recall(yhat, targets, k):
@@ -143,8 +144,9 @@ def per_row_recall(model, patients, vocab, k):
     """Reference: recall_at_k on each valid (step, patient) cell in turn."""
     batch = build_batch(patients, vocab, model.extras, model.duration_max,
                         model.interval_max)
-    yhat = batch.pad(network.forward(batch, model)["yhat_rows"])
-    return [recall_at_k(yhat[t, h], set(np.flatnonzero(batch.targets[t, h])), k)
+    yhat = pad(batch.mask, network.forward(batch, model)["yhat_rows"])
+    targets = pad(batch.mask, batch.target_rows)
+    return [recall_at_k(yhat[t, h], set(np.flatnonzero(targets[t, h])), k)
             for t, h in np.ndindex(batch.mask.shape)
             if batch.mask[t, h]]
 

@@ -11,6 +11,7 @@ from dxtraj.ehr_data import (Admission, BatchTensor, CodeVocabulary,
                              ExtraFeatures, PatientRecord, build_batch)
 from dxtraj.gradcheck import full_network_gradcheck, random_batch
 from dxtraj.numerics import SeededRng
+from padded import pack, pad, unpack
 
 
 def small_model(seed=0, n_codes=5, hidden=4, kind="mgru", **kw):
@@ -68,9 +69,9 @@ def test_future_admission_influences_early_output():
     model = small_model(seed=7)
     batch = random_batch(5, 1, 3, SeededRng(11), lengths=(3,))
     base = network.forward(batch, model)["yhat_rows"][0].copy()
-    x2 = batch.x
-    x2[2, 0] = 1.0 - x2[2, 0]
-    altered = BatchTensor.from_padded(x2, batch.mask, batch.targets)
+    x, mask, targets = unpack(batch)
+    x[2, 0] = 1.0 - x[2, 0]
+    altered = pack(x, mask, targets)
     changed = network.forward(altered, model)["yhat_rows"][0]
     assert np.abs(changed - base).max() > 0
 
@@ -78,9 +79,8 @@ def test_future_admission_influences_early_output():
 def test_zero_mask_gives_zero_gradients():
     model = small_model()
     batch = random_batch(5, 2, 3, SeededRng(0), lengths=(3, 3))
-    empty = BatchTensor.from_padded(np.zeros_like(batch.x),
-                                    np.zeros_like(batch.mask),
-                                    np.zeros_like(batch.targets))
+    empty = BatchTensor(batch.code_rows[:0], batch.extra_rows[:0],
+                        batch.target_rows[:0], np.zeros_like(batch.mask))
     trace = network.forward(empty, model)
     grads = network.backward(trace, empty, model)
     assert all(not g.any() for g in grads.values())
@@ -91,10 +91,9 @@ def test_masking_invariance_padding_patient():
 
     model = small_model(seed=5)
     batch = random_batch(5, 2, 3, SeededRng(9), lengths=(3, 3))
-    padded = BatchTensor.from_padded(
-        np.concatenate([batch.x, np.zeros((3, 1, 5))], axis=1),
-        np.concatenate([batch.mask, np.zeros((3, 1))], axis=1),
-        np.concatenate([batch.targets, np.zeros((3, 1, 5))], axis=1))
+    # an all-padding patient adds no row: only the mask widens
+    padded = BatchTensor(batch.code_rows, batch.extra_rows, batch.target_rows,
+                         np.concatenate([batch.mask, np.zeros((3, 1))], axis=1))
 
     tr_a = network.forward(batch, model)
     tr_b = network.forward(padded, model)
@@ -129,10 +128,7 @@ def test_reversal_consistency_vbwd_zero():
 def test_patient_duplication_doubles_gradients():
     model = small_model(seed=17)
     batch = random_batch(5, 1, 3, SeededRng(21), lengths=(3,))
-    double = BatchTensor.from_padded(
-        np.concatenate([batch.x, batch.x], axis=1),
-        np.concatenate([batch.mask, batch.mask], axis=1),
-        np.concatenate([batch.targets, batch.targets], axis=1))
+    double = pack(*(np.concatenate([a, a], axis=1) for a in unpack(batch)))
     g1 = network.backward(network.forward(batch, model), batch, model)
     g2 = network.backward(network.forward(double, model), double, model)
     # loss is averaged over unmasked steps, so the mean loss is unchanged and
@@ -215,7 +211,7 @@ def _loss_grads_yhat(batch, model):
     trace = network.forward(batch, model)
     loss = cross_entropy_loss(batch.target_rows, trace["yhat_rows"])
     return (loss, network.backward(trace, batch, model),
-            batch.pad(trace["yhat_rows"]))
+            pad(batch.mask, trace["yhat_rows"]))
 
 
 def _assert_same(a, b, tol=1e-12):
@@ -233,11 +229,9 @@ def _ragged_batch(seed):
 def test_trailing_padding_steps_change_nothing(kind):
     model = small_model(seed=19, kind=kind, layers=2, embed_dim=3)
     batch = _ragged_batch(23)
-    pad = np.zeros((2,) + batch.x.shape[1:])
-    longer = BatchTensor.from_padded(
-        np.concatenate([batch.x, pad]),
-        np.concatenate([batch.mask, np.zeros((2, 4))]),
-        np.concatenate([batch.targets, pad]))
+    # trailing padding steps add no row: only the mask grows
+    longer = BatchTensor(batch.code_rows, batch.extra_rows, batch.target_rows,
+                         np.concatenate([batch.mask, np.zeros((2, 4))]))
     a = _loss_grads_yhat(batch, model)
     b = _loss_grads_yhat(longer, model)
     _assert_same(a, b)
@@ -250,8 +244,7 @@ def test_patient_order_within_batch_changes_nothing(kind):
     model = small_model(seed=29, kind=kind, layers=2, embed_dim=3)
     batch = _ragged_batch(31)
     perm = [2, 0, 3, 1]
-    shuffled = BatchTensor.from_padded(
-        batch.x[:, perm], batch.mask[:, perm], batch.targets[:, perm])
+    shuffled = pack(*(a[:, perm] for a in unpack(batch)))
     a = _loss_grads_yhat(batch, model)
     b = _loss_grads_yhat(shuffled, model)
     _assert_same(a, b)
@@ -266,15 +259,15 @@ def test_masked_middle_step_carries_state(kind):
     model = small_model(seed=47, kind=kind, layers=2, embed_dim=3)
     rng = SeededRng(53)
     full = random_batch(5, 2, 3, rng, lengths=(3, 3))
-    x, mask, targets = full.x, full.mask.copy(), full.targets
+    x, mask, targets = unpack(full)
     mask[1, 0] = 0.0
     x[1, 0] = 1.0
     targets[1, 0] = 0.0
-    gap = BatchTensor.from_padded(x, mask, targets)
+    gap = pack(x, mask, targets)
     x, mask, targets = x.copy(), mask.copy(), targets.copy()
     for arr in (x, mask, targets):
         arr[1:, 0] = np.concatenate([arr[2:, 0], np.zeros_like(arr[:1, 0])])
-    closed = BatchTensor.from_padded(x, mask, targets)
+    closed = pack(x, mask, targets)
     a = _loss_grads_yhat(gap, model)
     b = _loss_grads_yhat(closed, model)
     _assert_same(a, b)
@@ -282,9 +275,9 @@ def test_masked_middle_step_carries_state(kind):
 
 
 def test_every_batch_holds_a_boolean_mask():
-    # build_batch, from_padded given a float {0, 1} mask and random_batch
-    # all hold the boolean grid of valid cells; the float mask packs the
-    # same rows, and forward() reads the same bits from either batch
+    # build_batch, the constructor given a float {0, 1} mask and
+    # random_batch all hold the boolean grid of valid cells, and forward()
+    # reads the same bits from the float mask as from the boolean one
     model = small_model(seed=59, extras=ALL_EXTRAS)
     patients = [PatientRecord(f"p{h}", [
         Admission(10 * i, {str(i % 5), str(h % 5)}, "urgent", 2.0 + i)
@@ -295,17 +288,13 @@ def test_every_batch_holds_a_boolean_mask():
     # by default every patient has every step but the last patient's last
     npt.assert_array_equal(drawn.mask.sum(axis=0), [4, 4, 3])
     for batch in (built, drawn):
-        as_float = BatchTensor.from_padded(batch.x, batch.mask * 1.0,
-                                           batch.targets)
         given = BatchTensor(batch.code_rows, batch.extra_rows,
                             batch.target_rows, batch.mask * 1.0)
-        for b in (batch, as_float, given):
+        for b in (batch, given):
             assert b.mask.dtype == bool
             npt.assert_array_equal(b.mask, batch.mask)
-        assert as_float.input_rows().tobytes() == batch.input_rows().tobytes()
-        npt.assert_array_equal(as_float.target_rows, batch.target_rows)
         yhat, again = (network.forward(b, model)["yhat_rows"]
-                       for b in (batch, as_float))
+                       for b in (batch, given))
         assert yhat.tobytes() == again.tobytes()
     # the dropout rows are packed like the batch, and the trace keeps them
     rows = np.full((len(drawn.code_rows), model.hidden), 1.25)
@@ -314,11 +303,23 @@ def test_every_batch_holds_a_boolean_mask():
     assert "valid" not in trace
 
 
-def test_padded_cells_get_zero_yhat():
-    model = small_model(seed=37)
-    batch = _ragged_batch(41)
-    yhat = batch.pad(network.forward(batch, model)["yhat_rows"])
-    assert not yhat[~batch.mask].any()
+@pytest.mark.parametrize("seed", [0, 1, 7, 42])
+@pytest.mark.parametrize("extras", [None, ALL_EXTRAS])
+def test_random_batch_packs_its_grids_at_the_mask(seed, extras):
+    # the rows are the two grids it draws, in that order, indexed by the
+    # mask: gradcheck's batches keep their bits
+    lengths = (2, 0, 3, 1)
+    batch = random_batch(5, 4, 3, SeededRng(seed), extras=extras,
+                         lengths=lengths)
+    rng = SeededRng(seed)
+    width = 5 + (extras or ExtraFeatures()).width
+    x = (rng.uniform((3, 4, width)) < 0.4) * 1.0
+    targets = (rng.uniform((3, 4, 5)) < 0.4) * 1.0
+    mask = np.arange(3)[:, None] < np.asarray(lengths)
+    npt.assert_array_equal(batch.mask, mask)
+    assert batch.code_rows.tobytes() == x[mask][:, :5].tobytes()
+    assert batch.extra_rows.tobytes() == x[mask][:, 5:].tobytes()
+    assert batch.target_rows.tobytes() == targets[mask].tobytes()
 
 
 @pytest.mark.parametrize("kind", CELL_KINDS)

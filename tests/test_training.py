@@ -28,6 +28,7 @@ from dxtraj.training import (
     split_patients,
     train,
 )
+from padded import pack, pad
 
 
 def planted_cohort(n=10, vocab=40, seed=7):
@@ -104,7 +105,8 @@ def test_cross_entropy_on_valid_rows_equals_padded_formula(seed):
     loss = cross_entropy_loss(batch.target_rows, yhat)
     assert loss == row_cross_entropy(batch.target_rows, yhat)
     assert loss == pytest.approx(
-        padded_cross_entropy(batch.targets, batch.pad(yhat), batch.mask),
+        padded_cross_entropy(pad(batch.mask, batch.target_rows),
+                             pad(batch.mask, yhat), batch.mask),
         rel=1e-14, abs=0)
 
 
@@ -120,7 +122,8 @@ def test_cross_entropy_by_halves_equals_padded_formula(n):
     loss = cross_entropy_loss(batch.target_rows, yhat)
     assert loss == row_cross_entropy(batch.target_rows, yhat)
     assert loss == pytest.approx(
-        padded_cross_entropy(batch.targets, batch.pad(yhat), batch.mask),
+        padded_cross_entropy(pad(batch.mask, batch.target_rows),
+                             pad(batch.mask, yhat), batch.mask),
         rel=1e-14, abs=0)
 
 
@@ -135,10 +138,10 @@ def test_appending_padding_steps_leaves_the_loss_bit_identical():
         model.theta[...] += rng.normal(0.3, model.theta.shape)
         batch = random_batch(6, 4, 3, rng, lengths=(3, 1, 2, 3))
         extra = 1 + seed % 5
-        padded = BatchTensor.from_padded(
-            np.concatenate([batch.x, np.zeros((extra, 4, 6))]),
-            np.concatenate([batch.mask, np.zeros((extra, 4))]),
-            np.concatenate([batch.targets, np.zeros((extra, 4, 6))]))
+        # padding steps add no row: only the mask grows
+        padded = BatchTensor(
+            batch.code_rows, batch.extra_rows, batch.target_rows,
+            np.concatenate([batch.mask, np.zeros((extra, 4))]))
         losses = [cross_entropy_loss(b.target_rows,
                                      network.forward(b, model)["yhat_rows"])
                   for b in (batch, padded)]
@@ -375,8 +378,7 @@ def embed_input(x, E, extras=ExtraFeatures()):
     model = network.init_model("mgru", n_codes, 3, extras=extras,
                                embed_dim=dim, rng=SeededRng(0))
     model.E[...] = E
-    batch = BatchTensor.from_padded(x, np.ones((1, 1)),
-                                    np.zeros((1, 1, n_codes)))
+    batch = pack(x, np.ones((1, 1)), np.zeros((1, 1, n_codes)))
     return network._embed(model, batch)[0][0]
 
 
@@ -659,7 +661,8 @@ def test_validation_patients_leave_the_training_batches_unchanged(
 
 def rows_by_patient(batch):
     """The batch's input rows, patient by patient, each in step order."""
-    return batch.x.transpose(1, 0, 2)[batch.mask.T]
+    x = pad(batch.mask, batch.input_rows())
+    return x.transpose(1, 0, 2)[batch.mask.T]
 
 
 def test_training_batches_are_normalised_as_the_whole_split(monkeypatch):
